@@ -4,12 +4,16 @@
 //!
 //! Usage:
 //!   bench_serve [--requests N] [--clients N] [--check BASELINE.json]
-//!               [--threshold F] [--write-baseline]
+//!               [--threshold F] [--min-tokens-per-s F] [--write-baseline]
 //!
-//! Always writes `results/BENCH_serve.json`. With `--check`, exits
-//! non-zero when the median TTFT rises or the median per-request decode
-//! throughput falls by more than the threshold (default 20%) relative to
-//! the baseline file. With `--write-baseline`, also refreshes
+//! Always writes `results/BENCH_serve.json`, including the `max_active`
+//! sweep (aggregate tokens/s, GEMM calls and packed bytes per token at
+//! 1, 2, 4, 8 and 16 decode slots). With `--check`, exits non-zero when
+//! the median TTFT rises or the median per-request decode throughput
+//! falls by more than the threshold (default 20%) relative to the
+//! baseline file. `--min-tokens-per-s` adds an absolute floor on
+//! aggregate tokens/s (a ratchet: refreshing the baseline cannot lower
+//! it). With `--write-baseline`, also refreshes
 //! `results/bench_serve_baseline.json` (commit that file to move the
 //! gate).
 
@@ -25,6 +29,7 @@ fn main() -> ExitCode {
     let mut cfg = ServeBenchConfig::default();
     let mut check: Option<PathBuf> = None;
     let mut threshold = DEFAULT_THRESHOLD;
+    let mut min_tokens_per_s: Option<f64> = None;
     let mut write_baseline = false;
 
     let mut argv = std::env::args().skip(1);
@@ -51,12 +56,19 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .expect("--threshold needs a fraction, e.g. 0.2");
             }
+            "--min-tokens-per-s" => {
+                min_tokens_per_s = Some(
+                    argv.next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--min-tokens-per-s needs a rate, e.g. 5000"),
+                );
+            }
             "--write-baseline" => write_baseline = true,
             other => {
                 eprintln!("unknown flag {other}");
                 eprintln!(
                     "usage: bench_serve [--requests N] [--clients N] [--check BASELINE.json] \
-                     [--threshold F] [--write-baseline]"
+                     [--threshold F] [--min-tokens-per-s F] [--write-baseline]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -101,6 +113,29 @@ fn main() -> ExitCode {
             ],
         ],
     );
+    print_table(
+        "max_active sweep — same traffic, one batched forward per engine step",
+        &[
+            "max_active",
+            "aggregate tok/s",
+            "tokens/step",
+            "GEMM calls/token",
+            "packed B/token",
+        ],
+        &report
+            .sweep
+            .iter()
+            .map(|p| {
+                vec![
+                    format!("{}", p.max_active),
+                    format!("{:.0}", p.aggregate_tokens_per_s),
+                    format!("{:.2}", p.tokens_per_step),
+                    format!("{:.2}", p.gemm_calls_per_token),
+                    format!("{:.0}", p.packed_bytes_per_token),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
     emit_json("BENCH_serve", &report);
     if write_baseline {
         emit_json("bench_serve_baseline", &report);
@@ -118,7 +153,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let verdict = compare_serve(&report, &baseline, threshold);
+        let verdict = compare_serve(&report, &baseline, threshold, min_tokens_per_s);
         println!(
             "[serve-gate] TTFT {:+.1}%, tokens/s drop {:+.1}% (gate {:+.0}%) vs {}",
             verdict.ttft_delta * 100.0,
@@ -126,9 +161,18 @@ fn main() -> ExitCode {
             verdict.threshold * 100.0,
             baseline_path.display(),
         );
+        if verdict.under_floor {
+            eprintln!(
+                "[serve-gate] FAIL: aggregate {:.0} tokens/s is under the {:.0} tokens/s floor \
+                 (batched decode / pre-packed weights regressed)",
+                report.aggregate_tokens_per_s,
+                min_tokens_per_s.unwrap_or_default()
+            );
+        }
         if verdict.regressed {
             eprintln!(
-                "[serve-gate] FAIL: median TTFT or decode throughput regressed beyond {:.0}%",
+                "[serve-gate] FAIL: median TTFT or decode throughput regressed beyond {:.0}%, \
+                 or the floor broke",
                 verdict.threshold * 100.0
             );
             return ExitCode::FAILURE;

@@ -6,10 +6,17 @@
 //! per-request decode-throughput percentiles. The CI job compares the
 //! medians against a committed baseline
 //! (`results/bench_serve_baseline.json`) and fails when either regresses
-//! by more than the threshold.
+//! by more than the threshold, or when aggregate throughput falls under
+//! an absolute floor (a ratchet, like `bench_step`'s ceilings).
+//!
+//! Every run also sweeps `max_active` over [`SWEEP_MAX_ACTIVE`] with the
+//! same traffic: since the engine decodes all live streams in one
+//! batched forward, GEMM calls per token fall as `1 / batch` and
+//! aggregate tokens/s rises until the GEMMs are compute-bound.
 
 use axonn_lm::{Gpt, GptModelConfig};
-use axonn_serve::{run_load, LoadConfig, Sampling, ServeConfig, ServeEngine};
+use axonn_serve::{run_load, LoadConfig, LoadOutcome, Sampling, ServeConfig, ServeEngine};
+use axonn_tensor::{take_gemm_phase, GemmPhase};
 use axonn_trace::LiveRegistry;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -77,6 +84,23 @@ pub struct ServeBenchReport {
     pub aggregate_tokens_per_s: f64,
     pub clients: usize,
     pub max_active: usize,
+    /// The same traffic at each `max_active` of [`SWEEP_MAX_ACTIVE`].
+    pub sweep: Vec<SweepPoint>,
+}
+
+/// Decode-slot counts the sweep visits.
+pub const SWEEP_MAX_ACTIVE: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// One `max_active` setting of the sweep. The per-token figures are
+/// exact counts (`tensor::take_gemm_phase` over the run, prefill
+/// included) and repeat for a seed; the rate is wall-clock.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct SweepPoint {
+    pub max_active: usize,
+    pub aggregate_tokens_per_s: f64,
+    pub tokens_per_step: f64,
+    pub gemm_calls_per_token: f64,
+    pub packed_bytes_per_token: f64,
 }
 
 /// Artificial slowdown multiplier for gate self-tests
@@ -90,18 +114,43 @@ fn slowdown() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Run the closed-loop benchmark.
-pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchReport {
+/// One load run on a fresh engine with `max_active` decode slots, and
+/// the GEMM work it did on this thread.
+fn run_once(cfg: &ServeBenchConfig, max_active: usize) -> (LoadOutcome, GemmPhase) {
     let model = Arc::new(Gpt::new(cfg.model.clone()));
-    let registry = LiveRegistry::new_enabled(true);
-    let mut engine = ServeEngine::new(model, cfg.engine.clone(), &registry);
+    let engine_cfg = ServeConfig {
+        max_active,
+        ..cfg.engine.clone()
+    };
+    let mut engine = ServeEngine::new(model, engine_cfg, &LiveRegistry::new_enabled(true));
+    let _ = take_gemm_phase();
     let out = run_load(&mut engine, &cfg.load);
     assert_eq!(
         out.completed + out.evicted,
         cfg.load.total_requests,
         "load run did not resolve every request"
     );
+    (out, take_gemm_phase())
+}
+
+/// Run the closed-loop benchmark, then the `max_active` sweep.
+pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchReport {
+    let (out, _) = run_once(cfg, cfg.engine.max_active);
     let scale = slowdown();
+    let sweep = SWEEP_MAX_ACTIVE
+        .iter()
+        .map(|&max_active| {
+            let (out, gemm) = run_once(cfg, max_active);
+            let tokens = out.total_tokens.max(1) as f64;
+            SweepPoint {
+                max_active,
+                aggregate_tokens_per_s: out.aggregate_tokens_per_s / scale,
+                tokens_per_step: tokens / out.steps.max(1) as f64,
+                gemm_calls_per_token: gemm.calls as f64 / tokens,
+                packed_bytes_per_token: gemm.packed_bytes as f64 / tokens,
+            }
+        })
+        .collect();
     ServeBenchReport {
         completed: out.completed,
         evicted: out.evicted,
@@ -116,6 +165,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchReport {
         aggregate_tokens_per_s: out.aggregate_tokens_per_s / scale,
         clients: cfg.load.clients,
         max_active: cfg.engine.max_active,
+        sweep,
     }
 }
 
@@ -128,16 +178,23 @@ pub struct ServeGateVerdict {
     /// (`0.2` = 20% slower decode).
     pub rate_delta: f64,
     pub threshold: f64,
-    /// `true` when either delta exceeds the threshold.
+    /// Absolute floor on aggregate tokens/s, when one was asked for.
+    pub min_tokens_per_s: Option<f64>,
+    /// `true` when aggregate tokens/s fell under that floor.
+    pub under_floor: bool,
+    /// `true` when either delta exceeds the threshold or the floor broke.
     pub regressed: bool,
 }
 
 /// Gate on both medians: TTFT must not rise and per-request decode
-/// throughput must not fall by more than `threshold`.
+/// throughput must not fall by more than `threshold`. `min_tokens_per_s`
+/// is the ratchet: an absolute floor on aggregate tokens/s that holds
+/// even after the baseline is refreshed.
 pub fn compare_serve(
     current: &ServeBenchReport,
     baseline: &ServeBenchReport,
     threshold: f64,
+    min_tokens_per_s: Option<f64>,
 ) -> ServeGateVerdict {
     let ttft_delta = if baseline.ttft_p50_ms > 0.0 {
         (current.ttft_p50_ms - baseline.ttft_p50_ms) / baseline.ttft_p50_ms
@@ -150,11 +207,14 @@ pub fn compare_serve(
     } else {
         0.0
     };
+    let under_floor = min_tokens_per_s.is_some_and(|floor| current.aggregate_tokens_per_s < floor);
     ServeGateVerdict {
         ttft_delta,
         rate_delta,
         threshold,
-        regressed: ttft_delta > threshold || rate_delta > threshold,
+        min_tokens_per_s,
+        under_floor,
+        regressed: ttft_delta > threshold || rate_delta > threshold || under_floor,
     }
 }
 
@@ -184,16 +244,28 @@ mod tests {
             aggregate_tokens_per_s: rate * 8.0,
             clients: 16,
             max_active: 8,
+            sweep: Vec::new(),
         }
     }
 
     #[test]
     fn gate_trips_on_ttft_or_throughput_regression() {
         let base = report(2.0, 1000.0);
-        assert!(!compare_serve(&report(2.2, 1000.0), &base, 0.2).regressed);
-        assert!(compare_serve(&report(2.5, 1000.0), &base, 0.2).regressed);
-        assert!(compare_serve(&report(2.0, 700.0), &base, 0.2).regressed);
-        assert!(!compare_serve(&report(1.5, 1200.0), &base, 0.2).regressed);
+        assert!(!compare_serve(&report(2.2, 1000.0), &base, 0.2, None).regressed);
+        assert!(compare_serve(&report(2.5, 1000.0), &base, 0.2, None).regressed);
+        assert!(compare_serve(&report(2.0, 700.0), &base, 0.2, None).regressed);
+        assert!(!compare_serve(&report(1.5, 1200.0), &base, 0.2, None).regressed);
+    }
+
+    #[test]
+    fn floor_holds_against_a_refreshed_baseline() {
+        // Aggregate is 8× the per-request rate in `report`. A run that
+        // matches a (slow, refreshed) baseline still fails the floor.
+        let slow = report(2.0, 500.0);
+        let held = compare_serve(&slow, &slow, 0.2, Some(3000.0));
+        assert!(!held.under_floor && !held.regressed);
+        let broke = compare_serve(&slow, &slow, 0.2, Some(5000.0));
+        assert!(broke.under_floor && broke.regressed);
     }
 
     #[test]
@@ -215,6 +287,15 @@ mod tests {
         assert!(r.ttft_p50_ms > 0.0 && r.ttft_p99_ms >= r.ttft_p50_ms);
         assert!(r.tokens_per_s_p50 > 0.0);
         assert!(r.total_tokens >= 40 * 4);
+        // The sweep: more slots, more tokens per engine step and fewer
+        // GEMM calls per token (one batched forward per step), and no
+        // weight packing beyond prefill's activations at any point.
+        let slots: Vec<usize> = r.sweep.iter().map(|p| p.max_active).collect();
+        assert_eq!(slots, SWEEP_MAX_ACTIVE);
+        let (one, four) = (&r.sweep[0], &r.sweep[2]);
+        assert!(four.tokens_per_step > one.tokens_per_step);
+        assert!(four.gemm_calls_per_token < one.gemm_calls_per_token);
+        assert!(r.sweep.iter().all(|p| p.aggregate_tokens_per_s > 0.0));
     }
 
     #[test]

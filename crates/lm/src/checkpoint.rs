@@ -369,9 +369,10 @@ mod tests {
         model.train_step(&seq[..5], &seq[1..6], None, &mut opt);
         let ck = Checkpoint::capture(&mut model);
         let mut restored = ck.restore().unwrap();
+        // The trained model holds moments; the restored one none at all.
+        assert!(model.params_mut().iter().all(|p| !p.m.is_empty()));
         for p in restored.params_mut() {
-            assert!(p.m.as_slice().iter().all(|&v| v == 0.0));
-            assert!(p.v.as_slice().iter().all(|&v| v == 0.0));
+            assert!(p.m.is_empty() && p.v.is_empty());
         }
     }
 }

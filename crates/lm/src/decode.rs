@@ -9,20 +9,36 @@
 //! the cached keys/values instead of the full-sequence recompute the
 //! seed's `greedy_continuation` performed.
 //!
+//! Decoding is batched across streams: [`decode_batch`] stacks one fed
+//! token per stream into a `B × d` activation and runs each of the
+//! `4·L + 1` linear layers as **one** GEMM, optionally against weights
+//! packed once ([`PackedWeights`]). What stays per row is everything
+//! that reads a stream's own state or position: the positional
+//! embedding, layer norms, and attention against that stream's
+//! [`KvCache`]. [`decode_step`] is the batch of one.
+//!
 //! **Bit-identity contract.** Every loop below mirrors the corresponding
 //! training-module loop exactly — same `gemm` kernels, same softmax
 //! accumulation order, same bias/residual element order — so the logits
 //! produced here are *bitwise* equal to a full forward pass over the
-//! same context (proptested in `tests/decode_oracle.rs`). The one
-//! non-obvious ingredient: `gemm_nn` skips exact-zero A entries, so the
-//! causal-masked zeros in the training path's T×T probability matrix
-//! contribute nothing (not even `+0.0` additions) to P·V, which makes a
-//! 1×(p+1) probability row reproduce row p of the batched product
-//! bit-for-bit.
+//! same context (proptested in `tests/decode_oracle.rs`). Three
+//! ingredients carry it:
+//!
+//! * every kernel tier computes `C[i][j]` as the reference's sequential
+//!   mul-then-add chain over `p`, which reads row `i` of `A` alone — so a
+//!   row's result does not depend on how many other rows share the
+//!   multiply, nor on whether `B` was packed per call or once;
+//! * `gemm_nn` skips exact-zero A entries, so the causal-masked zeros in
+//!   the training path's T×T probability matrix contribute nothing (not
+//!   even `+0.0` additions) to P·V, which makes a 1×(p+1) probability
+//!   row reproduce row p of the batched product bit-for-bit;
+//! * cached attention ([`attend`]) walks the slab in that same reference
+//!   order — `q·Kᵀ` as one chain per key row, `p·V` as one chain per
+//!   output lane with the same zero-skip — without copying K or V out.
 
-use crate::gpt::{gelu, Gpt, GptModelConfig};
+use crate::gpt::{gelu, Block, Gpt, GptModelConfig};
 use crate::modules::{LayerNorm, Linear};
-use axonn_tensor::{gemm, MatMode, Matrix};
+use axonn_tensor::{gemm, MatMode, Matrix, PackedB, Rhs};
 
 /// Per-request key/value cache: one K and one V matrix per (layer, head),
 /// preallocated at `seq_len × head_dim`, filled up to [`KvCache::len`].
@@ -94,26 +110,17 @@ impl KvCache {
         self.len = 0;
     }
 
-    /// The first `len` cached K rows of `(layer, head)` as a dense
-    /// matrix operand. Public for the tensor-parallel decode path, which
-    /// runs the same attention loop over a partial-head cache.
-    pub fn k_mat(&self, layer: usize, head: usize, len: usize) -> Matrix {
-        let k = &self.layers[layer].0[head];
-        Matrix::from_vec(
-            len,
-            self.head_dim,
-            k.as_slice()[..len * self.head_dim].to_vec(),
-        )
+    /// The first `len` cached K rows of `(layer, head)`, borrowed from
+    /// the slab: row-major `len × head_dim`. Public for the
+    /// tensor-parallel decode path, which runs [`attend`] over a
+    /// partial-head cache.
+    pub fn k_rows(&self, layer: usize, head: usize, len: usize) -> &[f32] {
+        &self.layers[layer].0[head].as_slice()[..len * self.head_dim]
     }
 
-    /// See [`KvCache::k_mat`].
-    pub fn v_mat(&self, layer: usize, head: usize, len: usize) -> Matrix {
-        let v = &self.layers[layer].1[head];
-        Matrix::from_vec(
-            len,
-            self.head_dim,
-            v.as_slice()[..len * self.head_dim].to_vec(),
-        )
+    /// See [`KvCache::k_rows`].
+    pub fn v_rows(&self, layer: usize, head: usize, len: usize) -> &[f32] {
+        &self.layers[layer].1[head].as_slice()[..len * self.head_dim]
     }
 
     /// Store position `pos`'s K/V rows for `(layer, head)`.
@@ -144,9 +151,77 @@ impl KvCache {
     }
 }
 
-/// `y = x·W + b` exactly as [`Linear::forward`], without caching.
-pub fn linear_infer(l: &Linear, x: &Matrix) -> Matrix {
-    let mut y = gemm(MatMode::NN, x, &l.w.value);
+/// The four linear weights of one block, packed for `x·W`.
+struct PackedBlock {
+    qkv: PackedB,
+    proj: PackedB,
+    fc1: PackedB,
+    fc2: PackedB,
+}
+
+/// Every [`Linear`] weight of a model (`4·L + 1` operands) packed once
+/// into GEMM panels, so prefill and decode skip the per-call pack. Holds
+/// a second copy of those weights; only valid for the model it was
+/// packed from, unchanged since.
+pub struct PackedWeights {
+    blocks: Vec<PackedBlock>,
+    head: PackedB,
+}
+
+impl PackedWeights {
+    pub fn pack(model: &Gpt) -> PackedWeights {
+        let pack = |l: &Linear| PackedB::pack(MatMode::NN, &l.w.value);
+        PackedWeights {
+            blocks: model
+                .blocks
+                .iter()
+                .map(|b| PackedBlock {
+                    qkv: pack(&b.attn.qkv),
+                    proj: pack(&b.attn.proj),
+                    fc1: pack(&b.mlp.fc1),
+                    fc2: pack(&b.mlp.fc2),
+                })
+                .collect(),
+            head: pack(&model.head),
+        }
+    }
+}
+
+/// Why [`decode_batch`] refused a batch. Nothing was decoded and no
+/// cache was touched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// Row `row`'s cache holds no positions: prefill first.
+    EmptyCache { row: usize },
+    /// Row `row`'s cache already holds its whole window.
+    WindowFull { row: usize },
+    /// `tokens` and `caches` differ in length.
+    BatchMismatch { tokens: usize, caches: usize },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::EmptyCache { row } => {
+                write!(f, "decode_step before prefill (batch row {row})")
+            }
+            DecodeError::WindowFull { row } => {
+                write!(f, "generation window exceeds seq_len (batch row {row})")
+            }
+            DecodeError::BatchMismatch { tokens, caches } => {
+                write!(f, "{tokens} fed tokens for {caches} caches")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// `y = x·W + b` exactly as [`Linear::forward`], without caching; `W`
+/// read from `packed` when given.
+fn linear(l: &Linear, packed: Option<&PackedB>, x: &Matrix) -> Matrix {
+    let w = packed.map_or(Rhs::Matrix(&l.w.value), Rhs::Packed);
+    let mut y = gemm(MatMode::NN, x, w);
     for r in 0..y.rows() {
         let row = y.row_mut(r);
         for (v, b) in row.iter_mut().zip(l.b.value.as_slice()) {
@@ -175,33 +250,92 @@ pub fn layernorm_infer(ln: &LayerNorm, x: &Matrix) -> Matrix {
     out
 }
 
-/// Token + positional embedding rows for `tokens` starting at absolute
-/// position `start_pos`, exactly as `Embedding::forward` computes them
-/// for the same positions.
-fn embed_rows(model: &Gpt, tokens: &[usize], start_pos: usize) -> Matrix {
-    let d = model.emb.tok.value.cols();
-    let mut out = Matrix::zeros(tokens.len(), d);
-    for (i, &t) in tokens.iter().enumerate() {
-        let p = start_pos + i;
-        let orow = out.row_mut(i);
-        let trow = model.emb.tok.value.row(t);
-        let prow = model.emb.pos.value.row(p);
-        for c in 0..d {
-            orow[c] = trow[c] + prow[c];
-        }
+/// Token + positional embedding of `token` at absolute position `pos`,
+/// exactly as `Embedding::forward` computes it.
+fn embed_row(model: &Gpt, token: usize, pos: usize, out: &mut [f32]) {
+    let trow = model.emb.tok.value.row(token);
+    let prow = model.emb.pos.value.row(pos);
+    for (o, (t, p)) in out.iter_mut().zip(trow.iter().zip(prow)) {
+        *o = t + p;
     }
-    out
 }
 
-/// Causal softmax over `srow[..=i]`, written into `prow` — the exact
-/// per-row loop from `CausalSelfAttention::forward` (entries past `i`
-/// are left at `+0.0`, which `gemm_nn` then skips).
-fn causal_softmax_row(srow: &[f32], i: usize, prow: &mut [f32]) {
-    let maxv = srow[..=i].iter().cloned().fold(f32::MIN, f32::max);
-    let denom: f32 = srow[..=i].iter().map(|v| (v - maxv).exp()).sum();
-    for j in 0..=i {
-        prow[j] = (srow[j] - maxv).exp() / denom;
+/// Causal softmax over `row[..=i]` in place — the exact per-row loop
+/// from `CausalSelfAttention::forward`; entries past `i` become `+0.0`,
+/// which `gemm_nn` then skips.
+fn causal_softmax_row(row: &mut [f32], i: usize) {
+    let maxv = row[..=i].iter().cloned().fold(f32::MIN, f32::max);
+    // One exp per entry: the training loop evaluates the same expression
+    // twice (once for the sum, once for the quotient), which yields the
+    // same bits both times.
+    for v in &mut row[..=i] {
+        *v = (*v - maxv).exp();
     }
+    let denom: f32 = row[..=i].iter().sum();
+    for v in &mut row[..=i] {
+        *v /= denom;
+    }
+    row[i + 1..].fill(0.0);
+}
+
+/// One query row against cached keys and values of one head, in place
+/// on the slab: `out = softmax(q·Kᵀ·scale)·V` over all the rows given
+/// (`k_rows`, `v_rows`: row-major `len × q.len()`, see
+/// [`KvCache::k_rows`]). `probs` is scratch.
+///
+/// Bitwise what `gemm(NT, q, K)`, the causal softmax and
+/// `gemm(NN, p, V)` produce for a single row: each score is the
+/// sequential mul-then-add chain over the head dimension from `+0.0`,
+/// each output lane the chain over positions, skipping exact-zero
+/// probabilities as `gemm_nn` does.
+pub fn attend(
+    q: &[f32],
+    k_rows: &[f32],
+    v_rows: &[f32],
+    scale: f32,
+    probs: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    let hd = q.len();
+    assert!(!k_rows.is_empty(), "attention over an empty cache");
+    probs.clear();
+    probs.extend(k_rows.chunks_exact(hd).map(|k_row| {
+        let mut acc = 0.0f32;
+        for (a, b) in q.iter().zip(k_row) {
+            acc += a * b;
+        }
+        acc * scale
+    }));
+    let last = probs.len() - 1;
+    causal_softmax_row(probs, last);
+    out.fill(0.0);
+    for (&p, v_row) in probs.iter().zip(v_rows.chunks_exact(hd)) {
+        if p == 0.0 {
+            continue;
+        }
+        for (o, &v) in out.iter_mut().zip(v_row) {
+            *o += p * v;
+        }
+    }
+}
+
+/// Everything in a block after attention: output projection, residual,
+/// second norm, MLP, residual. `x` is the block input, `heads_out` the
+/// concatenated attention heads.
+fn block_tail(
+    block: &Block,
+    packed: Option<&PackedBlock>,
+    x: &Matrix,
+    heads_out: &Matrix,
+) -> Matrix {
+    let mut hres = linear(&block.attn.proj, packed.map(|p| &p.proj), heads_out);
+    hres.add_assign(x);
+    let normed2 = layernorm_infer(&block.ln2, &hres);
+    let mut act = linear(&block.mlp.fc1, packed.map(|p| &p.fc1), &normed2);
+    act.map_inplace(gelu);
+    let mut out = linear(&block.mlp.fc2, packed.map(|p| &p.fc2), &act);
+    out.add_assign(&hres);
+    out
 }
 
 /// Run the prompt through the model in one batched pass, filling `cache`
@@ -212,6 +346,17 @@ fn causal_softmax_row(srow: &[f32], i: usize, prow: &mut [f32]) {
 /// If the cache is non-empty, the prompt is empty, or it exceeds the
 /// model window.
 pub fn prefill(model: &Gpt, prompt: &[usize], cache: &mut KvCache) -> Matrix {
+    prefill_with(model, None, prompt, cache)
+}
+
+/// [`prefill`] reading the linear weights from `packed` when given
+/// (bitwise the same logits; the per-call weight packing disappears).
+pub fn prefill_with(
+    model: &Gpt,
+    packed: Option<&PackedWeights>,
+    prompt: &[usize],
+    cache: &mut KvCache,
+) -> Matrix {
     assert!(cache.is_empty(), "prefill into a non-empty cache");
     assert!(!prompt.is_empty(), "empty prompt");
     assert!(
@@ -226,10 +371,14 @@ pub fn prefill(model: &Gpt, prompt: &[usize], cache: &mut KvCache) -> Matrix {
     let hd = dim / n_heads;
     let scale = 1.0 / (hd as f32).sqrt();
 
-    let mut x = embed_rows(model, prompt, 0);
+    let mut x = Matrix::zeros(t, dim);
+    for (pos, &token) in prompt.iter().enumerate() {
+        embed_row(model, token, pos, x.row_mut(pos));
+    }
     for (li, block) in model.blocks.iter().enumerate() {
+        let pb = packed.map(|p| &p.blocks[li]);
         let normed = layernorm_infer(&block.ln1, &x);
-        let qkv = linear_infer(&block.attn.qkv, &normed);
+        let qkv = linear(&block.attn.qkv, pb.map(|p| &p.qkv), &normed);
         let mut heads_out = Matrix::zeros(t, dim);
         for h in 0..n_heads {
             // Slice out Q, K, V for this head — same row copies as the
@@ -246,11 +395,10 @@ pub fn prefill(model: &Gpt, prompt: &[usize], cache: &mut KvCache) -> Matrix {
                 v.row_mut(ti)
                     .copy_from_slice(&row[2 * dim + off..2 * dim + off + hd]);
             }
-            let mut s = gemm(MatMode::NT, &q, &k);
-            s.scale(scale);
-            let mut p = Matrix::zeros(t, t);
+            let mut p = gemm(MatMode::NT, &q, &k);
+            p.scale(scale);
             for i in 0..t {
-                causal_softmax_row(s.row(i), i, p.row_mut(i));
+                causal_softmax_row(p.row_mut(i), i);
             }
             let o = gemm(MatMode::NN, &p, &v);
             for ti in 0..t {
@@ -260,75 +408,104 @@ pub fn prefill(model: &Gpt, prompt: &[usize], cache: &mut KvCache) -> Matrix {
                 cache.push_row(li, h, ti, k.row(ti), v.row(ti));
             }
         }
-        let mut hres = linear_infer(&block.attn.proj, &heads_out);
-        hres.add_assign(&x);
-        let normed2 = layernorm_infer(&block.ln2, &hres);
-        let pre = linear_infer(&block.mlp.fc1, &normed2);
-        let mut act = pre.clone();
-        act.map_inplace(gelu);
-        let mut out = linear_infer(&block.mlp.fc2, &act);
-        out.add_assign(&hres);
-        x = out;
+        x = block_tail(block, pb, &x, &heads_out);
     }
     cache.len = t;
     let x = layernorm_infer(&model.ln_f, &x);
-    linear_infer(&model.head, &x)
+    linear(&model.head, packed.map(|p| &p.head), &x)
 }
 
-/// Feed one token at the cache's current position and return its logits
-/// row (`vocab` floats). Attention runs against the cached K/V only —
-/// O(cache.len) per layer instead of a full-window recompute.
+/// Feed one token per stream — `tokens[r]` at the current position of
+/// `caches[r]` — and return the `B × vocab` logits, row `r` for stream
+/// `r`. The streams may sit at different depths; each linear layer runs
+/// as one `B`-row GEMM (against `packed` when given), attention runs per
+/// row against that row's cache only — O(cache.len) per layer instead of
+/// a full-window recompute. Row `r` is bitwise what a batch of that one
+/// stream would produce, in any batch order.
 ///
-/// # Panics
-/// If the cache is empty (prefill first) or the window is full.
-pub fn decode_step(model: &Gpt, token: usize, cache: &mut KvCache) -> Vec<f32> {
-    assert!(!cache.is_empty(), "decode_step before prefill");
-    assert!(cache.remaining() > 0, "generation window exceeds seq_len");
-    let pos = cache.len;
+/// An empty batch returns a `0 × vocab` matrix. On `Err` no cache was
+/// modified.
+pub fn decode_batch(
+    model: &Gpt,
+    packed: Option<&PackedWeights>,
+    tokens: &[usize],
+    caches: &mut [&mut KvCache],
+) -> Result<Matrix, DecodeError> {
+    if tokens.len() != caches.len() {
+        return Err(DecodeError::BatchMismatch {
+            tokens: tokens.len(),
+            caches: caches.len(),
+        });
+    }
+    for (row, cache) in caches.iter().enumerate() {
+        if cache.is_empty() {
+            return Err(DecodeError::EmptyCache { row });
+        }
+        if cache.remaining() == 0 {
+            return Err(DecodeError::WindowFull { row });
+        }
+    }
+    let rows = tokens.len();
+    if rows == 0 {
+        return Ok(Matrix::zeros(0, model.cfg.vocab));
+    }
     let dim = model.cfg.dim;
     let n_heads = model.cfg.n_heads;
     let hd = dim / n_heads;
     let scale = 1.0 / (hd as f32).sqrt();
 
-    let mut x = embed_rows(model, &[token], pos);
-    for (li, block) in model.blocks.iter().enumerate() {
-        let normed = layernorm_infer(&block.ln1, &x);
-        let qkv = linear_infer(&block.attn.qkv, &normed);
-        let mut heads_out = Matrix::zeros(1, dim);
-        for h in 0..n_heads {
-            let row = qkv.row(0);
-            let off = h * hd;
-            let q = Matrix::from_vec(1, hd, row[off..off + hd].to_vec());
-            cache.push_row(
-                li,
-                h,
-                pos,
-                &row[dim + off..dim + off + hd],
-                &row[2 * dim + off..2 * dim + off + hd],
-            );
-            // Attend over the cached rows *including* the one just pushed.
-            let k = cache.k_mat(li, h, pos + 1);
-            let v = cache.v_mat(li, h, pos + 1);
-            let mut s = gemm(MatMode::NT, &q, &k);
-            s.scale(scale);
-            let mut p = Matrix::zeros(1, pos + 1);
-            causal_softmax_row(s.row(0), pos, p.row_mut(0));
-            let o = gemm(MatMode::NN, &p, &v);
-            heads_out.row_mut(0)[h * hd..(h + 1) * hd].copy_from_slice(o.row(0));
-        }
-        let mut hres = linear_infer(&block.attn.proj, &heads_out);
-        hres.add_assign(&x);
-        let normed2 = layernorm_infer(&block.ln2, &hres);
-        let pre = linear_infer(&block.mlp.fc1, &normed2);
-        let mut act = pre.clone();
-        act.map_inplace(gelu);
-        let mut out = linear_infer(&block.mlp.fc2, &act);
-        out.add_assign(&hres);
-        x = out;
+    let mut x = Matrix::zeros(rows, dim);
+    for (r, (&token, cache)) in tokens.iter().zip(caches.iter()).enumerate() {
+        embed_row(model, token, cache.len, x.row_mut(r));
     }
-    cache.len = pos + 1;
+    let mut probs = Vec::new();
+    for (li, block) in model.blocks.iter().enumerate() {
+        let pb = packed.map(|p| &p.blocks[li]);
+        let normed = layernorm_infer(&block.ln1, &x);
+        let qkv = linear(&block.attn.qkv, pb.map(|p| &p.qkv), &normed);
+        let mut heads_out = Matrix::zeros(rows, dim);
+        for (r, cache) in caches.iter_mut().enumerate() {
+            let pos = cache.len;
+            let row = qkv.row(r);
+            for h in 0..n_heads {
+                let off = h * hd;
+                cache.push_row(
+                    li,
+                    h,
+                    pos,
+                    &row[dim + off..dim + off + hd],
+                    &row[2 * dim + off..2 * dim + off + hd],
+                );
+                // Attend over the cached rows *including* the one just pushed.
+                attend(
+                    &row[off..off + hd],
+                    cache.k_rows(li, h, pos + 1),
+                    cache.v_rows(li, h, pos + 1),
+                    scale,
+                    &mut probs,
+                    &mut heads_out.row_mut(r)[off..off + hd],
+                );
+            }
+        }
+        x = block_tail(block, pb, &x, &heads_out);
+    }
+    for cache in caches.iter_mut() {
+        cache.len += 1;
+    }
     let x = layernorm_infer(&model.ln_f, &x);
-    linear_infer(&model.head, &x).row(0).to_vec()
+    Ok(linear(&model.head, packed.map(|p| &p.head), &x))
+}
+
+/// Feed one token at the cache's current position and return its logits
+/// row (`vocab` floats): [`decode_batch`] over a batch of one, packing
+/// the weights per call.
+///
+/// # Panics
+/// If the cache is empty (prefill first) or the window is full.
+pub fn decode_step(model: &Gpt, token: usize, cache: &mut KvCache) -> Vec<f32> {
+    decode_batch(model, None, &[token], &mut [cache])
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_vec()
 }
 
 /// Greedy token choice — the exact `max_by(total_cmp)` expression the
@@ -419,6 +596,88 @@ mod tests {
         let cache = KvCache::for_model(&g.cfg);
         // 2 layers × 2 heads × 2 planes × 10 positions × 8 head-dim × 4B.
         assert_eq!(cache.approx_bytes(), 2 * 2 * 2 * 10 * 8 * 4);
+    }
+
+    #[test]
+    fn batch_errors_are_typed_and_leave_caches_untouched() {
+        let g = toy();
+        let mut ready = KvCache::for_model(&g.cfg);
+        let _ = prefill(&g, &[1, 2], &mut ready);
+        let mut empty = KvCache::for_model(&g.cfg);
+        let mut full = KvCache::for_model(&g.cfg);
+        let _ = prefill(&g, &[0; 10], &mut full);
+
+        let err = decode_batch(&g, None, &[3, 4], &mut [&mut ready, &mut empty]);
+        assert_eq!(err.unwrap_err(), DecodeError::EmptyCache { row: 1 });
+        let err = decode_batch(&g, None, &[3, 4], &mut [&mut ready, &mut full]);
+        assert_eq!(err.unwrap_err(), DecodeError::WindowFull { row: 1 });
+        let err = decode_batch(&g, None, &[3, 4], &mut [&mut ready]);
+        assert_eq!(
+            err.unwrap_err(),
+            DecodeError::BatchMismatch {
+                tokens: 2,
+                caches: 1
+            }
+        );
+        // Row 0 was valid every time and must not have advanced.
+        assert_eq!((ready.len(), empty.len(), full.len()), (2, 0, 10));
+
+        // An empty batch is not an error and runs no GEMM.
+        let _ = axonn_tensor::take_gemm_phase();
+        let none = decode_batch(&g, None, &[], &mut []).unwrap();
+        assert_eq!(none.shape(), (0, 12));
+        assert_eq!(axonn_tensor::take_gemm_phase().calls, 0);
+    }
+
+    #[test]
+    fn batched_step_is_one_gemm_per_linear_layer_and_packs_nothing_when_prepacked() {
+        let g = toy();
+        let packed = PackedWeights::pack(&g);
+        let mut a = KvCache::for_model(&g.cfg);
+        let mut b = KvCache::for_model(&g.cfg);
+        let _ = prefill(&g, &[1, 2, 3], &mut a);
+        let _ = prefill(&g, &[4], &mut b);
+        let _ = axonn_tensor::take_gemm_phase();
+        let logits = decode_batch(&g, Some(&packed), &[5, 6], &mut [&mut a, &mut b]).unwrap();
+        assert_eq!(logits.shape(), (2, 12));
+        let phase = axonn_tensor::take_gemm_phase();
+        // 4 per block × 2 blocks + the head; attention runs on the slab.
+        assert_eq!((phase.calls, phase.packed_bytes), (9, 0));
+        assert_eq!((a.len(), b.len()), (4, 2));
+    }
+
+    #[test]
+    fn attend_matches_the_gemm_formulation_bitwise() {
+        // Scores far enough apart that some probabilities underflow to
+        // exactly 0.0 and take the zero-skip.
+        let (len, hd) = (9, 8);
+        let q = Matrix::random(1, hd, 4.0, 1);
+        let mut k = Matrix::random(len, hd, 4.0, 2);
+        for c in 0..hd {
+            k[(3, c)] = -40.0 * q[(0, c)].signum();
+        }
+        let v = Matrix::random(len, hd, 1.0, 3);
+        let scale = 1.0 / (hd as f32).sqrt();
+
+        let mut p = gemm(MatMode::NT, &q, &k);
+        p.scale(scale);
+        causal_softmax_row(p.row_mut(0), len - 1);
+        assert!(p.as_slice().contains(&0.0), "no underflowed probability");
+        let want = gemm(MatMode::NN, &p, &v);
+
+        let mut out = vec![f32::NAN; hd];
+        let mut probs = Vec::new();
+        attend(
+            q.row(0),
+            k.as_slice(),
+            v.as_slice(),
+            scale,
+            &mut probs,
+            &mut out,
+        );
+        for (a, b) in out.iter().zip(want.row(0)) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

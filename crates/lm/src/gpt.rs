@@ -391,6 +391,49 @@ mod tests {
     }
 
     #[test]
+    fn fresh_model_holds_no_optimizer_state() {
+        let mut g = Gpt::new(toy_cfg());
+        assert!(g
+            .params_mut()
+            .iter()
+            .all(|p| p.m.is_empty() && p.v.is_empty()));
+        // Inference allocates none either; the first update does.
+        let _ = g.greedy_continuation(&[1, 2], 3);
+        assert!(g.params_mut().iter().all(|p| p.m.is_empty()));
+        let mut opt = AdamW::new(1e-3);
+        g.train_step(&[1, 2, 3], &[2, 3, 4], None, &mut opt);
+        assert!(g
+            .params_mut()
+            .iter()
+            .all(|p| p.m.shape() == p.value.shape() && p.v.shape() == p.value.shape()));
+    }
+
+    #[test]
+    fn lazy_moments_train_bitwise_like_eager_zero_moments() {
+        // Moments allocated on the first update must behave exactly as
+        // moments that were zero matrices from construction.
+        let mut lazy = Gpt::new(toy_cfg());
+        let mut eager = Gpt::new(toy_cfg());
+        for p in eager.params_mut() {
+            let (r, c) = p.value.shape();
+            p.m = Matrix::zeros(r, c);
+            p.v = Matrix::zeros(r, c);
+        }
+        let (mut opt_l, mut opt_e) = (AdamW::new(3e-3), AdamW::new(3e-3));
+        let seq: Vec<usize> = vec![3, 1, 4, 1, 5, 9, 2, 6, 5];
+        for _ in 0..5 {
+            let a = lazy.train_step(&seq[..8], &seq[1..9], None, &mut opt_l);
+            let b = eager.train_step(&seq[..8], &seq[1..9], None, &mut opt_e);
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (a, b) in lazy.params_mut().iter().zip(eager.params_mut()) {
+            assert_eq!(a.value.fnv1a64(), b.value.fnv1a64());
+            assert_eq!(a.m.fnv1a64(), b.m.fnv1a64());
+            assert_eq!(a.v.fnv1a64(), b.v.fnv1a64());
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "generation window")]
     fn generation_respects_window() {
         let mut g = Gpt::new(toy_cfg());

@@ -18,7 +18,7 @@ pub mod modules;
 pub mod optim;
 
 pub use checkpoint::Checkpoint;
-pub use decode::KvCache;
+pub use decode::{DecodeError, KvCache, PackedWeights};
 pub use gpt::{Gpt, GptModelConfig};
 pub use llama::{LlamaBlock, RmsNorm, Rope, SwiGluMlp};
 pub use loss::{cross_entropy, CrossEntropyResult};

@@ -9,9 +9,11 @@ use axonn_tensor::{gemm, MatMode, Matrix};
 pub struct Param {
     pub value: Matrix,
     pub grad: Matrix,
-    /// First moment (AdamW).
+    /// First moment (AdamW). Empty (`0 × 0`) until the first
+    /// [`crate::AdamW::update`], so a model that is only served never
+    /// holds optimizer state.
     pub m: Matrix,
-    /// Second moment (AdamW).
+    /// Second moment (AdamW); allocated together with `m`.
     pub v: Matrix,
 }
 
@@ -21,8 +23,8 @@ impl Param {
         Param {
             value,
             grad: Matrix::zeros(r, c),
-            m: Matrix::zeros(r, c),
-            v: Matrix::zeros(r, c),
+            m: Matrix::zeros(0, 0),
+            v: Matrix::zeros(0, 0),
         }
     }
 

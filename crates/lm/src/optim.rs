@@ -1,6 +1,7 @@
 //! AdamW, the optimizer used for all LM training runs.
 
 use crate::modules::Param;
+use axonn_tensor::Matrix;
 
 /// Decoupled-weight-decay Adam (Loshchilov & Hutter).
 #[derive(Debug, Clone, Copy)]
@@ -38,6 +39,12 @@ impl AdamW {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let n = p.value.len();
+        if p.m.len() != n {
+            // First update of this parameter: moments start at zero.
+            let (r, c) = p.value.shape();
+            p.m = Matrix::zeros(r, c);
+            p.v = Matrix::zeros(r, c);
+        }
         let value = p.value.as_mut_slice();
         let grad = p.grad.as_mut_slice();
         let m = p.m.as_mut_slice();
@@ -56,7 +63,6 @@ impl AdamW {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use axonn_tensor::Matrix;
 
     #[test]
     fn minimizes_a_quadratic() {

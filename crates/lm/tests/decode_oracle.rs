@@ -6,8 +6,12 @@
 //! and `gemm_nn`'s zero-skip makes causally-masked entries contribute
 //! nothing to the batched P·V product; the property test here is the
 //! contract that keeps the serving plane's logits trustworthy.
+//!
+//! The batched step adds a second contract: a stream's logits row does
+//! not depend on which other streams share the batch, on the batch
+//! order, or on whether the weights were packed per call or once.
 
-use axonn_lm::decode::{self, KvCache};
+use axonn_lm::decode::{self, KvCache, PackedWeights};
 use axonn_lm::{AdamW, Gpt, GptModelConfig};
 use proptest::prelude::*;
 
@@ -115,6 +119,108 @@ proptest! {
                 );
             }
             next = decode::argmax(&row);
+        }
+    }
+
+    /// A batch of 1–8 streams at different prompt lengths and cache
+    /// depths, in shuffled order, yields per row exactly the bits a
+    /// per-stream `decode_step` yields — with pre-packed and with
+    /// per-call-packed weights, and again one step later (so the K/V
+    /// rows the batched step appended are the per-stream ones too).
+    #[test]
+    fn batched_decode_rows_equal_per_stream_decode_bitwise(
+        case in case_strategy(), streams in 1usize..=8, batch_seed in 0u64..=u64::MAX
+    ) {
+        let g = build_model(&case);
+        let (vocab, seq_len) = (case.cfg.vocab, case.cfg.seq_len);
+        let mut s = batch_seed;
+        // Per stream: a prompt, a number of greedy steps already taken,
+        // room for two more.
+        let shapes: Vec<(Vec<usize>, usize)> = (0..streams)
+            .map(|_| {
+                let filled = 1 + (splitmix(&mut s) as usize) % (seq_len - 2);
+                let prompt_len = 1 + (splitmix(&mut s) as usize) % filled;
+                let prompt = (0..prompt_len).map(|_| (splitmix(&mut s) as usize) % vocab).collect();
+                (prompt, filled - prompt_len)
+            })
+            .collect();
+        let warm = |shapes: &[(Vec<usize>, usize)]| -> Vec<(KvCache, usize)> {
+            shapes
+                .iter()
+                .map(|(prompt, depth)| {
+                    let mut cache = KvCache::for_model(&g.cfg);
+                    let logits = decode::prefill(&g, prompt, &mut cache);
+                    let mut next = decode::argmax(logits.row(prompt.len() - 1));
+                    for _ in 0..*depth {
+                        next = decode::argmax(&decode::decode_step(&g, next, &mut cache));
+                    }
+                    (cache, next)
+                })
+                .collect()
+        };
+        // Fisher–Yates: the batch order is not the stream order.
+        let mut order: Vec<usize> = (0..streams).collect();
+        for i in (1..streams).rev() {
+            order.swap(i, (splitmix(&mut s) as usize) % (i + 1));
+        }
+
+        // Oracle: two per-stream steps, each stream on its own.
+        let mut oracle = warm(&shapes);
+        let mut fed: Vec<Vec<usize>> = vec![oracle.iter().map(|(_, next)| *next).collect()];
+        let mut want: Vec<Vec<Vec<f32>>> = Vec::new();
+        for step in 0..2 {
+            let rows: Vec<Vec<f32>> = oracle
+                .iter_mut()
+                .zip(&fed[step])
+                .map(|((cache, _), &t)| decode::decode_step(&g, t, cache))
+                .collect();
+            fed.push(rows.iter().map(|r| decode::argmax(r)).collect());
+            want.push(rows);
+        }
+
+        let packed = PackedWeights::pack(&g);
+        for weights in [None, Some(&packed)] {
+            let mut batch = warm(&shapes);
+            for step in 0..2 {
+                let tokens: Vec<usize> = order.iter().map(|&i| fed[step][i]).collect();
+                let mut slots: Vec<Option<&mut KvCache>> =
+                    batch.iter_mut().map(|(cache, _)| Some(cache)).collect();
+                let mut caches: Vec<&mut KvCache> = order
+                    .iter()
+                    .map(|&i| slots[i].take().expect("order is a permutation"))
+                    .collect();
+                let got = decode::decode_batch(&g, weights, &tokens, &mut caches).unwrap();
+                prop_assert_eq!(got.shape(), (streams, vocab));
+                for (row, &i) in order.iter().enumerate() {
+                    for (j, (a, b)) in got.row(row).iter().zip(&want[step][i]).enumerate() {
+                        prop_assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "step {} stream {} (batch row {}) logit {}, packed {}",
+                            step,
+                            i,
+                            row,
+                            j,
+                            weights.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pre-packed weights leave prefill's logits untouched, bit for bit.
+    #[test]
+    fn prefill_with_packed_weights_is_bitwise_identical(case in case_strategy()) {
+        let g = build_model(&case);
+        let packed = PackedWeights::pack(&g);
+        let mut a = KvCache::for_model(&g.cfg);
+        let mut b = KvCache::for_model(&g.cfg);
+        let per_call = decode::prefill(&g, &case.prompt, &mut a);
+        let once = decode::prefill_with(&g, Some(&packed), &case.prompt, &mut b);
+        prop_assert_eq!(per_call.shape(), once.shape());
+        for (x, y) in per_call.as_slice().iter().zip(once.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

@@ -12,9 +12,10 @@
 //! * [`scheduler`] — [`ServeEngine`]: a continuous-batching scheduler.
 //!   Requests queue FIFO, are admitted into a bounded set of KV-cache
 //!   slabs under a per-step token budget (prefill counts its prompt
-//!   length, decode counts one token per stream), evicted when their
-//!   deadline passes, and rejected with typed [`ServeError::Overloaded`]
-//!   when the queue is full.
+//!   length, decode counts one token per stream), decoded together in
+//!   one batched forward per step over weights packed once, evicted when
+//!   their deadline passes, and rejected with typed
+//!   [`ServeError::Overloaded`] when the queue is full.
 //! * [`sampler`] — greedy and temperature/top-k sampling.
 //! * [`tp`] — tensor-parallel decode: Megatron-style head/MLP sharding
 //!   over the `core` grid's X group, partial sums folded with pooled

@@ -9,6 +9,11 @@
 //!   so short requests never starve behind long ones and a head-of-line
 //!   prompt longer than the budget is still admitted once the engine
 //!   drains (liveness over throughput);
+//! * the streams a step picks decode in **one** batched forward
+//!   (`lm::decode::decode_batch`: one GEMM per linear layer for the whole
+//!   batch, against weights packed once at construction); attention and
+//!   sampling stay per stream, so a stream's tokens are bit-for-bit those
+//!   of decoding it alone, whoever shares its steps;
 //! * KV slabs are preallocated at construction and recycled on
 //!   completion or eviction, so steady-state serving does no allocation
 //!   proportional to traffic;
@@ -20,7 +25,7 @@
 
 use crate::metrics::ServeMetrics;
 use crate::sampler::{self, Sampling};
-use axonn_lm::decode::{self, KvCache};
+use axonn_lm::decode::{self, KvCache, PackedWeights};
 use axonn_lm::Gpt;
 use axonn_trace::LiveRegistry;
 use rand::rngs::StdRng;
@@ -164,6 +169,9 @@ struct ActiveStream {
 /// *measurement*, never through scheduling.
 pub struct ServeEngine {
     model: Arc<Gpt>,
+    /// The model's linear weights, packed once; prefill and every decode
+    /// step multiply against these.
+    weights: PackedWeights,
     cfg: ServeConfig,
     queue: VecDeque<Queued>,
     active: Vec<ActiveStream>,
@@ -178,9 +186,9 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Build an engine over a shared model, preallocating
-    /// `cfg.max_active` KV slabs and registering `serve.*` metrics in
-    /// `registry`.
+    /// Build an engine over a shared model, packing its linear weights,
+    /// preallocating `cfg.max_active` KV slabs and registering `serve.*`
+    /// metrics in `registry`.
     pub fn new(model: Arc<Gpt>, cfg: ServeConfig, registry: &LiveRegistry) -> ServeEngine {
         assert!(cfg.max_active > 0, "need at least one active slot");
         assert!(cfg.max_queue > 0, "need at least one queue slot");
@@ -190,6 +198,7 @@ impl ServeEngine {
             .collect();
         ServeEngine {
             metrics: ServeMetrics::new(registry),
+            weights: PackedWeights::pack(&model),
             model,
             cfg,
             queue: VecDeque::new(),
@@ -241,8 +250,8 @@ impl ServeEngine {
 
     /// Run one decode step: evict expired streams, admit from the queue
     /// under the token budget, then decode one token for each live
-    /// stream the remaining budget covers. Returns the number of tokens
-    /// produced this step.
+    /// stream the remaining budget covers — all of them in one batched
+    /// forward. Returns the number of tokens produced this step.
     pub fn step(&mut self) -> usize {
         let t0 = Instant::now();
         self.step += 1;
@@ -269,7 +278,8 @@ impl ServeEngine {
             admitted_any = true;
             let q = self.queue.pop_front().expect("front() just saw it");
             let mut cache = self.free_slabs.pop().expect("loop condition");
-            let logits = decode::prefill(&self.model, &q.prompt, &mut cache);
+            let logits =
+                decode::prefill_with(&self.model, Some(&self.weights), &q.prompt, &mut cache);
             let mut rng =
                 StdRng::seed_from_u64(self.cfg.seed ^ q.id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let first =
@@ -303,14 +313,14 @@ impl ServeEngine {
 
         // --- Decode: one token per live stream, round-robin from the
         // cursor so a budget squeeze rotates rather than always skipping
-        // the same tail.
+        // the same tail. The streams the budget covers are picked first,
+        // then decoded together.
         let n = self.active.len();
-        let mut finished_idx: Vec<usize> = Vec::new();
+        let mut picked = vec![false; n];
         let mut squeezed = false;
         for i in 0..n {
             let idx = (self.rr_cursor + i) % n;
-            let s = &mut self.active[idx];
-            if s.admitted_step == now {
+            if self.active[idx].admitted_step == now {
                 continue; // prefill already produced this step's token
             }
             if budget == 0 {
@@ -319,23 +329,38 @@ impl ServeEngine {
                 break;
             }
             budget -= 1;
-            let fed = *s.tokens.last().expect("admission pushed a token");
-            let row = decode::decode_step(&self.model, fed, &mut s.cache);
-            let next = sampler::sample(&row, self.cfg.sampling, &mut s.rng);
+            picked[idx] = true;
+        }
+        let mut batch: Vec<(usize, &mut ActiveStream)> = self
+            .active
+            .iter_mut()
+            .enumerate()
+            .filter(|(idx, _)| picked[*idx])
+            .collect();
+        let fed: Vec<usize> = batch
+            .iter()
+            .map(|(_, s)| *s.tokens.last().expect("admission pushed a token"))
+            .collect();
+        let mut caches: Vec<&mut KvCache> = batch.iter_mut().map(|(_, s)| &mut s.cache).collect();
+        let logits = decode::decode_batch(&self.model, Some(&self.weights), &fed, &mut caches)
+            .expect("submit() bounds every stream inside the model window");
+        let mut finished_idx: Vec<usize> = Vec::new();
+        for (row, (idx, s)) in batch.into_iter().enumerate() {
+            let next = sampler::sample(logits.row(row), self.cfg.sampling, &mut s.rng);
             s.tokens.push(next);
-            produced += 1;
-            self.total_generated += 1;
-            self.metrics.decoded_tokens.inc();
             if s.tokens.len() >= s.max_new_tokens {
                 finished_idx.push(idx);
             }
         }
+        produced += fed.len();
+        self.total_generated += fed.len() as u64;
+        self.metrics.decoded_tokens.add(fed.len() as u64);
         if !squeezed && n > 0 {
             self.rr_cursor = (self.rr_cursor + 1) % n;
         }
-        // Retire finished streams (descending index keeps swap_remove sound).
-        finished_idx.sort_unstable_by(|a, b| b.cmp(a));
-        for idx in finished_idx {
+        // Retire finished streams; the batch was built in ascending index
+        // order, and descending keeps swap_remove sound.
+        for idx in finished_idx.into_iter().rev() {
             let s = self.active.swap_remove(idx);
             self.finish(s, now, FinishReason::Completed);
         }
@@ -677,6 +702,89 @@ mod tests {
             }
         }
         assert_eq!(e.drain_completions().len(), 20);
+    }
+
+    #[test]
+    fn batched_steps_emit_each_streams_own_session_tokens() {
+        // Everything that re-forms the batch between steps — a budget
+        // that covers fewer streams than are in flight (so the cursor
+        // rotates), admission mid-run, a deadline eviction — while every
+        // stream samples top-k from its own seeded RNG. Each request
+        // must still read exactly as if it had been decoded alone.
+        use crate::session::DecodeSession;
+        let sampling = Sampling::TopK {
+            k: 3,
+            temperature: 0.8,
+        };
+        let cfg = ServeConfig {
+            max_queue: 32,
+            max_active: 4,
+            max_batch_tokens: 3,
+            sampling,
+            seed: 42,
+        };
+        let model = toy_model();
+        let mut e = ServeEngine::new(model.clone(), cfg.clone(), &LiveRegistry::new_enabled(true));
+        let mut prompts: Vec<Vec<usize>> = Vec::new();
+        let mut submit = |e: &mut ServeEngine, i: usize, deadline_steps: Option<u64>| {
+            let prompt: Vec<usize> = (0..1 + i % 3).map(|j| (5 * i + j) % 12).collect();
+            let id = e
+                .submit(ServeRequest {
+                    prompt: prompt.clone(),
+                    max_new_tokens: 4 + i % 5,
+                    deadline_steps,
+                })
+                .unwrap();
+            assert_eq!(id as usize, prompts.len());
+            prompts.push(prompt);
+        };
+        for i in 0..6 {
+            submit(&mut e, i, None);
+        }
+        let mut squeezed_steps = 0;
+        for step in 0..400 {
+            if step == 3 {
+                // Mid-run: one request that will be evicted part-way
+                // through its decode, three that run to completion.
+                submit(&mut e, 6, Some(10));
+                for i in 7..10 {
+                    submit(&mut e, i, None);
+                }
+            }
+            let in_flight_before = e.in_flight();
+            let produced = e.step();
+            assert_eq!(e.free_slabs() + e.in_flight(), cfg.max_active);
+            assert!(produced <= cfg.max_batch_tokens);
+            squeezed_steps += usize::from(in_flight_before > cfg.max_batch_tokens);
+            if step > 3 && e.queue_depth() == 0 && e.in_flight() == 0 {
+                break;
+            }
+        }
+        assert!(squeezed_steps > 0, "the budget never squeezed the batch");
+        let done = e.drain_completions();
+        assert_eq!(done.len(), 10);
+        let mut evicted = 0;
+        for c in &done {
+            let seed = cfg.seed ^ c.id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut alone =
+                DecodeSession::start(model.clone(), &prompts[c.id as usize], sampling, seed);
+            while alone.generated().len() < c.tokens.len() {
+                alone
+                    .step()
+                    .expect("submit() kept the request in the window");
+            }
+            assert_eq!(c.tokens, alone.generated(), "request {}", c.id);
+            if c.reason == FinishReason::DeadlineExpired {
+                evicted += 1;
+                assert!(!c.tokens.is_empty() && c.tokens.len() < 4 + 6 % 5);
+            } else {
+                assert_eq!(c.tokens.len(), 4 + c.id as usize % 5);
+            }
+        }
+        assert_eq!(
+            evicted, 1,
+            "the deadline request was meant to be evicted mid-decode"
+        );
     }
 
     #[test]

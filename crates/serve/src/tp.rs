@@ -18,7 +18,7 @@
 
 use axonn_collectives::{Comm, CommWorld};
 use axonn_core::GridTopology;
-use axonn_lm::decode::KvCache;
+use axonn_lm::decode::{attend, KvCache};
 use axonn_lm::gpt::gelu;
 use axonn_lm::{Gpt, GptModelConfig};
 use axonn_tensor::{gemm, MatMode, Matrix};
@@ -193,6 +193,7 @@ impl TpShard {
         let tok_row = self.emb_tok.row(token);
         let pos_row = self.emb_pos.row(pos);
         let mut x = Matrix::from_fn(1, dim, |_, c| tok_row[c] + pos_row[c]);
+        let mut probs = Vec::new();
         for (li, b) in self.blocks.iter().enumerate() {
             let normed = ln_row(&x, &b.ln1_gain, &b.ln1_bias, self.eps);
             let qkv = matmul_bias(&normed, &b.qkv_w, &b.qkv_b);
@@ -200,7 +201,6 @@ impl TpShard {
             for h in 0..lh {
                 let row = qkv.row(0);
                 let off = h * hd;
-                let q = Matrix::from_vec(1, hd, row[off..off + hd].to_vec());
                 cache.push_row(
                     li,
                     h,
@@ -208,16 +208,14 @@ impl TpShard {
                     &row[lsec + off..lsec + off + hd],
                     &row[2 * lsec + off..2 * lsec + off + hd],
                 );
-                let k = cache.k_mat(li, h, pos + 1);
-                let v = cache.v_mat(li, h, pos + 1);
-                let mut s = gemm(MatMode::NT, &q, &k);
-                s.scale(scale);
-                let srow = s.row(0);
-                let maxv = srow.iter().cloned().fold(f32::MIN, f32::max);
-                let denom: f32 = srow.iter().map(|v| (v - maxv).exp()).sum();
-                let p = Matrix::from_fn(1, pos + 1, |_, j| (srow[j] - maxv).exp() / denom);
-                let o = gemm(MatMode::NN, &p, &v);
-                heads_out.row_mut(0)[off..off + hd].copy_from_slice(o.row(0));
+                attend(
+                    &row[off..off + hd],
+                    cache.k_rows(li, h, pos + 1),
+                    cache.v_rows(li, h, pos + 1),
+                    scale,
+                    &mut probs,
+                    &mut heads_out.row_mut(0)[off..off + hd],
+                );
             }
             // Row-sharded output projection: partial product, one
             // all-reduce, bias added post-reduce on every rank.

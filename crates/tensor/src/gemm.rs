@@ -28,7 +28,7 @@
 
 use crate::kernel;
 use crate::matrix::Matrix;
-use crate::pack::{self, APack, BLayout, BlockSizes};
+use crate::pack::{self, APack, BLayout, BlockSizes, PackedB};
 use rayon::prelude::*;
 use std::cell::Cell;
 
@@ -79,17 +79,71 @@ impl std::fmt::Display for MatMode {
     }
 }
 
-/// Below this many multiply-adds the kernels stay single-threaded; rayon
-/// task overhead dominates tiny products.
+/// The right-hand operand of a multiply: a matrix the call packs into
+/// the thread-local panels, or panels packed once by [`PackedB::pack`].
+/// The f32 blocked entry points take `impl Into<Rhs>`, so `&Matrix` and
+/// `&PackedB` both work as their `b` argument.
+#[derive(Debug, Clone, Copy)]
+pub enum Rhs<'a> {
+    Matrix(&'a Matrix),
+    Packed(&'a PackedB),
+}
+
+impl<'a> From<&'a Matrix> for Rhs<'a> {
+    fn from(b: &'a Matrix) -> Self {
+        Rhs::Matrix(b)
+    }
+}
+
+impl<'a> From<&'a PackedB> for Rhs<'a> {
+    fn from(b: &'a PackedB) -> Self {
+        Rhs::Packed(b)
+    }
+}
+
+impl Rhs<'_> {
+    /// Output shape of `a · self` under `mode`.
+    ///
+    /// # Panics
+    /// If the contracted dimensions do not match, or a packed operand
+    /// was packed for another mode.
+    fn output_shape(&self, mode: MatMode, a: (usize, usize)) -> (usize, usize) {
+        match self {
+            Rhs::Matrix(b) => mode.output_shape(a, b.shape()),
+            Rhs::Packed(bp) => {
+                assert_eq!(bp.mode, mode, "operand packed for {}", bp.mode);
+                let (m, k) = match mode {
+                    MatMode::NN | MatMode::NT => a,
+                    MatMode::TN => (a.1, a.0),
+                };
+                assert_eq!(k, bp.k, "{mode}: A contracts {k}, packed B {}", bp.k);
+                (m, bp.n)
+            }
+        }
+    }
+}
+
+/// Below this many multiply-adds the naive kernels stay single-threaded;
+/// rayon task overhead dominates tiny products.
 const PAR_THRESHOLD: usize = 64 * 64 * 64;
+
+/// The same bound for the blocked tier, which retires multiply-adds an
+/// order of magnitude faster and so needs a far larger product to pay
+/// for a parallel region (the rayon stand-in spawns scoped threads per
+/// region, ~70 µs on the 2-core reference box). Measured there with
+/// AVX2, k = 128, n = 512: m = 8 runs 13 µs serial vs 77 µs split,
+/// m = 64 96 vs 127, m = 128 196 vs 220, m = 256 537 vs 348 — the
+/// crossover sits at 6–8 M multiply-adds. Batched decode (m = streams)
+/// stays below it; prefill and training shapes stay above.
+const BLOCKED_PAR_THRESHOLD: usize = 128 * 128 * 512;
 
 /// Pack/kernel accounting for one multiply, surfaced on trace GEMM spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GemmStats {
     /// Bytes written into the thread-local pack buffers (B panels, plus
-    /// the A copy for TN and bf16).
+    /// the A copy for TN and bf16). A pre-packed B contributes none.
     pub packed_bytes: u64,
-    /// Number of NR-wide B panels packed.
+    /// Number of NR-wide B panels packed by this call.
     pub panels: u32,
     /// Whether the AVX2 micro-kernels ran (false on the scalar fallback).
     pub simd: bool,
@@ -162,8 +216,9 @@ fn timed(mode: MatMode, f: impl FnOnce() -> GemmStats) -> GemmStats {
 }
 
 /// Multiply with the given mode, allocating the output.
-pub fn gemm(mode: MatMode, a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, n) = mode.output_shape(a.shape(), b.shape());
+pub fn gemm<'a>(mode: MatMode, a: &Matrix, b: impl Into<Rhs<'a>>) -> Matrix {
+    let b = b.into();
+    let (m, n) = b.output_shape(mode, a.shape());
     let mut c = Matrix::zeros(m, n);
     gemm_into(mode, a, b, &mut c);
     c
@@ -173,29 +228,33 @@ pub fn gemm(mode: MatMode, a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// # Panics
 /// If `c` does not have the shape implied by `mode`.
-pub fn gemm_into(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) {
+pub fn gemm_into<'a>(mode: MatMode, a: &Matrix, b: impl Into<Rhs<'a>>, c: &mut Matrix) {
     let _ = gemm_into_stats(mode, a, b, c);
 }
 
 /// [`gemm_into`] returning the pack/kernel accounting for trace spans.
-pub fn gemm_into_stats(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) -> GemmStats {
-    timed(mode, || {
-        gemm_blocked(mode, a, b, c, false, BlockSizes::default(), false)
-    })
+pub fn gemm_into_stats<'a>(
+    mode: MatMode,
+    a: &Matrix,
+    b: impl Into<Rhs<'a>>,
+    c: &mut Matrix,
+) -> GemmStats {
+    gemm_into_with(mode, a, b, c, BlockSizes::default(), false)
 }
 
 /// Blocked multiply with explicit block sizes and an optional scalar-only
 /// pin. Test/bench hook: tiny blocks exercise every block boundary;
 /// `force_scalar` measures the blocked tier without AVX2 (and proves the
 /// two legs bitwise-equal in one binary).
-pub fn gemm_into_with(
+pub fn gemm_into_with<'a>(
     mode: MatMode,
     a: &Matrix,
-    b: &Matrix,
+    b: impl Into<Rhs<'a>>,
     c: &mut Matrix,
     blocks: BlockSizes,
     force_scalar: bool,
 ) -> GemmStats {
+    let b = b.into();
     timed(mode, || {
         gemm_blocked(mode, a, b, c, false, blocks, force_scalar)
     })
@@ -215,25 +274,25 @@ pub fn gemm_bf16(mode: MatMode, a: &Matrix, b: &Matrix) -> Matrix {
 /// [`gemm_bf16`] into a preallocated output, returning pack accounting.
 pub fn gemm_bf16_into(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) -> GemmStats {
     timed(mode, || {
-        gemm_blocked(mode, a, b, c, true, BlockSizes::default(), false)
+        gemm_blocked(mode, a, b.into(), c, true, BlockSizes::default(), false)
     })
 }
 
-/// The blocked tier: pack B into panels (quantizing if asked), build the
-/// A view (borrow / quantize-copy / transpose-pack), then run the
-/// register-tiled engine. Zero-skip row flags are computed on the A view
-/// actually fed to the kernels, so f32 and bf16 agree on what "zero"
-/// means.
+/// The blocked tier: pack B into panels (quantizing if asked) unless the
+/// caller already did, build the A view (borrow / quantize-copy /
+/// transpose-pack), then run the register-tiled engine. Zero-skip row
+/// flags are computed on the A view actually fed to the kernels, so f32
+/// and bf16 agree on what "zero" means.
 fn gemm_blocked(
     mode: MatMode,
     a: &Matrix,
-    b: &Matrix,
+    b: Rhs<'_>,
     c: &mut Matrix,
     quantize: bool,
     blocks: BlockSizes,
     force_scalar: bool,
 ) -> GemmStats {
-    let (m, n) = mode.output_shape(a.shape(), b.shape());
+    let (m, n) = b.output_shape(mode, a.shape());
     assert_eq!(c.shape(), (m, n), "output shape mismatch for {mode}");
     let k = match mode {
         MatMode::NN | MatMode::NT => a.cols(),
@@ -247,44 +306,55 @@ fn gemm_blocked(
         return GemmStats::default();
     }
     let blocks = blocks.normalized();
-    let parallel = m * n * k >= PAR_THRESHOLD;
-    let b_layout = match mode {
-        MatMode::NN | MatMode::TN => BLayout::KxN,
-        MatMode::NT => BLayout::NxK,
-    };
+    let parallel = m * n * k >= BLOCKED_PAR_THRESHOLD;
     let a_pack = match (mode, quantize) {
         (MatMode::TN, q) => APack::Transpose { quantize: q },
         (_, true) => APack::Copy { quantize: true },
         (_, false) => APack::Borrow,
     };
     let c_slice = c.as_mut_slice();
-    let (panels, b_bytes, (a_bytes, simd)) =
-        pack::with_packed_b(b.as_slice(), b_layout, k, n, quantize, |bp| {
-            pack::with_a_view(a.as_slice(), m, k, a_pack, |av| {
-                let mut run = |flags: Option<&[u8]>| {
-                    let g = kernel::Gemm {
-                        a: av,
-                        bp,
-                        flags,
-                        m,
-                        k,
-                        n,
-                        blocks,
-                        force_scalar,
-                    };
-                    kernel::run(c_slice, &g, parallel)
+    // Everything downstream of the packed panels: `(A bytes, simd)`.
+    let mut kernels = |bp: &[f32]| {
+        pack::with_a_view(a.as_slice(), m, k, a_pack, |av| {
+            let mut run = |flags: Option<&[u8]>| {
+                let g = kernel::Gemm {
+                    a: av,
+                    bp,
+                    flags,
+                    m,
+                    k,
+                    n,
+                    blocks,
+                    force_scalar,
                 };
-                if mode == MatMode::NN {
-                    pack::with_row_flags(av, m, k, |flags| run(Some(flags)))
-                } else {
-                    run(None)
-                }
-            })
-        });
-    GemmStats {
-        packed_bytes: b_bytes + a_bytes,
-        panels: panels as u32,
-        simd,
+                kernel::run(c_slice, &g, parallel)
+            };
+            if mode == MatMode::NN {
+                pack::with_row_flags(av, m, k, |flags| run(Some(flags)))
+            } else {
+                run(None)
+            }
+        })
+    };
+    match b {
+        Rhs::Matrix(b) => {
+            let (panels, b_bytes, (a_bytes, simd)) =
+                pack::with_packed_b(b.as_slice(), BLayout::of(mode), k, n, quantize, kernels);
+            GemmStats {
+                packed_bytes: b_bytes + a_bytes,
+                panels: panels as u32,
+                simd,
+            }
+        }
+        Rhs::Packed(bp) => {
+            assert!(!quantize, "pre-packed operands are f32 only");
+            let (a_bytes, simd) = kernels(&bp.panels);
+            GemmStats {
+                packed_bytes: a_bytes,
+                panels: 0,
+                simd,
+            }
+        }
     }
 }
 
@@ -585,11 +655,18 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_serial() {
-        // Big enough to cross PAR_THRESHOLD.
-        let a = Matrix::random(96, 96, 1.0, 10);
-        let b = Matrix::random(96, 96, 1.0, 11);
-        let c = gemm(MatMode::NN, &a, &b);
-        assert_eq!(c, gemm_reference(MatMode::NN, &a, &b));
+        // Big enough to cross BLOCKED_PAR_THRESHOLD, with a ragged last
+        // band (m is not a multiple of MR × workers).
+        let (m, k, n) = (202, 192, 224);
+        assert!(m * k * n >= BLOCKED_PAR_THRESHOLD);
+        let a = Matrix::random(m, k, 1.0, 10);
+        let b = Matrix::random(k, n, 1.0, 11);
+        let oracle = gemm_reference(MatMode::NN, &a, &b);
+        assert_eq!(gemm(MatMode::NN, &a, &b), oracle);
+        assert_eq!(
+            gemm(MatMode::NN, &a, &PackedB::pack(MatMode::NN, &b)),
+            oracle
+        );
     }
 
     #[test]
@@ -669,6 +746,41 @@ mod tests {
         assert!(phase.packed_bytes > 0);
         // Drained: a second take sees zeros.
         assert_eq!(take_gemm_phase(), GemmPhase::default());
+    }
+
+    #[test]
+    fn prepacked_call_counts_as_a_call_that_packed_only_a() {
+        let _ = take_gemm_phase();
+        for (mode, a_bytes) in [
+            (MatMode::NN, 0),
+            (MatMode::NT, 0),
+            (MatMode::TN, 10 * 7 * 4),
+        ] {
+            let (a, b) = operands(mode, 10, 7, 33, 20);
+            let packed = PackedB::pack(mode, &b);
+            let mut c = Matrix::zeros(10, 33);
+            let stats = gemm_into_stats(mode, &a, &packed, &mut c);
+            assert_eq!(c, gemm_reference(mode, &a, &b), "{mode}");
+            assert_eq!((stats.panels, stats.packed_bytes), (0, a_bytes), "{mode}");
+            let phase = take_gemm_phase();
+            assert_eq!((phase.calls, phase.packed_bytes), (1, a_bytes), "{mode}");
+            assert!(phase.mode_seconds(mode) > 0.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "operand packed for NT")]
+    fn prepacked_operand_is_tied_to_its_mode() {
+        let b = Matrix::random(6, 6, 1.0, 1);
+        let _ = gemm(MatMode::NN, &b, &PackedB::pack(MatMode::NT, &b));
+    }
+
+    #[test]
+    #[should_panic(expected = "NN: A contracts 5, packed B 6")]
+    fn prepacked_contraction_mismatch_panics() {
+        let a = Matrix::zeros(2, 5);
+        let b = Matrix::zeros(6, 4);
+        let _ = gemm(MatMode::NN, &a, &PackedB::pack(MatMode::NN, &b));
     }
 
     #[test]

@@ -22,10 +22,10 @@ pub mod shard;
 pub use bf16::Bf16;
 pub use gemm::{
     gemm, gemm_bf16, gemm_bf16_into, gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with,
-    gemm_reference, gemm_tn_naive, take_gemm_phase, GemmPhase, GemmStats, MatMode,
+    gemm_reference, gemm_tn_naive, take_gemm_phase, GemmPhase, GemmStats, MatMode, Rhs,
 };
 pub use matrix::Matrix;
-pub use pack::{pack_geometry, BlockSizes, MR, NR};
+pub use pack::{pack_geometry, BlockSizes, PackedB, MR, NR};
 pub use shard::{
     assemble_blocks, block_of, concat_cols, concat_rows, shard_rows, unshard_rows, BlockSpec,
 };

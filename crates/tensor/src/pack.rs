@@ -17,6 +17,8 @@
 //! training steps do no per-GEMM slab allocation.
 
 use crate::bf16;
+use crate::gemm::MatMode;
+use crate::matrix::Matrix;
 use std::cell::RefCell;
 
 /// Register-tile rows: each micro-kernel invocation updates up to `MR`
@@ -67,10 +69,57 @@ pub(crate) enum BLayout {
     NxK,
 }
 
+impl BLayout {
+    /// How the right operand of a `mode` multiply is stored.
+    pub(crate) fn of(mode: MatMode) -> BLayout {
+        match mode {
+            MatMode::NN | MatMode::TN => BLayout::KxN,
+            MatMode::NT => BLayout::NxK,
+        }
+    }
+}
+
 thread_local! {
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static ROW_FLAGS: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Fill `dst` (`⌈n/NR⌉·k·NR` floats) with the packed panels of the
+/// logical `k × n` operand in `src`. Every lane is written exactly once:
+/// full panels from the source, the tail panel's padding lanes with
+/// `+0.0` — so `dst` may hold stale data on entry and no memset of the
+/// whole buffer is needed.
+fn fill_packed_b(dst: &mut [f32], src: &[f32], layout: BLayout, k: usize, n: usize) {
+    debug_assert_eq!(dst.len(), n.div_ceil(NR) * k * NR);
+    if k == 0 {
+        return;
+    }
+    for (jp, panel) in dst.chunks_exact_mut(k * NR).enumerate() {
+        let j0 = jp * NR;
+        let lanes = (n - j0).min(NR);
+        match layout {
+            BLayout::KxN => {
+                for (p, prow) in panel.chunks_exact_mut(NR).enumerate() {
+                    prow[..lanes].copy_from_slice(&src[p * n + j0..p * n + j0 + lanes]);
+                    prow[lanes..].fill(0.0);
+                }
+            }
+            BLayout::NxK => {
+                for lane in 0..lanes {
+                    let row = &src[(j0 + lane) * k..(j0 + lane) * k + k];
+                    for (p, &v) in row.iter().enumerate() {
+                        panel[p * NR + lane] = v;
+                    }
+                }
+                if lanes < NR {
+                    for prow in panel.chunks_exact_mut(NR) {
+                        prow[lanes..].fill(0.0);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Run `f` with the thread-local B pack buffer filled from `src`.
@@ -87,40 +136,46 @@ pub(crate) fn with_packed_b<R>(
     let len = panels * k * NR;
     PACK_B.with(|buf| {
         let mut buf = buf.borrow_mut();
-        buf.clear();
-        buf.resize(len, 0.0);
-        match layout {
-            BLayout::KxN => {
-                for jp in 0..panels {
-                    let j0 = jp * NR;
-                    let lanes = (n - j0).min(NR);
-                    let panel = &mut buf[jp * k * NR..(jp + 1) * k * NR];
-                    for p in 0..k {
-                        panel[p * NR..p * NR + lanes]
-                            .copy_from_slice(&src[p * n + j0..p * n + j0 + lanes]);
-                    }
-                }
-            }
-            BLayout::NxK => {
-                for jp in 0..panels {
-                    let j0 = jp * NR;
-                    let lanes = (n - j0).min(NR);
-                    let panel = &mut buf[jp * k * NR..(jp + 1) * k * NR];
-                    for lane in 0..lanes {
-                        let row = &src[(j0 + lane) * k..(j0 + lane) * k + k];
-                        for (p, &v) in row.iter().enumerate() {
-                            panel[p * NR + lane] = v;
-                        }
-                    }
-                }
-            }
+        if buf.len() < len {
+            buf.resize(len, 0.0);
         }
+        let packed = &mut buf[..len];
+        fill_packed_b(packed, src, layout, k, n);
         if quantize {
-            bf16::round_slice(&mut buf);
+            bf16::round_slice(packed);
         }
-        let r = f(&buf);
+        let r = f(packed);
         (panels, (len * std::mem::size_of::<f32>()) as u64, r)
     })
+}
+
+/// An owned, already-packed right-hand operand: the same panel layout
+/// [`with_packed_b`] builds per call, filled once by the same routine.
+/// Handing one to `gemm` skips the per-call pack — what a weight matrix
+/// that never changes between multiplies (inference) wants.
+#[derive(Debug, Clone)]
+pub struct PackedB {
+    pub(crate) panels: Vec<f32>,
+    /// The mode this operand was packed for (and must be multiplied in).
+    pub(crate) mode: MatMode,
+    /// Contracted length and output columns of the logical operand.
+    pub(crate) k: usize,
+    pub(crate) n: usize,
+}
+
+impl PackedB {
+    /// Pack `b` as the right operand of a `mode` multiply: `k × n`
+    /// row-major for NN and TN, `n × k` for NT.
+    pub fn pack(mode: MatMode, b: &Matrix) -> PackedB {
+        let layout = BLayout::of(mode);
+        let (k, n) = match layout {
+            BLayout::KxN => b.shape(),
+            BLayout::NxK => (b.cols(), b.rows()),
+        };
+        let mut panels = vec![0.0; n.div_ceil(NR) * k * NR];
+        fill_packed_b(&mut panels, b.as_slice(), layout, k, n);
+        PackedB { panels, mode, k, n }
+    }
 }
 
 /// What the engine needs as its A view, and how to build it.
@@ -206,13 +261,13 @@ pub(crate) fn with_row_flags<R>(
 /// given mode and shape: `(B panels, packed bytes)`. Pure geometry — used
 /// by the simulator's compute mirror so trace counters agree across the
 /// exec and sim planes without running a kernel.
-pub fn pack_geometry(mode: crate::gemm::MatMode, m: usize, k: usize, n: usize) -> (u32, u64) {
+pub fn pack_geometry(mode: MatMode, m: usize, k: usize, n: usize) -> (u32, u64) {
     if m == 0 || n == 0 || k == 0 {
         return (0, 0);
     }
     let panels = n.div_ceil(NR);
     let mut bytes = (panels * k * NR * std::mem::size_of::<f32>()) as u64;
-    if mode == crate::gemm::MatMode::TN {
+    if mode == MatMode::TN {
         bytes += (m * k * std::mem::size_of::<f32>()) as u64;
     }
     (panels as u32, bytes)
@@ -251,6 +306,55 @@ mod tests {
     }
 
     #[test]
+    fn reused_buffer_zeroes_only_what_a_smaller_pack_leaves_stale() {
+        // Same thread, so the same scratch: a dense 3-panel pack first,
+        // then a one-panel tail pack whose padding lanes must read +0.0
+        // although the buffer is no longer memset per call.
+        let big = vec![7.0f32; 5 * 40];
+        for layout in [BLayout::KxN, BLayout::NxK] {
+            with_packed_b(&big, layout, 5, 40, false, |bp| {
+                assert_eq!(bp.len(), 3 * 5 * NR);
+                assert!(bp[..2 * 5 * NR].iter().all(|&v| v == 7.0));
+            });
+            let small = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
+            let (k, n) = (2, 3);
+            with_packed_b(&small, layout, k, n, false, |bp| {
+                assert_eq!(bp.len(), k * NR);
+                for p in 0..k {
+                    assert!(bp[p * NR..p * NR + n].iter().all(|&v| v != 0.0 && v != 7.0));
+                    assert!(bp[p * NR + n..(p + 1) * NR]
+                        .iter()
+                        .all(|&v| v.to_bits() == 0));
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn owned_pack_equals_scratch_pack() {
+        let b = Matrix::random(7, 21, 1.0, 3);
+        for mode in MatMode::ALL {
+            let (k, n) = if mode == MatMode::NT {
+                (21, 7)
+            } else {
+                (7, 21)
+            };
+            let owned = PackedB::pack(mode, &b);
+            assert_eq!((owned.k, owned.n), (k, n));
+            with_packed_b(b.as_slice(), BLayout::of(mode), k, n, false, |bp| {
+                assert_eq!(bp, &owned.panels[..]);
+            });
+        }
+        // Degenerate operands pack to nothing rather than panicking.
+        assert!(PackedB::pack(MatMode::NN, &Matrix::zeros(0, 5))
+            .panels
+            .is_empty());
+        assert!(PackedB::pack(MatMode::NN, &Matrix::zeros(5, 0))
+            .panels
+            .is_empty());
+    }
+
+    #[test]
     fn transpose_pack_matches_manual() {
         // src is k × m = 2 × 3; view must be m × k = 3 × 2.
         let src = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
@@ -270,7 +374,6 @@ mod tests {
 
     #[test]
     fn geometry_matches_packing() {
-        use crate::gemm::MatMode;
         let (m, k, n) = (10, 7, 33);
         let b = vec![1.0f32; k * n];
         let (panels, bytes, ()) = with_packed_b(&b, BLayout::KxN, k, n, false, |_| ());

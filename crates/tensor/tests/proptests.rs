@@ -6,7 +6,7 @@
 use axonn_tensor::shard::assemble_blocks;
 use axonn_tensor::{
     block_of, concat_cols, concat_rows, gemm, gemm_bf16, gemm_into_with, gemm_reference,
-    shard_rows, unshard_rows, BlockSizes, BlockSpec, MatMode, Matrix, MR, NR,
+    shard_rows, unshard_rows, BlockSizes, BlockSpec, MatMode, Matrix, PackedB, MR, NR,
 };
 use proptest::prelude::*;
 
@@ -125,6 +125,63 @@ proptest! {
         }
         let b = Matrix::random(k, n, 1.0, seed + 1);
         prop_assert_eq!(gemm(MatMode::NN, &a, &b), gemm_reference(MatMode::NN, &a, &b));
+    }
+
+    #[test]
+    fn prepacked_b_matches_reference_bitwise(
+        mode in mode(), m in kernel_dim(), k in kernel_dim(), n in kernel_dim(),
+        tiny_blocks in 0usize..2, mc in 1usize..8, kc in 1usize..8, nc in 1usize..40,
+        zero_every in 1usize..5, seed in 0u64..1000
+    ) {
+        // A right operand packed once (KxN source for NN/TN, NxK for NT;
+        // tail panels whenever n is not a multiple of NR) must give the
+        // oracle's bits on both kernel legs, with k spilling across kc
+        // blocks and with whole zero rows of A on the NN skip path.
+        let (mut a, b) = operands(mode, m, k, n, seed);
+        if mode == MatMode::NN {
+            for i in (0..m).step_by(zero_every) {
+                for p in 0..k {
+                    a[(i, p)] = 0.0;
+                }
+            }
+        }
+        let blocks = if tiny_blocks == 1 { BlockSizes { mc, kc, nc } } else { BlockSizes::default() };
+        let oracle = gemm_reference(mode, &a, &b);
+        let packed = PackedB::pack(mode, &b);
+        let tn_bytes = if mode == MatMode::TN { (m * k * 4) as u64 } else { 0 };
+        for force_scalar in [true, false] {
+            let mut c = Matrix::random(m, n, 1.0, seed + 2);
+            let stats = gemm_into_with(mode, &a, &packed, &mut c, blocks, force_scalar);
+            prop_assert_eq!(&c, &oracle, "mode {}, force_scalar {}", mode, force_scalar);
+            // Only what this call packed is accounted: A for TN, never B.
+            prop_assert_eq!((stats.panels, stats.packed_bytes), (0, tn_bytes));
+        }
+    }
+
+    #[test]
+    fn prepacked_b_deep_k(m in 1usize..12, extra in 0usize..90, n in kernel_dim(), seed in 0u64..1000) {
+        // k beyond the default kc (256): partial sums round-trip through C.
+        let k = 257 + extra;
+        for mode in [MatMode::NN, MatMode::NT] {
+            let (a, b) = operands(mode, m, k, n, seed);
+            prop_assert_eq!(gemm(mode, &a, &PackedB::pack(mode, &b)), gemm_reference(mode, &a, &b));
+        }
+    }
+
+    #[test]
+    fn prepacked_rows_do_not_depend_on_the_batch(
+        m in 2usize..20, k in kernel_dim(), n in kernel_dim(), seed in 0u64..1000
+    ) {
+        // Row i of an m-row product equals the 1-row product of row i
+        // alone: what lets a decode batch reproduce per-stream logits.
+        let (a, b) = operands(MatMode::NN, m, k, n, seed);
+        let packed = PackedB::pack(MatMode::NN, &b);
+        let batched = gemm(MatMode::NN, &a, &packed);
+        for i in 0..m {
+            let row = Matrix::from_vec(1, k, a.row(i).to_vec());
+            let alone = gemm(MatMode::NN, &row, &b);
+            prop_assert_eq!(batched.row(i), alone.row(0), "row {}", i);
+        }
     }
 
     #[test]

@@ -115,3 +115,58 @@ fn kernel_tuner_reports_choices_after_first_batch() {
     // Every layer's dW kernel gets tuned during the first batch.
     assert!(tuned.iter().all(|&n| n == DIMS.len() - 1));
 }
+
+#[test]
+fn batched_serving_engine_matches_greedy_continuation_per_request() {
+    // Tier-1 sentinel for the serving plane: eight streams decoded
+    // together — one GEMM per layer per step, weights packed once —
+    // must each read exactly like the model's own greedy continuation.
+    use axonn::lm::{Gpt, GptModelConfig};
+    use axonn::serve::{ServeConfig, ServeEngine, ServeRequest};
+    use axonn::trace::LiveRegistry;
+
+    let cfg = GptModelConfig {
+        vocab: 48,
+        seq_len: 24,
+        dim: 32,
+        n_heads: 4,
+        n_layers: 2,
+        seed: 21,
+    };
+    let model = Arc::new(Gpt::new(cfg.clone()));
+    let mut engine = ServeEngine::new(
+        model,
+        ServeConfig {
+            max_active: 8,
+            ..ServeConfig::default()
+        },
+        &LiveRegistry::new_enabled(false),
+    );
+    let requests: Vec<(Vec<usize>, usize)> = (0..8)
+        .map(|i| ((0..2 + i).map(|j| (7 * i + 3 * j) % 48).collect(), 6 + i))
+        .collect();
+    for (prompt, max_new_tokens) in &requests {
+        engine
+            .submit(ServeRequest {
+                prompt: prompt.clone(),
+                max_new_tokens: *max_new_tokens,
+                deadline_steps: None,
+            })
+            .unwrap();
+    }
+    engine.step();
+    assert_eq!(engine.in_flight(), 8, "all eight streams decode together");
+    engine.run_until_idle(1_000);
+    let mut done = engine.drain_completions();
+    done.sort_by_key(|c| c.id);
+    assert_eq!(done.len(), 8);
+    let mut oracle = Gpt::new(cfg);
+    for (c, (prompt, max_new_tokens)) in done.iter().zip(&requests) {
+        assert_eq!(
+            c.tokens,
+            oracle.greedy_continuation(prompt, *max_new_tokens),
+            "request {}",
+            c.id
+        );
+    }
+}
