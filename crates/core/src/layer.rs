@@ -337,11 +337,14 @@ impl ParallelLinear {
             .take()
             .expect("backward called without a cached weight");
         assert_eq!(d_o.shape(), (i_local.rows(), w.cols()), "dO shape mismatch");
+        let rounded;
         let d_o = match precision {
-            Precision::F32 => d_o.clone(),
-            Precision::Bf16Mixed => d_o.to_bf16(),
+            Precision::F32 => d_o,
+            Precision::Bf16Mixed => {
+                rounded = d_o.to_bf16();
+                &rounded
+            }
         };
-        let d_o = &d_o;
         let span = comm.tracer().and_then(|t| {
             t.set_layer(Some(self.layer_id));
             t.open_span(

@@ -15,7 +15,7 @@ use crate::grid::GridTopology;
 use crate::layer::{OverlapConfig, ParallelLinear, PendingGrad, Precision};
 use crate::tuner::KernelTuner;
 use axonn_collectives::{Comm, ProcessGroup};
-use axonn_tensor::{block_of, gemm, BlockSpec, MatMode, Matrix};
+use axonn_tensor::{block_of, gelu, gelu_grad, gemm, BlockSpec, MatMode, Matrix};
 
 /// Elementwise nonlinearity between FC layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,19 +53,6 @@ impl Activation {
             }
         }
     }
-}
-
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
-fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-fn gelu_grad(x: f32) -> f32 {
-    let u = GELU_C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
 }
 
 /// Deterministic weight for layer `i` of a network with feature sizes
@@ -522,26 +509,6 @@ impl Network4d {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gelu_matches_known_values() {
-        assert!((gelu(0.0)).abs() < 1e-7);
-        assert!((gelu(1.0) - 0.8412).abs() < 1e-3);
-        assert!((gelu(-1.0) + 0.1588).abs() < 1e-3);
-    }
-
-    #[test]
-    fn gelu_grad_matches_finite_difference() {
-        for &x in &[-2.0f32, -0.5, 0.0, 0.3, 1.7] {
-            let h = 1e-3;
-            let fd = (gelu(x + h) - gelu(x - h)) / (2.0 * h);
-            assert!(
-                (gelu_grad(x) - fd).abs() < 1e-3,
-                "x={x}: analytic {} vs fd {fd}",
-                gelu_grad(x)
-            );
-        }
-    }
 
     #[test]
     fn serial_mlp_learns_identity_map() {

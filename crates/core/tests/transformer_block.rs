@@ -6,7 +6,7 @@ use axonn_core::{
     ParallelTransformerBlock,
 };
 use axonn_exec::run_spmd;
-use axonn_tensor::{gemm, MatMode, Matrix};
+use axonn_tensor::{gelu, gemm, MatMode, Matrix};
 
 const HIDDEN: usize = 16;
 const HEADS: usize = 4;
@@ -40,10 +40,6 @@ fn layernorm(x: &Matrix, gain: &[f32], bias: &[f32]) -> Matrix {
         }
     }
     out
-}
-
-fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044715 * x * x * x)).tanh())
 }
 
 fn attention(qkv: &Matrix, heads: usize, seq: usize) -> Matrix {

@@ -6,7 +6,7 @@ use axonn_core::{
     block_weight, vocab_parallel_cross_entropy, GridTopology, OverlapConfig, TransformerStack,
 };
 use axonn_exec::run_spmd;
-use axonn_tensor::{gemm, MatMode, Matrix};
+use axonn_tensor::{gelu, gemm, MatMode, Matrix};
 
 const VOCAB: usize = 16;
 const HIDDEN: usize = 16;
@@ -40,10 +40,6 @@ mod serial {
             }
         }
         out
-    }
-
-    pub fn gelu(x: f32) -> f32 {
-        0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044715 * x * x * x)).tanh())
     }
 
     pub fn attention(qkv: &Matrix) -> Matrix {

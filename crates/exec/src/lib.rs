@@ -82,29 +82,42 @@ where
     TracedRun { results, traces }
 }
 
-/// One-time rayon pool sizing from `AXONN_THREADS`. Kernel parallelism
-/// (the blocked GEMM's panel bands, the SIMD reduce folds) inherits the
-/// global pool, so pinning it at world startup makes every rank's
-/// compute deterministic in thread count — which is what the CI perf
-/// gate sets (`AXONN_THREADS=1`) to keep gate medians comparable across
-/// differently-sized runners. Unset or `0` keeps the auto size.
-fn init_thread_pool() {
-    static INIT: std::sync::Once = std::sync::Once::new();
-    INIT.call_once(|| {
-        let Some(n) = std::env::var("AXONN_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|n| *n > 0)
-        else {
-            return;
-        };
+/// The kernel-thread pool one rank of a `world_size`-rank world runs in.
+/// Kernel parallelism (the blocked GEMM's row bands) takes its count
+/// from the pool the calling thread is installed in, so each rank gets
+/// `cores / world_size` threads (at least one) instead of every rank
+/// spawning one per core and fighting its peers for them — hidden 512,
+/// two ranks on two cores: 142–153 vs 161–172 ms per step on grid
+/// 2×1×1×1, 169–186 vs 201–225 ms on 1×1×1×2. The pool is per rank
+/// thread, so worlds launched concurrently in one process do not race
+/// on a global count. An explicit `AXONN_THREADS=n` (read once per
+/// process) wins: it sizes the global pool and every rank's. Unset or
+/// `0` keeps the default.
+pub(crate) fn rank_kernel_pool(world_size: usize) -> rayon::ThreadPool {
+    static EXPLICIT: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    let explicit = *EXPLICIT.get_or_init(|| {
+        let n = threads_from_env()?;
         if let Err(e) = rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build_global()
         {
             eprintln!("[axonn-exec] AXONN_THREADS={n} ignored: {e}");
         }
+        Some(n)
     });
+    let threads = explicit.unwrap_or_else(|| (rayon::current_num_threads() / world_size).max(1));
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("a pool with a fixed worker count")
+}
+
+/// `AXONN_THREADS` as a positive count; unset, unparsable or `0` is `None`.
+fn threads_from_env() -> Option<usize> {
+    std::env::var("AXONN_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|n| *n > 0)
 }
 
 fn launch<F, T>(comms: Vec<Comm>, body: F) -> Vec<T>
@@ -112,7 +125,7 @@ where
     F: Fn(Comm) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    init_thread_pool();
+    let world_size = comms.len();
     let body = Arc::new(body);
     // A probe clone lets the join loop read the poison flag after the
     // rank threads are gone.
@@ -122,11 +135,13 @@ where
         .map(|comm| {
             let body = body.clone();
             let rank = comm.rank();
+            let kernels = rank_kernel_pool(world_size);
             std::thread::Builder::new()
                 .name(format!("axonn-rank-{rank}"))
                 .spawn(move || {
                     let poison_handle = comm.clone();
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| body(comm))) {
+                    let run = AssertUnwindSafe(|| kernels.install(|| body(comm)));
+                    match std::panic::catch_unwind(run) {
                         Ok(v) => v,
                         Err(e) => {
                             // Poison before unwinding so blocked peers
@@ -217,6 +232,28 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use axonn_collectives::ProcessGroup;
+
+    #[test]
+    fn each_rank_gets_its_share_of_the_kernel_threads() {
+        // An enclosing pool stands in for a host with that many cores.
+        let per_rank = |cores: usize, world: usize| {
+            let host = rayon::ThreadPoolBuilder::new()
+                .num_threads(cores)
+                .build()
+                .unwrap();
+            let seen = host.install(|| run_spmd(world, |_| rayon::current_num_threads()));
+            assert!(seen.iter().all(|&n| n == seen[0]), "{seen:?}");
+            seen[0]
+        };
+        let explicit = threads_from_env();
+        for (cores, world, share) in [(8, 1, 8), (8, 2, 4), (2, 2, 1), (2, 4, 1), (6, 4, 1)] {
+            assert_eq!(per_rank(cores, world), explicit.unwrap_or(share));
+        }
+        // The launching thread's own count is untouched by the ranks'.
+        let before = rayon::current_num_threads();
+        let _ = run_spmd(2, |_| ());
+        assert_eq!(rayon::current_num_threads(), before);
+    }
 
     #[test]
     fn results_in_rank_order() {

@@ -116,16 +116,19 @@ pub(crate) fn launch_fallible<T>(
 where
     T: Send + 'static,
 {
+    let world_size = comms.len();
     let handles: Vec<_> = comms
         .into_iter()
         .map(|comm| {
             let body = body.clone();
             let rank = comm.rank();
+            let kernels = crate::rank_kernel_pool(world_size);
             std::thread::Builder::new()
                 .name(format!("axonn-rank-{rank}"))
                 .spawn(move || {
                     let death_handle = comm.clone();
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| body(comm))) {
+                    let run = AssertUnwindSafe(|| kernels.install(|| body(comm)));
+                    match std::panic::catch_unwind(run) {
                         Ok(v) => Ok(v),
                         Err(e) => {
                             let record = classify_panic(rank, &*e);

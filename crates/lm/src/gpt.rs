@@ -7,21 +7,11 @@ use crate::modules::{Embedding, LayerNorm, Linear, Param};
 use crate::optim::AdamW;
 use axonn_tensor::Matrix;
 
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
-/// The exact GELU used by [`Mlp::forward`]; public so inference paths
-/// (the KV-cached decoder, tensor-parallel serving shards) reproduce the
-/// training activation bit-for-bit.
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-fn gelu_grad(x: f32) -> f32 {
-    let u = GELU_C * (x + 0.044715 * x * x * x);
-    let t = u.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-}
+/// The exact GELU used by [`Mlp::forward`]; re-exported so inference
+/// paths (the KV-cached decoder, tensor-parallel serving shards)
+/// reproduce the training activation bit-for-bit.
+pub use axonn_tensor::gelu;
+use axonn_tensor::gelu_grad;
 
 /// The transformer MLP: `fc2(gelu(fc1(x)))`.
 pub struct Mlp {
@@ -391,31 +381,35 @@ mod tests {
     }
 
     #[test]
-    fn fresh_model_holds_no_optimizer_state() {
+    fn fresh_model_holds_no_gradients_or_optimizer_state() {
         let mut g = Gpt::new(toy_cfg());
         assert!(g
             .params_mut()
             .iter()
-            .all(|p| p.m.is_empty() && p.v.is_empty()));
-        // Inference allocates none either; the first update does.
+            .all(|p| p.grad.is_empty() && p.m.is_empty() && p.v.is_empty()));
+        // Inference allocates none either; the first training step does.
         let _ = g.greedy_continuation(&[1, 2], 3);
-        assert!(g.params_mut().iter().all(|p| p.m.is_empty()));
-        let mut opt = AdamW::new(1e-3);
-        g.train_step(&[1, 2, 3], &[2, 3, 4], None, &mut opt);
         assert!(g
             .params_mut()
             .iter()
-            .all(|p| p.m.shape() == p.value.shape() && p.v.shape() == p.value.shape()));
+            .all(|p| p.grad.is_empty() && p.m.is_empty()));
+        let mut opt = AdamW::new(1e-3);
+        g.train_step(&[1, 2, 3], &[2, 3, 4], None, &mut opt);
+        assert!(g.params_mut().iter().all(|p| {
+            let shape = p.value.shape();
+            p.grad.shape() == shape && p.m.shape() == shape && p.v.shape() == shape
+        }));
     }
 
     #[test]
     fn lazy_moments_train_bitwise_like_eager_zero_moments() {
-        // Moments allocated on the first update must behave exactly as
-        // moments that were zero matrices from construction.
+        // Gradients and moments allocated on first use must behave
+        // exactly as zero matrices held from construction.
         let mut lazy = Gpt::new(toy_cfg());
         let mut eager = Gpt::new(toy_cfg());
         for p in eager.params_mut() {
             let (r, c) = p.value.shape();
+            p.grad = Matrix::zeros(r, c);
             p.m = Matrix::zeros(r, c);
             p.v = Matrix::zeros(r, c);
         }

@@ -54,12 +54,13 @@ impl RmsNorm {
         let (rows, d) = x.shape();
         let gains = self.gain.value.as_slice().to_vec();
         let mut dx = Matrix::zeros(rows, d);
+        let gain_grad = self.gain.grad_mut().as_mut_slice();
         for (r, &ir) in inv_rms.iter().enumerate().take(rows) {
             let xr = x.row(r);
             let dyr = dy.row(r);
             // dL/dgain_c += dy_c * x_c * ir  (per row).
             for c in 0..d {
-                self.gain.grad.as_mut_slice()[c] += dyr[c] * xr[c] * ir;
+                gain_grad[c] += dyr[c] * xr[c] * ir;
             }
             // y_c = g_c * x_c * ir with ir = (mean(x²)+eps)^(-1/2):
             // dx_c = ir * g_c dy_c − ir³/d · x_c · Σ_j g_j dy_j x_j

@@ -8,6 +8,9 @@ use axonn_tensor::{gemm, MatMode, Matrix};
 #[derive(Debug, Clone)]
 pub struct Param {
     pub value: Matrix,
+    /// Gradient accumulator. Empty (`0 × 0`) until the first backward
+    /// pass or optimizer update reaches it through [`Param::grad_mut`],
+    /// so a model that is only served holds its weights once, not twice.
     pub grad: Matrix,
     /// First moment (AdamW). Empty (`0 × 0`) until the first
     /// [`crate::AdamW::update`], so a model that is only served never
@@ -19,13 +22,21 @@ pub struct Param {
 
 impl Param {
     pub fn new(value: Matrix) -> Self {
-        let (r, c) = value.shape();
         Param {
             value,
-            grad: Matrix::zeros(r, c),
+            grad: Matrix::zeros(0, 0),
             m: Matrix::zeros(0, 0),
             v: Matrix::zeros(0, 0),
         }
+    }
+
+    /// The gradient accumulator, allocated (as zeros) on first use.
+    pub fn grad_mut(&mut self) -> &mut Matrix {
+        if self.grad.len() != self.value.len() {
+            let (r, c) = self.value.shape();
+            self.grad = Matrix::zeros(r, c);
+        }
+        &mut self.grad
     }
 
     pub fn zero_grad(&mut self) {
@@ -72,10 +83,10 @@ impl Linear {
             .take()
             .expect("Linear backward before forward");
         let dw = gemm(MatMode::TN, &x, dy);
-        self.w.grad.add_assign(&dw);
+        self.w.grad_mut().add_assign(&dw);
+        let b_grad = self.b.grad_mut().as_mut_slice();
         for r in 0..dy.rows() {
-            let row = dy.row(r);
-            for (g, d) in self.b.grad.as_mut_slice().iter_mut().zip(row) {
+            for (g, d) in b_grad.iter_mut().zip(dy.row(r)) {
                 *g += d;
             }
         }
@@ -142,6 +153,8 @@ impl LayerNorm {
         let (rows, d) = x.shape();
         let mut dx = Matrix::zeros(rows, d);
         let gains = self.gain.value.as_slice().to_vec();
+        let gain_grad = self.gain.grad_mut().as_mut_slice();
+        let bias_grad = self.bias.grad_mut().as_mut_slice();
         for r in 0..rows {
             let xr = x.row(r);
             let dyr = dy.row(r);
@@ -152,8 +165,8 @@ impl LayerNorm {
             for c in 0..d {
                 let norm = (xr[c] - mean) * inv_std;
                 dnorm[c] = dyr[c] * gains[c];
-                self.gain.grad.as_mut_slice()[c] += dyr[c] * norm;
-                self.bias.grad.as_mut_slice()[c] += dyr[c];
+                gain_grad[c] += dyr[c] * norm;
+                bias_grad[c] += dyr[c];
             }
             let sum_dnorm: f32 = dnorm.iter().sum();
             let sum_dnorm_norm: f32 = (0..d).map(|c| dnorm[c] * (xr[c] - mean) * inv_std).sum();
@@ -221,15 +234,15 @@ impl Embedding {
             .cached_tokens
             .take()
             .expect("Embedding backward before forward");
+        let tok_grad = self.tok.grad_mut();
+        let pos_grad = self.pos.grad_mut();
         for (i, &t) in tokens.iter().enumerate() {
             let p = i % self.seq_len;
             let dr = dy.row(i);
-            let tg = self.tok.grad.row_mut(t);
-            for (g, d) in tg.iter_mut().zip(dr) {
+            for (g, d) in tok_grad.row_mut(t).iter_mut().zip(dr) {
                 *g += d;
             }
-            let pg = self.pos.grad.row_mut(p);
-            for (g, d) in pg.iter_mut().zip(dr) {
+            for (g, d) in pos_grad.row_mut(p).iter_mut().zip(dr) {
                 *g += d;
             }
         }

@@ -45,6 +45,9 @@ impl AdamW {
             p.m = Matrix::zeros(r, c);
             p.v = Matrix::zeros(r, c);
         }
+        // A parameter no backward pass reached updates with a zero
+        // gradient (moment decay and weight decay still apply).
+        p.grad_mut();
         let value = p.value.as_mut_slice();
         let grad = p.grad.as_mut_slice();
         let m = p.m.as_mut_slice();
@@ -71,7 +74,7 @@ mod tests {
         let mut opt = AdamW::new(0.1);
         opt.weight_decay = 0.0;
         for _ in 0..300 {
-            p.grad.as_mut_slice()[0] = p.value.as_slice()[0] - 3.0;
+            p.grad_mut().as_mut_slice()[0] = p.value.as_slice()[0] - 3.0;
             opt.next_step();
             opt.update(&mut p);
         }

@@ -123,20 +123,6 @@ impl Rhs<'_> {
     }
 }
 
-/// Below this many multiply-adds the naive kernels stay single-threaded;
-/// rayon task overhead dominates tiny products.
-const PAR_THRESHOLD: usize = 64 * 64 * 64;
-
-/// The same bound for the blocked tier, which retires multiply-adds an
-/// order of magnitude faster and so needs a far larger product to pay
-/// for a parallel region (the rayon stand-in spawns scoped threads per
-/// region, ~70 µs on the 2-core reference box). Measured there with
-/// AVX2, k = 128, n = 512: m = 8 runs 13 µs serial vs 77 µs split,
-/// m = 64 96 vs 127, m = 128 196 vs 220, m = 256 537 vs 348 — the
-/// crossover sits at 6–8 M multiply-adds. Batched decode (m = streams)
-/// stays below it; prefill and training shapes stay above.
-const BLOCKED_PAR_THRESHOLD: usize = 128 * 128 * 512;
-
 /// Pack/kernel accounting for one multiply, surfaced on trace GEMM spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GemmStats {
@@ -306,7 +292,7 @@ fn gemm_blocked(
         return GemmStats::default();
     }
     let blocks = blocks.normalized();
-    let parallel = m * n * k >= BLOCKED_PAR_THRESHOLD;
+    let workers = kernel::split_workers(m * n * k);
     let a_pack = match (mode, quantize) {
         (MatMode::TN, q) => APack::Transpose { quantize: q },
         (_, true) => APack::Copy { quantize: true },
@@ -327,7 +313,7 @@ fn gemm_blocked(
                     blocks,
                     force_scalar,
                 };
-                kernel::run(c_slice, &g, parallel)
+                kernel::run(c_slice, &g, workers)
             };
             if mode == MatMode::NN {
                 pack::with_row_flags(av, m, k, |flags| run(Some(flags)))
@@ -387,12 +373,32 @@ pub fn gemm_tn_naive(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
+/// Run `body(i, row i of C)` over every row: serially, or in one
+/// contiguous band of rows per kernel thread when the product is large
+/// enough to split — the blocked tier's predicate and thread count.
+fn for_each_row(c: &mut Matrix, macs: usize, body: impl Fn((usize, &mut [f32])) + Sync) {
+    let (m, n) = c.shape();
+    let workers = kernel::split_workers(macs);
+    if workers > 1 {
+        let band = m.div_ceil(workers);
+        c.as_mut_slice()
+            .par_chunks_mut(band * n)
+            .enumerate()
+            .for_each(|(bi, rows)| {
+                for (r, row) in rows.chunks_mut(n).enumerate() {
+                    body((bi * band + r, row));
+                }
+            });
+    } else {
+        c.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
+    }
+}
+
 /// Naive NN: for each row of C, accumulate k rank-1 row updates with a
 /// unit-stride inner loop; per-row zero-skip as in the blocked tier.
 fn naive_nn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
-    let work = m * n * k;
     let body = |(i, c_row): (usize, &mut [f32])| {
         c_row.fill(0.0);
         let a_row = a.row(i);
@@ -415,21 +421,13 @@ fn naive_nn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
             }
         }
     };
-    if work >= PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
-    }
+    for_each_row(c, m * n * k, body);
 }
 
 /// Naive NT: C[i][j] = dot(A row i, B row j) — a scalar reduction.
 fn naive_nt(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.rows();
-    let work = m * n * k;
     let body = |(i, c_row): (usize, &mut [f32])| {
         let a_row = a.row(i);
         for (j, c_v) in c_row.iter_mut().enumerate() {
@@ -441,14 +439,7 @@ fn naive_nt(a: &Matrix, b: &Matrix, c: &mut Matrix) {
             *c_v = acc;
         }
     };
-    if work >= PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
-    }
+    for_each_row(c, m * n * k, body);
 }
 
 /// Naive TN: C[i][j] = sum_p A[p][i] * B[p][j] with a column-strided walk
@@ -457,7 +448,6 @@ fn naive_tn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (k, m) = a.shape();
     let n = b.cols();
     let a_data = a.as_slice();
-    let work = m * n * k;
     let body = |(i, c_row): (usize, &mut [f32])| {
         for (j, c_v) in c_row.iter_mut().enumerate() {
             let mut acc = 0.0f32;
@@ -467,14 +457,7 @@ fn naive_tn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
             *c_v = acc;
         }
     };
-    if work >= PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
-    }
+    for_each_row(c, m * n * k, body);
 }
 
 /// Naive triple-loop reference: the bitwise oracle for every other
@@ -654,19 +637,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_serial() {
-        // Big enough to cross BLOCKED_PAR_THRESHOLD, with a ragged last
-        // band (m is not a multiple of MR × workers).
-        let (m, k, n) = (202, 192, 224);
-        assert!(m * k * n >= BLOCKED_PAR_THRESHOLD);
-        let a = Matrix::random(m, k, 1.0, 10);
-        let b = Matrix::random(k, n, 1.0, 11);
-        let oracle = gemm_reference(MatMode::NN, &a, &b);
-        assert_eq!(gemm(MatMode::NN, &a, &b), oracle);
-        assert_eq!(
-            gemm(MatMode::NN, &a, &PackedB::pack(MatMode::NN, &b)),
-            oracle
-        );
+    fn split_products_match_reference_for_every_thread_count() {
+        // One shape just above the split threshold, with a ragged last
+        // band (m is not a multiple of MR × workers), and one just below
+        // it, which must stay serial whatever the thread count. An
+        // installed pool is per thread, so sibling tests are not disturbed.
+        let (k, n) = (512, 512);
+        for (m, splits) in [(258, true), (255, false)] {
+            let macs = m * k * n;
+            assert_eq!(macs >= kernel::PAR_THRESHOLD, splits);
+            let a = Matrix::random(m, k, 1.0, 10);
+            let b = Matrix::random(k, n, 1.0, 11);
+            let packed = PackedB::pack(MatMode::NN, &b);
+            let oracle = gemm_reference(MatMode::NN, &a, &b);
+            for threads in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| {
+                    let expect = if splits { threads } else { 1 };
+                    assert_eq!(kernel::split_workers(macs), expect);
+                    for force_scalar in [false, true] {
+                        let mut c = Matrix::zeros(m, n);
+                        let blocks = BlockSizes::default();
+                        let _ = gemm_into_with(MatMode::NN, &a, &b, &mut c, blocks, force_scalar);
+                        assert_eq!(c, oracle, "{threads} threads, scalar {force_scalar}");
+                    }
+                    assert_eq!(gemm(MatMode::NN, &a, &packed), oracle, "packed, {threads}");
+                    let mut c = Matrix::zeros(m, n);
+                    gemm_into_naive(MatMode::NN, &a, &b, &mut c);
+                    assert_eq!(c, oracle, "naive, {threads} threads");
+                });
+            }
+        }
     }
 
     #[test]

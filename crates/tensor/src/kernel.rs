@@ -17,6 +17,39 @@
 use crate::pack::{BlockSizes, MR, NR};
 use rayon::prelude::*;
 
+/// Multiply-adds at and above which one product is split across kernel
+/// threads — the one split predicate, for the blocked and naive tiers
+/// alike. Set from the in-situ crossover, not a hot-cache microbenchmark
+/// of one product (which put it at 6–8 M): whole
+/// `TransformerStack::train_step` wall time (256 tokens, 2 layers, AVX2,
+/// 2-core reference box; min–median of five interleaved runs), kernels
+/// serial vs split from 8.4 M MACs, at three hidden sizes. In a step the
+/// operands were just written by the issuing thread and the rayon
+/// stand-in spawns scoped threads per region, so at hidden 128 (FC
+/// products of 4–17 M MACs) splitting loses on every grid: 17.7–19.1 →
+/// 19.4–21.6 ms on one rank, 12.1–12.5 → 16.1–16.7 and 12.9–13.3 →
+/// 18.1–20.0 ms on two ranks with two threads each. At hidden 256
+/// (17–67 M) it is a wash (61.8–71.2 vs 58.8–59.6 ms); at hidden 512
+/// (67–268 M) the split wins on one rank, 245–249 → 181–208 ms. A
+/// persistent, pinned worker pool did not rescue the small shapes, so
+/// this is the predicate's to encode, not the spawn's. `256·512·512` is
+/// the smallest hidden-512 FC product and four times the largest
+/// hidden-128 one.
+pub(crate) const PAR_THRESHOLD: usize = 256 * 512 * 512;
+
+/// Workers for a product of `macs` multiply-adds: 1 below
+/// [`PAR_THRESHOLD`] — without asking for a thread count, so a serial
+/// product pays nothing — else the count of the rayon pool the calling
+/// thread runs in (`axonn-exec` installs one of `cores / world_size`
+/// per rank thread, so ranks do not fight each other for cores).
+pub(crate) fn split_workers(macs: usize) -> usize {
+    if macs < PAR_THRESHOLD {
+        1
+    } else {
+        rayon::current_num_threads()
+    }
+}
+
 /// One fully-packed multiply: `C[m×n] = Aview[m×k] · Bpacked`.
 pub(crate) struct Gemm<'a> {
     /// `m × k` row-major A view (borrowed or packed).
@@ -46,13 +79,12 @@ pub(crate) fn avx2_available() -> bool {
 }
 
 /// Run the blocked engine over `c`. Returns `true` when the AVX2 kernels
-/// were used. `parallel` splits `C` into MR-aligned row bands, one per
-/// rayon worker — panel-group granularity inside each band.
-pub(crate) fn run(c: &mut [f32], g: &Gemm<'_>, parallel: bool) -> bool {
+/// were used. `workers > 1` (see [`split_workers`]) splits `C` into that
+/// many MR-aligned row bands — panel-group granularity inside each band.
+pub(crate) fn run(c: &mut [f32], g: &Gemm<'_>, workers: usize) -> bool {
     debug_assert_eq!(c.len(), g.m * g.n);
     let simd = !g.force_scalar && avx2_available();
-    let workers = rayon::current_num_threads().max(1);
-    if parallel && workers > 1 && g.m > MR {
+    if workers > 1 && g.m > MR {
         let chunk_rows = g.m.div_ceil(workers).div_ceil(MR) * MR;
         c.par_chunks_mut(chunk_rows * g.n)
             .enumerate()

@@ -12,6 +12,7 @@
 //! just as the rocBLAS TN/NN gap made it meaningful on Frontier. Every
 //! kernel tier is bitwise identical to [`gemm::gemm_reference`].
 
+pub mod activation;
 pub mod bf16;
 pub mod gemm;
 mod kernel;
@@ -19,6 +20,7 @@ pub mod matrix;
 pub mod pack;
 pub mod shard;
 
+pub use activation::{gelu, gelu_grad};
 pub use bf16::Bf16;
 pub use gemm::{
     gemm, gemm_bf16, gemm_bf16_into, gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with,

@@ -3,7 +3,9 @@
 //! exercised together and checked against the serial reference.
 
 use axonn::collectives::RingCostModel;
-use axonn::engine::{Activation, GridTopology, Network4d, OverlapConfig, SerialMlp};
+use axonn::engine::{
+    Activation, GridTopology, Network4d, OverlapConfig, SerialMlp, TransformerStack,
+};
 use axonn::exec::{run_spmd, run_spmd_timed};
 use axonn::tensor::Matrix;
 use std::sync::Arc;
@@ -114,6 +116,48 @@ fn kernel_tuner_reports_choices_after_first_batch() {
     });
     // Every layer's dW kernel gets tuned during the first batch.
     assert!(tuned.iter().all(|&n| n == DIMS.len() - 1));
+}
+
+#[test]
+fn train_step_loss_bits_do_not_depend_on_kernel_threads() {
+    // Whole-step determinism across the serial/split seam in the GEMM
+    // tier: with 320 tokens at hidden 256, fc1 and fc2 are 84 M-MAC
+    // products (at or above `256·512·512`, so they split across the
+    // rank's kernel threads) while qkv (63 M) and proj (21 M) stay
+    // serial. The launcher gives a one-rank world every thread of the
+    // pool it is called under.
+    const SEQ: usize = 32;
+    const TOKENS: usize = 10 * SEQ;
+    const VOCAB: usize = 64;
+    let losses = |kernel_threads: usize| {
+        let host = rayon::ThreadPoolBuilder::new()
+            .num_threads(kernel_threads)
+            .build()
+            .unwrap();
+        host.install(|| {
+            run_spmd(1, move |comm| {
+                if std::env::var_os("AXONN_THREADS").is_none() {
+                    assert_eq!(rayon::current_num_threads(), kernel_threads);
+                }
+                let grid = GridTopology::new(1, 1, 1, 1, 0);
+                let mut stack =
+                    TransformerStack::new(&grid, VOCAB, 256, 4, 1, SEQ, SEED, OverlapConfig::all());
+                let tokens: Vec<usize> = (0..TOKENS).map(|i| (i * 5 + 1) % VOCAB).collect();
+                let targets: Vec<usize> = (0..TOKENS).map(|i| (i * 3 + 2) % VOCAB).collect();
+                (0..2)
+                    .map(|_| {
+                        stack
+                            .train_step(&comm, &grid, &tokens, &targets, 0.01)
+                            .to_bits()
+                    })
+                    .collect::<Vec<u32>>()
+            })
+        })
+    };
+    let serial = losses(1);
+    assert!(serial[0][1] < serial[0][0], "loss did not fall: {serial:?}");
+    assert_eq!(losses(2), serial, "1 vs 2 kernel threads");
+    assert_eq!(losses(3), serial, "1 vs 3 kernel threads (ragged bands)");
 }
 
 #[test]
