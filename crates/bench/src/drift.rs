@@ -27,7 +27,7 @@ use axonn_collectives::{
 };
 use axonn_exec::run_spmd;
 use axonn_tensor::{
-    gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with, BlockSizes, MatMode, Matrix,
+    gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with, BlockSizes, Isa, MatMode, Matrix,
 };
 use axonn_trace::{Histogram, SECONDS_BOUNDS};
 use serde::{Serialize, Value};
@@ -328,8 +328,8 @@ impl Default for GemmDriftConfig {
     }
 }
 
-/// One measured-vs-predicted GEMM point (the auto kernel: blocked, with
-/// AVX2 when compiled in and available).
+/// One measured-vs-predicted GEMM point (the auto kernel: blocked, on
+/// the best ISA compiled in and available).
 #[derive(Debug, Clone, Serialize)]
 pub struct GemmDriftEntry {
     /// Mode label (`NN`, `NT`, `TN`).
@@ -348,8 +348,8 @@ pub struct GemmDriftEntry {
 }
 
 /// Throughput of each kernel tier at one (mode, shape) point — the
-/// naive loop nest, the blocked/packed scalar kernel, and the auto
-/// kernel (blocked + AVX2 micro-kernel when available).
+/// naive loop nest, the blocked/packed portable kernel, and the auto
+/// kernel (blocked + the best vector micro-kernel available).
 #[derive(Debug, Clone, Serialize)]
 pub struct GemmTierEntry {
     pub mode: &'static str,
@@ -371,7 +371,7 @@ pub struct GemmDriftReport {
     /// Fitted per-mode throughput factors relative to the NN curve.
     pub nt_factor: f64,
     pub tn_factor: f64,
-    /// Whether the AVX2 micro-kernels ran for the auto tier.
+    /// Whether a vector (AVX-512) micro-kernel ran for the auto tier.
     pub simd_active: bool,
     /// Accepted measured/predicted band for the sweep points.
     pub tolerance_low: f64,
@@ -454,7 +454,8 @@ pub fn run_gemm_drift(cfg: &GemmDriftConfig) -> Option<GemmDriftReport> {
                 gemm_into_naive(mat_mode, &a, &b, &mut c);
             });
             let blocked_s = time_kernel(cfg.iters, cfg.warmup, || {
-                let _ = gemm_into_with(mat_mode, &a, &b, &mut c, BlockSizes::default(), true);
+                let _ =
+                    gemm_into_with(mat_mode, &a, &b, &mut c, BlockSizes::default(), Isa::Scalar);
             });
 
             let rate = flops / auto_s.max(1e-12);

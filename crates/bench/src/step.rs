@@ -95,8 +95,8 @@ pub struct StepBenchReport {
     /// Pack-buffer traffic of one step on rank 0 (bytes written into the
     /// thread-local operand panels).
     pub packed_bytes_per_step: u64,
-    /// Whether the AVX2 GEMM micro-kernels ran (the `simd` build on a
-    /// machine that has AVX2).
+    /// Whether a vector GEMM micro-kernel ran (the `simd` build on a
+    /// machine with AVX-512F and FMA).
     pub simd_active: bool,
     /// World size and iteration count the medians were taken over.
     pub world_size: usize,

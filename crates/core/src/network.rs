@@ -15,7 +15,7 @@ use crate::grid::GridTopology;
 use crate::layer::{OverlapConfig, ParallelLinear, PendingGrad, Precision};
 use crate::tuner::KernelTuner;
 use axonn_collectives::{Comm, ProcessGroup};
-use axonn_tensor::{block_of, gelu, gelu_grad, gemm, BlockSpec, MatMode, Matrix};
+use axonn_tensor::{block_of, gelu_backprop, gelu_in_place, gemm, BlockSpec, MatMode, Matrix};
 
 /// Elementwise nonlinearity between FC layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +31,7 @@ impl Activation {
         match self {
             Activation::Identity => {}
             Activation::Relu => m.map_inplace(|x| x.max(0.0)),
-            Activation::Gelu => m.map_inplace(gelu),
+            Activation::Gelu => gelu_in_place(m.as_mut_slice()),
         }
     }
 
@@ -46,11 +46,7 @@ impl Activation {
                     }
                 }
             }
-            Activation::Gelu => {
-                for (dv, &p) in d.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-                    *dv *= gelu_grad(p);
-                }
-            }
+            Activation::Gelu => gelu_backprop(pre.as_slice(), d.as_mut_slice()),
         }
     }
 }

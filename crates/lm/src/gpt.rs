@@ -5,13 +5,13 @@ use crate::attention::CausalSelfAttention;
 use crate::loss::cross_entropy;
 use crate::modules::{Embedding, LayerNorm, Linear, Param};
 use crate::optim::AdamW;
-use axonn_tensor::Matrix;
+use axonn_tensor::{gelu_backprop, Matrix};
 
-/// The exact GELU used by [`Mlp::forward`]; re-exported so inference
-/// paths (the KV-cached decoder, tensor-parallel serving shards)
-/// reproduce the training activation bit-for-bit.
-pub use axonn_tensor::gelu;
-use axonn_tensor::gelu_grad;
+/// The exact GELU used by [`Mlp::forward`], per element and over a slice;
+/// re-exported so inference paths (the KV-cached decoder,
+/// tensor-parallel serving shards) reproduce the training activation
+/// bit-for-bit.
+pub use axonn_tensor::{gelu, gelu_in_place};
 
 /// The transformer MLP: `fc2(gelu(fc1(x)))`.
 pub struct Mlp {
@@ -32,7 +32,7 @@ impl Mlp {
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let pre = self.fc1.forward(x);
         let mut act = pre.clone();
-        act.map_inplace(gelu);
+        gelu_in_place(act.as_mut_slice());
         self.cached_pre = Some(pre);
         self.fc2.forward(&act)
     }
@@ -40,9 +40,7 @@ impl Mlp {
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let mut d_act = self.fc2.backward(dy);
         let pre = self.cached_pre.take().expect("Mlp backward before forward");
-        for (d, &p) in d_act.as_mut_slice().iter_mut().zip(pre.as_slice()) {
-            *d *= gelu_grad(p);
-        }
+        gelu_backprop(pre.as_slice(), d_act.as_mut_slice());
         self.fc1.backward(&d_act)
     }
 

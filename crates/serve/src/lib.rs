@@ -10,9 +10,10 @@
 //!   loading from `lm::Checkpoint` files and `ft`-style sharded
 //!   checkpoint directories.
 //! * [`scheduler`] — [`ServeEngine`]: a continuous-batching scheduler.
-//!   Requests queue FIFO, are admitted into a bounded set of KV-cache
-//!   slabs under a per-step token budget (prefill counts its prompt
-//!   length, decode counts one token per stream), decoded together in
+//!   Requests queue FIFO, are admitted into a bounded set of streams,
+//!   each with a KV cache sized to its own request, under a per-step
+//!   token budget (prefill counts its prompt length, decode counts one
+//!   token per stream), decoded together in
 //!   one batched forward per step over weights packed once, evicted when
 //!   their deadline passes, and rejected with typed
 //!   [`ServeError::Overloaded`] when the queue is full.

@@ -310,7 +310,7 @@ mod tests {
 
     #[test]
     fn overload_is_absorbed_by_retry() {
-        // One queue slot, one slab: heavy contention, everything retries
+        // One queue slot, one stream: heavy contention, everything retries
         // through and completes.
         let model = Arc::new(Gpt::new(GptModelConfig {
             vocab: 12,

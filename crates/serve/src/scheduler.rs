@@ -1,5 +1,5 @@
 //! Continuous batching: a request queue in front of a bounded set of
-//! KV-cache slabs, re-formed every decode step.
+//! decode streams, re-formed every decode step.
 //!
 //! Unlike static batching (wait for B requests, run them lock-step to
 //! completion), the engine admits and retires streams *per step*:
@@ -14,11 +14,14 @@
 //!   batch, against weights packed once at construction); attention and
 //!   sampling stay per stream, so a stream's tokens are bit-for-bit those
 //!   of decoding it alone, whoever shares its steps;
-//! * KV slabs are preallocated at construction and recycled on
-//!   completion or eviction, so steady-state serving does no allocation
-//!   proportional to traffic;
+//! * an admitted stream gets a KV cache of exactly `prompt_len +
+//!   max_new_tokens` positions (and an output buffer of exactly
+//!   `max_new_tokens`) and drops the cache on completion or eviction,
+//!   so cache memory follows the work in flight — a one-token request
+//!   holds its cache only inside its own prefill — not `max_active` full
+//!   model windows;
 //! * requests carry an optional step deadline; expired streams are
-//!   evicted (slab released, partial output returned) instead of
+//!   evicted (cache dropped, partial output returned) instead of
 //!   dragging the batch;
 //! * a full queue rejects new work with typed
 //!   [`ServeError::Overloaded`] rather than growing without bound.
@@ -78,7 +81,7 @@ impl std::error::Error for ServeError {}
 pub struct ServeConfig {
     /// Queue slots before [`ServeError::Overloaded`].
     pub max_queue: usize,
-    /// Concurrent decode streams — one preallocated KV slab each.
+    /// Concurrent decode streams.
     pub max_active: usize,
     /// Per-step token budget shared by prefills (prompt length) and
     /// decodes (one per stream).
@@ -175,7 +178,6 @@ pub struct ServeEngine {
     cfg: ServeConfig,
     queue: VecDeque<Queued>,
     active: Vec<ActiveStream>,
-    free_slabs: Vec<KvCache>,
     completions: Vec<Completion>,
     metrics: ServeMetrics,
     step: u64,
@@ -186,16 +188,12 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Build an engine over a shared model, packing its linear weights,
-    /// preallocating `cfg.max_active` KV slabs and registering `serve.*`
-    /// metrics in `registry`.
+    /// Build an engine over a shared model, packing its linear weights
+    /// and registering `serve.*` metrics in `registry`.
     pub fn new(model: Arc<Gpt>, cfg: ServeConfig, registry: &LiveRegistry) -> ServeEngine {
         assert!(cfg.max_active > 0, "need at least one active slot");
         assert!(cfg.max_queue > 0, "need at least one queue slot");
         assert!(cfg.max_batch_tokens > 0, "need a positive token budget");
-        let free_slabs = (0..cfg.max_active)
-            .map(|_| KvCache::for_model(&model.cfg))
-            .collect();
         ServeEngine {
             metrics: ServeMetrics::new(registry),
             weights: PackedWeights::pack(&model),
@@ -203,7 +201,6 @@ impl ServeEngine {
             cfg,
             queue: VecDeque::new(),
             active: Vec::new(),
-            free_slabs,
             completions: Vec::new(),
             step: 0,
             next_id: 0,
@@ -261,11 +258,11 @@ impl ServeEngine {
         let mut budget = self.cfg.max_batch_tokens;
         let mut produced = 0usize;
 
-        // --- Admission: strict FIFO, bounded by slabs and budget. A
+        // --- Admission: strict FIFO, bounded by streams and budget. A
         // head-of-line prompt longer than the whole budget is admitted
         // anyway when the engine is otherwise empty, so it cannot starve.
         let mut admitted_any = false;
-        while self.active.len() < self.cfg.max_active && !self.free_slabs.is_empty() {
+        while self.active.len() < self.cfg.max_active {
             let Some(front) = self.queue.front() else {
                 break;
             };
@@ -277,13 +274,21 @@ impl ServeEngine {
             budget = budget.saturating_sub(cost);
             admitted_any = true;
             let q = self.queue.pop_front().expect("front() just saw it");
-            let mut cache = self.free_slabs.pop().expect("loop condition");
+            // Prefill fills `prompt_len` positions and each of the
+            // `max_new_tokens - 1` decode steps one more: the cache never
+            // reaches its window, so `WindowFull` cannot occur.
+            let mc = &self.model.cfg;
+            let mut cache = KvCache::with_heads(
+                mc.n_layers,
+                mc.n_heads,
+                q.prompt.len() + q.max_new_tokens,
+                mc.dim / mc.n_heads,
+            );
             let logits =
-                decode::prefill_with(&self.model, Some(&self.weights), &q.prompt, &mut cache);
+                decode::prefill_last(&self.model, Some(&self.weights), &q.prompt, &mut cache);
             let mut rng =
                 StdRng::seed_from_u64(self.cfg.seed ^ q.id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let first =
-                sampler::sample(logits.row(q.prompt.len() - 1), self.cfg.sampling, &mut rng);
+            let first = sampler::sample(&logits, self.cfg.sampling, &mut rng);
             produced += 1;
             self.total_generated += 1;
             let ttft = q.submitted_at.elapsed().as_secs_f64();
@@ -291,11 +296,15 @@ impl ServeEngine {
             self.metrics.prefill_tokens.add(cost as u64);
             self.metrics.decoded_tokens.inc();
             self.metrics.ttft_seconds.observe(ttft);
+            // Sized once, like the cache: the output never regrows, and
+            // the completion hands the caller no slack.
+            let mut tokens = Vec::with_capacity(q.max_new_tokens);
+            tokens.push(first);
             let stream = ActiveStream {
                 id: q.id,
                 cache,
                 rng,
-                tokens: vec![first],
+                tokens,
                 prompt_len: q.prompt.len(),
                 max_new_tokens: q.max_new_tokens,
                 deadline: q.deadline,
@@ -408,10 +417,6 @@ impl ServeEngine {
         self.active.len()
     }
 
-    pub fn free_slabs(&self) -> usize {
-        self.free_slabs.len()
-    }
-
     pub fn current_step(&self) -> u64 {
         self.step
     }
@@ -460,8 +465,8 @@ impl ServeEngine {
                 latency_s: q.submitted_at.elapsed().as_secs_f64(),
             });
         }
-        // Active streams past their deadline: release the slab, return
-        // the partial output.
+        // Active streams past their deadline: drop the cache, return the
+        // partial output.
         let mut idx = 0;
         while idx < self.active.len() {
             if self.active[idx].deadline.is_some_and(|d| now > d) {
@@ -479,10 +484,8 @@ impl ServeEngine {
         }
     }
 
-    /// Retire a stream: recycle its slab and record the completion.
-    fn finish(&mut self, mut s: ActiveStream, now: u64, reason: FinishReason) {
-        s.cache.reset();
-        self.free_slabs.push(s.cache);
+    /// Retire a stream: drop its cache and record the completion.
+    fn finish(&mut self, s: ActiveStream, now: u64, reason: FinishReason) {
         if reason == FinishReason::Completed {
             self.metrics.completed.inc();
         }
@@ -528,6 +531,18 @@ mod tests {
             prompt: prompt.to_vec(),
             max_new_tokens: max_new,
             deadline_steps: None,
+        }
+    }
+
+    /// At most `max_active` streams, each holding a cache of exactly its
+    /// own `prompt + max_new_tokens` positions. (That the window is never
+    /// hit is the engine's own `expect` on `decode_batch`.)
+    fn assert_streams_bounded_and_sized(e: &ServeEngine) {
+        assert!(e.in_flight() <= e.config().max_active);
+        for s in &e.active {
+            let window = s.cache.len() + s.cache.remaining();
+            assert_eq!(window, s.prompt_len + s.max_new_tokens, "stream {}", s.id);
+            assert!(s.cache.remaining() > 0, "stream {} at its window", s.id);
         }
     }
 
@@ -628,13 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn deadline_eviction_releases_slabs_and_returns_partials() {
+    fn deadline_eviction_drops_the_stream_and_returns_partials() {
         let mut e = engine(ServeConfig {
             max_active: 2,
             max_batch_tokens: 64,
             ..ServeConfig::default()
         });
-        assert_eq!(e.free_slabs(), 2);
         // A long stream with a 2-step deadline and a queued one behind it.
         e.submit(ServeRequest {
             prompt: vec![1, 2],
@@ -644,7 +658,7 @@ mod tests {
         .unwrap();
         e.step();
         assert_eq!(e.in_flight(), 1);
-        assert_eq!(e.free_slabs(), 1);
+        assert_streams_bounded_and_sized(&e);
         e.step();
         e.step(); // step 3 > deadline (submitted at step 0 + 2)
         let done = e.drain_completions();
@@ -652,8 +666,7 @@ mod tests {
         assert_eq!(done[0].reason, FinishReason::DeadlineExpired);
         assert!(!done[0].tokens.is_empty(), "partial output returned");
         assert!(done[0].tokens.len() < 9);
-        assert_eq!(e.in_flight(), 0);
-        assert_eq!(e.free_slabs(), 2, "evicted slab back in the pool");
+        assert_eq!(e.in_flight(), 0, "evicted stream left the engine");
     }
 
     #[test]
@@ -662,8 +675,8 @@ mod tests {
             max_active: 1,
             ..ServeConfig::default()
         });
-        // Occupy the only slab with a long stream, then queue a request
-        // that expires before a slab frees up.
+        // Occupy the only stream slot with a long stream, then queue a
+        // request that expires before the slot frees up.
         e.submit(req(&[1, 2], 9)).unwrap();
         e.step();
         e.submit(ServeRequest {
@@ -684,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn slab_accounting_is_conserved_every_step() {
+    fn streams_stay_within_max_active_with_caches_sized_per_request() {
         let mut e = engine(ServeConfig {
             max_queue: 64,
             max_active: 3,
@@ -696,7 +709,7 @@ mod tests {
         }
         for _ in 0..200 {
             e.step();
-            assert_eq!(e.free_slabs() + e.in_flight(), 3);
+            assert_streams_bounded_and_sized(&e);
             if e.queue_depth() == 0 && e.in_flight() == 0 {
                 break;
             }
@@ -753,7 +766,7 @@ mod tests {
             }
             let in_flight_before = e.in_flight();
             let produced = e.step();
-            assert_eq!(e.free_slabs() + e.in_flight(), cfg.max_active);
+            assert_streams_bounded_and_sized(&e);
             assert!(produced <= cfg.max_batch_tokens);
             squeezed_steps += usize::from(in_flight_before > cfg.max_batch_tokens);
             if step > 3 && e.queue_depth() == 0 && e.in_flight() == 0 {

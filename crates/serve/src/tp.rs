@@ -19,7 +19,7 @@
 use axonn_collectives::{Comm, CommWorld};
 use axonn_core::GridTopology;
 use axonn_lm::decode::{attend, KvCache};
-use axonn_lm::gpt::gelu;
+use axonn_lm::gpt::gelu_in_place;
 use axonn_lm::{Gpt, GptModelConfig};
 use axonn_tensor::{gemm, MatMode, Matrix};
 use axonn_trace::LiveRegistry;
@@ -229,7 +229,7 @@ impl TpShard {
 
             let normed2 = ln_row(&h1, &b.ln2_gain, &b.ln2_bias, self.eps);
             let mut act = matmul_bias(&normed2, &b.fc1_w, &b.fc1_b);
-            act.map_inplace(gelu);
+            gelu_in_place(act.as_mut_slice());
             let mut mlp_out = gemm(MatMode::NN, &act, &b.fc2_rows);
             comm.all_reduce(group, mlp_out.as_mut_slice());
             for (v, bv) in mlp_out.row_mut(0).iter_mut().zip(b.fc2_b.as_slice()) {

@@ -54,6 +54,69 @@ pub fn gelu_grad(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
 }
 
+/// Define `$name` as `$body` compiled for the widest float vectors the
+/// CPU reports (AVX-512F, else AVX2, else the build's baseline). The
+/// bodies are plain IEEE mul/add/div/clamp, which no target feature lets
+/// the compiler contract or reorder, so every copy gives the same bits;
+/// only the lane count changes. An MLP activation of 80×512 (a serving
+/// prefill) took 71 µs at the SSE baseline, 37 µs with AVX2 and 27 µs
+/// with AVX-512 (2-core Sapphire Rapids VM, best of five).
+macro_rules! widest {
+    ($(#[$doc:meta])* pub fn $name:ident($($arg:ident: $ty:ty),*) = $body:ident;) => {
+        $(#[$doc])*
+        pub fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    #[target_feature(enable = "avx512f")]
+                    fn avx512($($arg: $ty),*) {
+                        $body($($arg),*)
+                    }
+                    // SAFETY: the CPU has AVX-512F (checked above).
+                    return unsafe { avx512($($arg),*) };
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    #[target_feature(enable = "avx2")]
+                    fn avx2($($arg: $ty),*) {
+                        $body($($arg),*)
+                    }
+                    // SAFETY: the CPU has AVX2 (checked above).
+                    return unsafe { avx2($($arg),*) };
+                }
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
+widest! {
+    /// `x ← gelu(x)` for every element: bitwise [`gelu`] on each.
+    pub fn gelu_in_place(xs: &mut [f32]) = gelu_in_place_body;
+}
+
+#[inline(always)]
+fn gelu_in_place_body(xs: &mut [f32]) {
+    for x in xs {
+        *x = gelu(*x);
+    }
+}
+
+widest! {
+    /// `d ← d · gelu'(pre)` elementwise: bitwise [`gelu_grad`] on each.
+    ///
+    /// # Panics
+    /// If the two slices differ in length.
+    pub fn gelu_backprop(pre: &[f32], d: &mut [f32]) = gelu_backprop_body;
+}
+
+#[inline(always)]
+fn gelu_backprop_body(pre: &[f32], d: &mut [f32]) {
+    assert_eq!(pre.len(), d.len(), "gelu_backprop: length mismatch");
+    for (dv, &p) in d.iter_mut().zip(pre) {
+        *dv *= gelu_grad(p);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,6 +170,41 @@ mod tests {
         assert!(tanh_rational(f32::NAN).is_nan());
         assert!(gelu(f32::NAN).is_nan());
         assert!(gelu_grad(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn slice_forms_are_bitwise_the_scalar_ones() {
+        // Specials at the end, so that with the odd length some of them
+        // land in a vector copy's remainder loop.
+        let mut pre: Vec<f32> = dense_grid().collect();
+        for s in [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e30,
+            -1e30,
+            1e-40,
+        ] {
+            pre.extend([s; 3]);
+        }
+        let d: Vec<f32> = pre.iter().map(|x| 0.5 - x).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut fwd = pre.clone();
+        gelu_in_place(&mut fwd);
+        let want: Vec<f32> = pre.iter().map(|&x| gelu(x)).collect();
+        assert_eq!(bits(&fwd), bits(&want));
+
+        let mut back = d.clone();
+        gelu_backprop(&pre, &mut back);
+        let want: Vec<f32> = d
+            .iter()
+            .zip(&pre)
+            .map(|(&dv, &p)| dv * gelu_grad(p))
+            .collect();
+        assert_eq!(bits(&back), bits(&want));
     }
 
     #[test]

@@ -12,21 +12,29 @@
 //!   ([`crate::pack`], [`crate::kernel`]). NT packs `Bᵀ` panels so the
 //!   dot-product reduction becomes the same broadcast-multiply-add loop
 //!   as NN; TN transpose-packs `A` so the stride-`m` column walk becomes
-//!   a pack cost. With the `simd` feature and an AVX2 CPU the inner loop
-//!   is two 8-lane vectors, still bitwise identical to
-//!   [`gemm_reference`].
+//!   a pack cost. The dense tiles run on the best [`Isa`] the CPU has:
+//!   AVX-512 FMA intrinsics with the `simd` feature, the portable kernel
+//!   otherwise.
 //! * The **naive tier** ([`gemm_into_naive`], [`gemm_tn_naive`]): the
-//!   pre-blocking scalar kernels, kept as a genuine alternative the
-//!   `axonn-core` tuner times against the packed tier (TN-via-pack vs
-//!   TN-naive is now a real decision, mirroring the rocBLAS gap the
-//!   paper tuned around) and as the "scalar" column of the bench drift
-//!   tables.
+//!   pre-blocking loops, kept as a genuine alternative the `axonn-core`
+//!   tuner times against the packed tier (TN-via-pack vs TN-naive is now
+//!   a real decision, mirroring the rocBLAS gap the paper tuned around)
+//!   and as the "scalar" column of the bench drift tables.
+//!
+//! **Arithmetic contract.** Every tier is bitwise identical to
+//! [`gemm_reference`]: each `C[i][j]` is one correctly rounded fused
+//! multiply-add per term, in contraction order, from `+0.0`
+//! ([`crate::fused`]); NN products skip every exact-zero A term (which
+//! makes causal-mask zeros free and `0·inf` harmless). So results do not
+//! depend on the ISA, the tile a row landed in, the block sizes, the
+//! thread split, or whether B was packed per call or once.
 //!
 //! All kernels accumulate in `f32`; [`gemm_bf16`] quantizes operands to
 //! the bf16 grid *during packing* (no intermediate matrix copies), which
 //! is how the mixed-precision training mode reaches these kernels.
 
-use crate::kernel;
+use crate::fused;
+use crate::kernel::{self, Isa};
 use crate::matrix::Matrix;
 use crate::pack::{self, APack, BLayout, BlockSizes, PackedB};
 use rayon::prelude::*;
@@ -131,7 +139,8 @@ pub struct GemmStats {
     pub packed_bytes: u64,
     /// Number of NR-wide B panels packed by this call.
     pub panels: u32,
-    /// Whether the AVX2 micro-kernels ran (false on the scalar fallback).
+    /// Whether an explicit-vector (AVX-512) micro-kernel ran the dense
+    /// tiles; false on the portable kernel.
     pub simd: bool,
 }
 
@@ -225,25 +234,23 @@ pub fn gemm_into_stats<'a>(
     b: impl Into<Rhs<'a>>,
     c: &mut Matrix,
 ) -> GemmStats {
-    gemm_into_with(mode, a, b, c, BlockSizes::default(), false)
+    gemm_into_with(mode, a, b, c, BlockSizes::default(), Isa::BEST)
 }
 
-/// Blocked multiply with explicit block sizes and an optional scalar-only
-/// pin. Test/bench hook: tiny blocks exercise every block boundary;
-/// `force_scalar` measures the blocked tier without AVX2 (and proves the
-/// two legs bitwise-equal in one binary).
+/// Blocked multiply with explicit block sizes, on the best ISA the host
+/// runs at or below `cap` (`Isa::BEST`: no cap). Test/bench hook: tiny
+/// blocks exercise every block boundary; a cap measures one kernel and
+/// proves every ISA bitwise-equal in one binary.
 pub fn gemm_into_with<'a>(
     mode: MatMode,
     a: &Matrix,
     b: impl Into<Rhs<'a>>,
     c: &mut Matrix,
     blocks: BlockSizes,
-    force_scalar: bool,
+    cap: Isa,
 ) -> GemmStats {
     let b = b.into();
-    timed(mode, || {
-        gemm_blocked(mode, a, b, c, false, blocks, force_scalar)
-    })
+    timed(mode, || gemm_blocked(mode, a, b, c, false, blocks, cap))
 }
 
 /// Mixed-precision multiply: quantize both operands to the bf16 grid,
@@ -260,7 +267,7 @@ pub fn gemm_bf16(mode: MatMode, a: &Matrix, b: &Matrix) -> Matrix {
 /// [`gemm_bf16`] into a preallocated output, returning pack accounting.
 pub fn gemm_bf16_into(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) -> GemmStats {
     timed(mode, || {
-        gemm_blocked(mode, a, b.into(), c, true, BlockSizes::default(), false)
+        gemm_blocked(mode, a, b.into(), c, true, BlockSizes::default(), Isa::BEST)
     })
 }
 
@@ -276,7 +283,7 @@ fn gemm_blocked(
     c: &mut Matrix,
     quantize: bool,
     blocks: BlockSizes,
-    force_scalar: bool,
+    cap: Isa,
 ) -> GemmStats {
     let (m, n) = b.output_shape(mode, a.shape());
     assert_eq!(c.shape(), (m, n), "output shape mismatch for {mode}");
@@ -292,6 +299,7 @@ fn gemm_blocked(
         return GemmStats::default();
     }
     let blocks = blocks.normalized();
+    let isa = Isa::best_up_to(cap);
     let workers = kernel::split_workers(m * n * k);
     let a_pack = match (mode, quantize) {
         (MatMode::TN, q) => APack::Transpose { quantize: q },
@@ -299,7 +307,7 @@ fn gemm_blocked(
         (_, false) => APack::Borrow,
     };
     let c_slice = c.as_mut_slice();
-    // Everything downstream of the packed panels: `(A bytes, simd)`.
+    // Everything downstream of the packed panels: the A bytes it packed.
     let mut kernels = |bp: &[f32]| {
         pack::with_a_view(a.as_slice(), m, k, a_pack, |av| {
             let mut run = |flags: Option<&[u8]>| {
@@ -311,7 +319,7 @@ fn gemm_blocked(
                     k,
                     n,
                     blocks,
-                    force_scalar,
+                    isa,
                 };
                 kernel::run(c_slice, &g, workers)
             };
@@ -322,9 +330,10 @@ fn gemm_blocked(
             }
         })
     };
+    let simd = isa != Isa::Scalar;
     match b {
         Rhs::Matrix(b) => {
-            let (panels, b_bytes, (a_bytes, simd)) =
+            let (panels, b_bytes, (a_bytes, ())) =
                 pack::with_packed_b(b.as_slice(), BLayout::of(mode), k, n, quantize, kernels);
             GemmStats {
                 packed_bytes: b_bytes + a_bytes,
@@ -334,7 +343,7 @@ fn gemm_blocked(
         }
         Rhs::Packed(bp) => {
             assert!(!quantize, "pre-packed operands are f32 only");
-            let (a_bytes, simd) = kernels(&bp.panels);
+            let (a_bytes, ()) = kernels(&bp.panels);
             GemmStats {
                 packed_bytes: a_bytes,
                 panels: 0,
@@ -395,29 +404,16 @@ fn for_each_row(c: &mut Matrix, macs: usize, body: impl Fn((usize, &mut [f32])) 
 }
 
 /// Naive NN: for each row of C, accumulate k rank-1 row updates with a
-/// unit-stride inner loop; per-row zero-skip as in the blocked tier.
+/// unit-stride inner loop, skipping exact-zero A terms as every NN tier
+/// does.
 fn naive_nn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
     let body = |(i, c_row): (usize, &mut [f32])| {
         c_row.fill(0.0);
-        let a_row = a.row(i);
-        if a_row.iter().take(k).any(|&v| v == 0.0) {
-            for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-                if a_ip == 0.0 {
-                    continue;
-                }
-                let b_row = b.row(p);
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                    *c_v += a_ip * b_v;
-                }
-            }
-        } else {
-            for (p, &a_ip) in a_row.iter().enumerate().take(k) {
-                let b_row = b.row(p);
-                for (c_v, &b_v) in c_row.iter_mut().zip(b_row) {
-                    *c_v += a_ip * b_v;
-                }
+        for (p, &a_ip) in a.row(i).iter().enumerate() {
+            if a_ip != 0.0 {
+                fused::axpy(a_ip, b.row(p), c_row);
             }
         }
     };
@@ -428,41 +424,29 @@ fn naive_nn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 fn naive_nt(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.rows();
-    let body = |(i, c_row): (usize, &mut [f32])| {
-        let a_row = a.row(i);
-        for (j, c_v) in c_row.iter_mut().enumerate() {
-            let b_row = b.row(j);
-            let mut acc = 0.0f32;
-            for (x, y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            *c_v = acc;
-        }
-    };
+    let body = |(i, c_row): (usize, &mut [f32])| fused::dot_rows(a.row(i), b.as_slice(), c_row);
     for_each_row(c, m * n * k, body);
 }
 
 /// Naive TN: C[i][j] = sum_p A[p][i] * B[p][j] with a column-strided walk
-/// over `A` — stride `m` per step.
+/// over `A` — stride `m` per step — and over `B`.
 fn naive_tn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (k, m) = a.shape();
     let n = b.cols();
-    let a_data = a.as_slice();
+    let (a_data, b_data) = (a.as_slice(), b.as_slice());
     let body = |(i, c_row): (usize, &mut [f32])| {
         for (j, c_v) in c_row.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a_data[p * m + i] * b.row(p)[j];
-            }
-            *c_v = acc;
+            *c_v = fused::dot_strided(&a_data[i..], m, &b_data[j..], n);
         }
     };
     for_each_row(c, m * n * k, body);
 }
 
 /// Naive triple-loop reference: the bitwise oracle for every other
-/// kernel in this module. Each `C[i][j]` is a sequential mul-then-add
-/// over `p` starting from `+0.0`.
+/// kernel in this module. Each `C[i][j]` is a chain of `f32::mul_add`
+/// over `p` starting from `+0.0`; NN skips exact-zero A terms. Written
+/// plainly, so off hosts with hardware FMA it runs on software `fmaf`
+/// and is slow — it is only the oracle.
 pub fn gemm_reference(mode: MatMode, a: &Matrix, b: &Matrix) -> Matrix {
     let (m, n) = mode.output_shape(a.shape(), b.shape());
     let k = match mode {
@@ -482,7 +466,10 @@ pub fn gemm_reference(mode: MatMode, a: &Matrix, b: &Matrix) -> Matrix {
                     MatMode::NN | MatMode::TN => b[(p, j)],
                     MatMode::NT => b[(j, p)],
                 };
-                acc += av * bv;
+                if mode == MatMode::NN && av == 0.0 {
+                    continue;
+                }
+                acc = av.mul_add(bv, acc);
             }
             c[(i, j)] = acc;
         }
@@ -566,7 +553,7 @@ mod tests {
         for mode in MatMode::ALL {
             let (a, b) = operands(mode, 17, 19, 23, 50);
             let mut c = Matrix::zeros(17, 23);
-            let stats = gemm_into_with(mode, &a, &b, &mut c, blocks, false);
+            let stats = gemm_into_with(mode, &a, &b, &mut c, blocks, Isa::BEST);
             assert_eq!(c, gemm_reference(mode, &a, &b), "blocked {mode}");
             assert!(stats.panels > 0);
             assert!(stats.packed_bytes > 0);
@@ -574,14 +561,16 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_auto_kernels_agree_bitwise() {
+    fn every_isa_the_host_runs_matches_the_reference_bits() {
         for mode in MatMode::ALL {
             let (a, b) = operands(mode, 21, 33, 18, 60);
-            let mut auto_c = Matrix::zeros(21, 18);
-            let mut scalar_c = Matrix::zeros(21, 18);
-            let _ = gemm_into_stats(mode, &a, &b, &mut auto_c);
-            let _ = gemm_into_with(mode, &a, &b, &mut scalar_c, BlockSizes::default(), true);
-            assert_eq!(auto_c, scalar_c, "{mode}");
+            let oracle = gemm_reference(mode, &a, &b).to_bits();
+            for isa in Isa::ALL.into_iter().filter(|isa| isa.runs_here()) {
+                let mut c = Matrix::zeros(21, 18);
+                let stats = gemm_into_with(mode, &a, &b, &mut c, BlockSizes::default(), isa);
+                assert_eq!(c.to_bits(), oracle, "{mode} on {isa:?}");
+                assert_eq!(stats.simd, isa != Isa::Scalar);
+            }
         }
     }
 
@@ -597,8 +586,34 @@ mod tests {
         a[(7, 9)] = 0.0;
         let b = Matrix::random(10, 9, 1.0, 71);
         assert_eq!(
-            gemm(MatMode::NN, &a, &b),
-            gemm_reference(MatMode::NN, &a, &b)
+            gemm(MatMode::NN, &a, &b).to_bits(),
+            gemm_reference(MatMode::NN, &a, &b).to_bits()
+        );
+    }
+
+    #[test]
+    fn skipped_zero_after_an_underflowed_product_keeps_the_sign() {
+        // The first fused product, -1e-60, rounds to -0.0. Skipping the
+        // zero term leaves -0.0; adding `0·1` would give +0.0. Every NN
+        // tier and the oracle skip it, and `==` could not tell them apart.
+        let a = Matrix::from_vec(1, 2, vec![-1e-30, 0.0]);
+        let b = Matrix::from_vec(2, 1, vec![1e-30, 1.0]);
+        let oracle = gemm_reference(MatMode::NN, &a, &b);
+        assert_eq!(oracle.as_slice()[0].to_bits(), 0x8000_0000);
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.runs_here()) {
+            let mut c = Matrix::zeros(1, 1);
+            let _ = gemm_into_with(MatMode::NN, &a, &b, &mut c, BlockSizes::default(), isa);
+            assert_eq!(c.to_bits(), oracle.to_bits(), "{isa:?}");
+        }
+        let mut c = Matrix::zeros(1, 1);
+        gemm_into_naive(MatMode::NN, &a, &b, &mut c);
+        assert_eq!(c.to_bits(), oracle.to_bits(), "naive");
+        // And `0·inf` is skipped, not NaN.
+        let b_inf = Matrix::from_vec(2, 1, vec![1.0, f32::INFINITY]);
+        assert_eq!(gemm(MatMode::NN, &a, &b_inf).as_slice(), &[-1e-30]);
+        assert_eq!(
+            gemm_reference(MatMode::NN, &a, &b_inf).to_bits(),
+            gemm(MatMode::NN, &a, &b_inf).to_bits()
         );
     }
 
@@ -649,7 +664,7 @@ mod tests {
             let a = Matrix::random(m, k, 1.0, 10);
             let b = Matrix::random(k, n, 1.0, 11);
             let packed = PackedB::pack(MatMode::NN, &b);
-            let oracle = gemm_reference(MatMode::NN, &a, &b);
+            let oracle = gemm_reference(MatMode::NN, &a, &b).to_bits();
             for threads in [1, 2, 4] {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
@@ -658,16 +673,17 @@ mod tests {
                 pool.install(|| {
                     let expect = if splits { threads } else { 1 };
                     assert_eq!(kernel::split_workers(macs), expect);
-                    for force_scalar in [false, true] {
+                    for isa in Isa::ALL.into_iter().filter(|isa| isa.runs_here()) {
                         let mut c = Matrix::zeros(m, n);
                         let blocks = BlockSizes::default();
-                        let _ = gemm_into_with(MatMode::NN, &a, &b, &mut c, blocks, force_scalar);
-                        assert_eq!(c, oracle, "{threads} threads, scalar {force_scalar}");
+                        let _ = gemm_into_with(MatMode::NN, &a, &b, &mut c, blocks, isa);
+                        assert_eq!(c.to_bits(), oracle, "{threads} threads, {isa:?}");
                     }
-                    assert_eq!(gemm(MatMode::NN, &a, &packed), oracle, "packed, {threads}");
+                    let packed_c = gemm(MatMode::NN, &a, &packed);
+                    assert_eq!(packed_c.to_bits(), oracle, "packed, {threads}");
                     let mut c = Matrix::zeros(m, n);
                     gemm_into_naive(MatMode::NN, &a, &b, &mut c);
-                    assert_eq!(c, oracle, "naive, {threads} threads");
+                    assert_eq!(c.to_bits(), oracle, "naive, {threads} threads");
                 });
             }
         }

@@ -1,19 +1,29 @@
-//! Blocked GEMM engine: cache blocking, register-tiled micro-kernels,
-//! and the AVX2 inner loop behind the `simd` feature.
+//! Blocked GEMM engine: cache blocking, one register-tile driver, and the
+//! micro-kernels it drives.
 //!
 //! The engine walks `C` in `mc`-row blocks × `nc`-wide panel groups ×
-//! `kc`-deep contracted slices, calling one of two micro-kernels per
-//! (row-tile, panel): a dense `MR×NR` quad kernel, or a single-row
-//! kernel that carries the NN zero-skip test. Both exist in scalar and
-//! AVX2 forms that are **bitwise identical**: every `C[i][j]` is a
-//! sequential mul-then-add over `p` starting from `+0.0`, exactly the
-//! order of `gemm_reference`. The AVX2 path uses explicit
-//! `_mm256_mul_ps` + `_mm256_add_ps` (never FMA — fused rounding would
-//! break the oracle), and lane-parallelism across `j` is not a
-//! reassociation, so SIMD and scalar agree bit-for-bit. Partial sums are
-//! spilled to `C` between `kc` blocks; an f32 store/load round-trip is
-//! exact, so blocking does not perturb results either.
+//! `kc`-deep contracted slices. Within a block it covers each panel's
+//! rows with dense tiles as tall as the kernel allows — so a 2-row tail
+//! or an 8-stream decode batch is one tile, not eight single rows — and
+//! hands each row flagged for the NN zero-skip to the single-row skip
+//! kernel ([`fused::skip_row`]). One driver, const-generic over the
+//! tile's row count (`1..=MR`), serves every [`Isa`]:
+//!
+//! * [`Isa::Avx512`]: 12×16 tiles, one 16-lane FMA accumulator per row;
+//! * [`Isa::Scalar`]: 6×16 tiles of the portable kernel
+//!   ([`fused::tile`]), which the compiler vectorizes to 8-lane FMA when
+//!   the CPU has it.
+//!
+//! Both are **bitwise identical** to `gemm_reference`: every `C[i][j]` is
+//! one correctly rounded fused multiply-add per term, in `p` order, from
+//! `+0.0` — the rule of [`crate::fused`] — and lane parallelism across
+//! `j` is not a reassociation. Partial sums are spilled to `C` between
+//! `kc` blocks; an f32 store/load round-trip is exact, so blocking does
+//! not perturb results either. The AVX-512 kernel is compiled with the
+//! `simd` feature and picked by CPUID at run time; it shares `NR = 16`
+//! and the packed-B layout with the portable one.
 
+use crate::fused;
 use crate::pack::{BlockSizes, MR, NR};
 use rayon::prelude::*;
 
@@ -34,7 +44,11 @@ use rayon::prelude::*;
 /// persistent, pinned worker pool did not rescue the small shapes, so
 /// this is the predicate's to encode, not the spawn's. `256·512·512` is
 /// the smallest hidden-512 FC product and four times the largest
-/// hidden-128 one.
+/// hidden-128 one. Re-measured with the FMA kernels (AVX-512, hidden
+/// 512, one rank, 2-core Sapphire Rapids VM, eight interleaved runs of
+/// ten steps): serial 136–161 ms min, 140–239 ms median; split 115–174
+/// ms min, 128–212 ms median. The kernels got faster on both sides and
+/// the crossover did not clearly move, so neither did the constant.
 pub(crate) const PAR_THRESHOLD: usize = 256 * 512 * 512;
 
 /// Workers for a product of `macs` multiply-adds: 1 below
@@ -50,6 +64,58 @@ pub(crate) fn split_workers(macs: usize) -> usize {
     }
 }
 
+/// The instruction set of a GEMM's dense micro-kernel, in increasing
+/// order of preference. Every one gives the same bits.
+///
+/// There is no AVX2 intrinsic kernel: the portable kernel, compiled with
+/// the `fma` target feature, already issues 8-lane `vfmadd` on a 6×16
+/// tile, and an intrinsic AVX2 6×16 kernel ran within 1 % of it on 288³
+/// and the FC shapes 256×128×512 and 256×512×128, NN/NT/TN (medians of
+/// ten alternating runs, one thread, 2-core Sapphire Rapids VM).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Isa {
+    /// The portable kernel of [`crate::fused`]; runs everywhere.
+    Scalar,
+    /// AVX-512F + FMA intrinsics (`simd` feature).
+    Avx512,
+}
+
+impl Isa {
+    pub const ALL: [Isa; 2] = [Isa::Scalar, Isa::Avx512];
+
+    /// The most preferred ISA: as a cap, "no cap".
+    pub const BEST: Isa = Isa::ALL[Isa::ALL.len() - 1];
+
+    /// Whether this build holds the kernel and this CPU can run it.
+    pub fn runs_here(self) -> bool {
+        match self {
+            Isa::Scalar => true,
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            Isa::Avx512 => is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma"),
+            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+            Isa::Avx512 => false,
+        }
+    }
+
+    /// The most preferred ISA at or below `cap` that runs here.
+    pub(crate) fn best_up_to(cap: Isa) -> Isa {
+        Isa::ALL
+            .into_iter()
+            .rev()
+            .find(|&isa| isa <= cap && isa.runs_here())
+            .unwrap_or(Isa::Scalar)
+    }
+
+    /// Rows of this ISA's dense tile: 12 accumulators of one zmm, or 6 of
+    /// two ymm, fill the register file without spilling.
+    fn tile_rows(self) -> usize {
+        match self {
+            Isa::Avx512 => MR,
+            Isa::Scalar => 6,
+        }
+    }
+}
+
 /// One fully-packed multiply: `C[m×n] = Aview[m×k] · Bpacked`.
 pub(crate) struct Gemm<'a> {
     /// `m × k` row-major A view (borrowed or packed).
@@ -62,72 +128,80 @@ pub(crate) struct Gemm<'a> {
     pub k: usize,
     pub n: usize,
     pub blocks: BlockSizes,
-    pub force_scalar: bool,
+    pub isa: Isa,
 }
 
-/// Whether the AVX2 micro-kernels are compiled in *and* the CPU has AVX2.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) fn avx2_available() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-pub(crate) fn avx2_available() -> bool {
-    false
-}
-
-/// Run the blocked engine over `c`. Returns `true` when the AVX2 kernels
-/// were used. `workers > 1` (see [`split_workers`]) splits `C` into that
-/// many MR-aligned row bands — panel-group granularity inside each band.
-pub(crate) fn run(c: &mut [f32], g: &Gemm<'_>, workers: usize) -> bool {
+/// Run the blocked engine over `c`. `workers > 1` (see
+/// [`split_workers`]) splits `C` into that many MR-aligned row bands —
+/// panel-group granularity inside each band.
+pub(crate) fn run(c: &mut [f32], g: &Gemm<'_>, workers: usize) {
     debug_assert_eq!(c.len(), g.m * g.n);
-    let simd = !g.force_scalar && avx2_available();
     if workers > 1 && g.m > MR {
         let chunk_rows = g.m.div_ceil(workers).div_ceil(MR) * MR;
         c.par_chunks_mut(chunk_rows * g.n)
             .enumerate()
-            .for_each(|(ci, band)| band_loop(band, ci * chunk_rows, g, simd));
+            .for_each(|(ci, band)| band_loop(band, ci * chunk_rows, g));
     } else {
-        band_loop(c, 0, g, simd);
+        band_loop(c, 0, g);
     }
-    simd
+}
+
+/// `$f::<R>(args)` for a runtime row count `R` in `1..=MR`.
+macro_rules! with_rows {
+    ($rows:expr, $f:ident($($arg:expr),*)) => {
+        match $rows {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            9 => $f::<9>($($arg),*),
+            10 => $f::<10>($($arg),*),
+            11 => $f::<11>($($arg),*),
+            12 => $f::<12>($($arg),*),
+            rows => unreachable!("a tile of {rows} rows"),
+        }
+    };
 }
 
 /// Blocked loop nest over one contiguous band of `C` rows. `row0` maps
 /// band-local rows to global A-view rows.
-fn band_loop(band: &mut [f32], row0: usize, g: &Gemm<'_>, simd: bool) {
+fn band_loop(band: &mut [f32], row0: usize, g: &Gemm<'_>) {
     let (n, k) = (g.n, g.k);
     let rows = band.len() / n;
     let panels = n.div_ceil(NR);
     let nc_panels = g.blocks.nc / NR;
+    let height = g.isa.tile_rows();
     for ic in (0..rows).step_by(g.blocks.mc) {
         let ic_end = (ic + g.blocks.mc).min(rows);
         for jc in (0..panels).step_by(nc_panels) {
             let jc_end = (jc + nc_panels).min(panels);
             for pc in (0..k).step_by(g.blocks.kc) {
                 let pc_end = (pc + g.blocks.kc).min(k);
-                let first = pc == 0;
                 for jp in jc..jc_end {
-                    let bpanel = &g.bp[jp * k * NR..(jp + 1) * k * NR];
-                    let j0 = jp * NR;
-                    let lanes = (n - j0).min(NR);
+                    let panel = &g.bp[jp * k * NR..][pc * NR..pc_end * NR];
+                    let at = Spot {
+                        j0: jp * NR,
+                        p0: pc,
+                        first: pc == 0,
+                    };
                     let mut i = ic;
                     while i < ic_end {
                         let gi = row0 + i;
-                        let quad = i + MR <= ic_end
-                            && g.flags
-                                .is_none_or(|f| f[gi..gi + MR].iter().all(|&x| x == 0));
-                        if quad {
-                            quad_tile(g, gi, bpanel, pc, pc_end, band, i, j0, lanes, first, simd);
-                            i += MR;
-                        } else {
-                            let skip = g.flags.is_some_and(|f| f[gi] != 0);
-                            row_tile(
-                                g, gi, bpanel, pc, pc_end, band, i, j0, lanes, first, skip, simd,
-                            );
+                        let most = (ic_end - i).min(height);
+                        // The rows from `i` on whose A row holds no zero.
+                        let dense = g.flags.map_or(most, |f| {
+                            f[gi..gi + most].iter().take_while(|&&z| z == 0).count()
+                        });
+                        if dense == 0 {
+                            tile::<1>(g, true, gi, panel, band, i, at);
                             i += 1;
+                        } else {
+                            with_rows!(dense, tile(g, false, gi, panel, band, i, at));
+                            i += dense;
                         }
                     }
                 }
@@ -136,290 +210,118 @@ fn band_loop(band: &mut [f32], row0: usize, g: &Gemm<'_>, simd: bool) {
     }
 }
 
-/// Dense `MR × lanes` tile update. Full-width panels hit `C` in place;
-/// tail panels round-trip through a stack tile (exact: f32 copy).
-#[allow(clippy::too_many_arguments)]
-fn quad_tile(
-    g: &Gemm<'_>,
-    row: usize,
-    bpanel: &[f32],
-    p0: usize,
-    p1: usize,
-    band: &mut [f32],
-    ci: usize,
+/// Where a tile sits: first column, first contraction step of the `kc`
+/// slice, and whether that slice is the first (accumulators from `+0.0`).
+#[derive(Clone, Copy)]
+struct Spot {
     j0: usize,
-    lanes: usize,
+    p0: usize,
     first: bool,
-    simd: bool,
-) {
-    let a = g.a[row * g.k..].as_ptr();
-    let n = g.n;
-    if lanes == NR {
-        // SAFETY: rows ci..ci+MR and cols j0..j0+NR are in-bounds for the
-        // band (quad requires i+MR <= ic_end, full panel requires
-        // j0+NR <= n); A rows row..row+MR each hold k elements.
-        unsafe {
-            quad_kernel(
-                a,
-                g.k,
-                bpanel.as_ptr(),
-                band.as_mut_ptr().add(ci * n + j0),
-                n,
-                p0,
-                p1,
-                first,
-                simd,
-            );
-        }
-        return;
-    }
-    let mut tile = [0.0f32; MR * NR];
-    if !first {
-        for r in 0..MR {
-            tile[r * NR..r * NR + lanes].copy_from_slice(&band[(ci + r) * n + j0..][..lanes]);
-        }
-    }
-    // SAFETY: the stack tile is MR × NR with stride NR.
-    unsafe {
-        quad_kernel(
-            a,
-            g.k,
-            bpanel.as_ptr(),
-            tile.as_mut_ptr(),
-            NR,
-            p0,
-            p1,
-            first,
-            simd,
-        );
-    }
-    for r in 0..MR {
-        band[(ci + r) * n + j0..][..lanes].copy_from_slice(&tile[r * NR..r * NR + lanes]);
-    }
 }
 
-/// Single-row tile update carrying the zero-skip flag.
-#[allow(clippy::too_many_arguments)]
-fn row_tile(
+/// One `R`-row tile (global A row `row`, band row `ci`) over one panel's
+/// `kc` slice, on the zero-skip kernel when `skip` (then `R = 1`), else
+/// on `g.isa`. Full-width panels hit `C` in place; tail panels round-trip
+/// through a stack tile (exact: an f32 copy).
+fn tile<const R: usize>(
     g: &Gemm<'_>,
-    row: usize,
-    bpanel: &[f32],
-    p0: usize,
-    p1: usize,
-    band: &mut [f32],
-    ci: usize,
-    j0: usize,
-    lanes: usize,
-    first: bool,
     skip: bool,
-    simd: bool,
+    row: usize,
+    panel: &[f32],
+    band: &mut [f32],
+    ci: usize,
+    at: Spot,
 ) {
-    let a = g.a[row * g.k..].as_ptr();
-    let n = g.n;
-    if lanes == NR {
-        // SAFETY: same bounds argument as `quad_tile`, single row.
-        unsafe {
-            row_kernel(
-                a,
-                bpanel.as_ptr(),
-                band.as_mut_ptr().add(ci * n + j0),
-                p0,
-                p1,
-                first,
-                skip,
-                simd,
-            );
+    let (k, n) = (g.k, g.n);
+    let a = &g.a[row * k + at.p0..];
+    let lanes = (n - at.j0).min(NR);
+    let kernel = |c: &mut [f32], ldc: usize| {
+        if skip {
+            fused::skip_row(a, panel, c, at.first);
+        } else {
+            micro::<R>(g.isa, a, k, panel, c, ldc, at.first);
         }
+    };
+    if lanes == NR {
+        kernel(&mut band[ci * n + at.j0..], n);
         return;
     }
-    let mut tile = [0.0f32; NR];
-    if !first {
-        tile[..lanes].copy_from_slice(&band[ci * n + j0..][..lanes]);
-    }
-    // SAFETY: the stack tile is one NR-wide row.
-    unsafe {
-        row_kernel(
-            a,
-            bpanel.as_ptr(),
-            tile.as_mut_ptr(),
-            p0,
-            p1,
-            first,
-            skip,
-            simd,
-        );
-    }
-    band[ci * n + j0..][..lanes].copy_from_slice(&tile[..lanes]);
-}
-
-/// # Safety
-/// `a` must be valid for `MR` rows of `k` elements (stride `k`); `b` for
-/// `p1·NR` elements; `c` for `MR` rows of `NR` elements at stride
-/// `c_stride`.
-#[allow(clippy::too_many_arguments)]
-unsafe fn quad_kernel(
-    a: *const f32,
-    k: usize,
-    b: *const f32,
-    c: *mut f32,
-    c_stride: usize,
-    p0: usize,
-    p1: usize,
-    first: bool,
-    simd: bool,
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        return quad_kernel_avx2(a, k, b, c, c_stride, p0, p1, first);
-    }
-    let _ = simd;
-    quad_kernel_scalar(a, k, b, c, c_stride, p0, p1, first);
-}
-
-/// # Safety
-/// See [`quad_kernel`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn quad_kernel_scalar(
-    a: *const f32,
-    k: usize,
-    b: *const f32,
-    c: *mut f32,
-    c_stride: usize,
-    p0: usize,
-    p1: usize,
-    first: bool,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    if !first {
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            std::ptr::copy_nonoverlapping(c.add(r * c_stride), acc_r.as_mut_ptr(), NR);
+    let mut t = [[0.0f32; NR]; R];
+    if !at.first {
+        for (r, t_r) in t.iter_mut().enumerate() {
+            t_r[..lanes].copy_from_slice(&band[(ci + r) * n + at.j0..][..lanes]);
         }
     }
-    for p in p0..p1 {
-        let brow = std::slice::from_raw_parts(b.add(p * NR), NR);
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let av = *a.add(r * k + p);
-            // Lane-independent mul-then-add: the compiler may vectorize
-            // across lanes but cannot reassociate within one.
-            for (acc_v, &b_v) in acc_r.iter_mut().zip(brow) {
-                *acc_v += av * b_v;
+    kernel(t.as_flattened_mut(), NR);
+    for (r, t_r) in t.iter().enumerate() {
+        band[(ci + r) * n + at.j0..][..lanes].copy_from_slice(&t_r[..lanes]);
+    }
+}
+
+/// The dense `R × NR` micro-kernel of `isa`, with [`fused::tile`]'s
+/// arguments and contract.
+fn micro<const R: usize>(
+    isa: Isa,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    first: bool,
+) {
+    match isa {
+        Isa::Scalar => fused::tile::<R>(a, k, b, c, ldc, first),
+        // SAFETY: `Isa::best_up_to` picks a vector ISA only when
+        // `runs_here` found its CPU features.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Isa::Avx512 => unsafe { x86::tile_avx512::<R>(a, k, b, c, ldc, first) },
+        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        Isa::Avx512 => unreachable!("{isa:?} does not run in this build"),
+    }
+}
+
+/// The explicit-vector kernel: [`fused::tile`] with its multiply-adds
+/// issued as `vfmadd` on 16 lanes.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod x86 {
+    use crate::pack::NR;
+    use std::arch::x86_64::*;
+
+    #[target_feature(enable = "avx512f,fma")]
+    pub(super) fn tile_avx512<const R: usize>(
+        a: &[f32],
+        k: usize,
+        b: &[f32],
+        c: &mut [f32],
+        ldc: usize,
+        first: bool,
+    ) {
+        // The bounds of every raw access below: A element `(r, p)` at
+        // `r·k + p`, B row `p` at `p·NR..`, C row `r` at `r·ldc..`, for
+        // `r < R` and `p < len`.
+        let len = b.len() / NR;
+        assert_eq!(b.len(), len * NR, "B slice is not whole panel rows");
+        assert!(a.len() >= (R - 1) * k + len, "A tile out of bounds");
+        assert!(c.len() >= (R - 1) * ldc + NR, "C tile out of bounds");
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        // SAFETY: every offset below is one asserted above.
+        unsafe {
+            let mut acc = [_mm512_setzero_ps(); R];
+            if !first {
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    *acc_r = _mm512_loadu_ps(c.add(r * ldc));
+                }
+            }
+            for p in 0..len {
+                let bv = _mm512_loadu_ps(b.add(p * NR));
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*a.add(r * k + p));
+                    *acc_r = _mm512_fmadd_ps(av, bv, *acc_r);
+                }
+            }
+            for (r, acc_r) in acc.iter().enumerate() {
+                _mm512_storeu_ps(c.add(r * ldc), *acc_r);
             }
         }
     }
-    for (r, acc_r) in acc.iter().enumerate() {
-        std::ptr::copy_nonoverlapping(acc_r.as_ptr(), c.add(r * c_stride), NR);
-    }
-}
-
-/// # Safety
-/// See [`quad_kernel`]; additionally requires AVX2 (checked by caller).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn quad_kernel_avx2(
-    a: *const f32,
-    k: usize,
-    b: *const f32,
-    c: *mut f32,
-    c_stride: usize,
-    p0: usize,
-    p1: usize,
-    first: bool,
-) {
-    use core::arch::x86_64::*;
-    let mut acc = [_mm256_setzero_ps(); 2 * MR];
-    if !first {
-        for r in 0..MR {
-            acc[2 * r] = _mm256_loadu_ps(c.add(r * c_stride));
-            acc[2 * r + 1] = _mm256_loadu_ps(c.add(r * c_stride + 8));
-        }
-    }
-    for p in p0..p1 {
-        let b0 = _mm256_loadu_ps(b.add(p * NR));
-        let b1 = _mm256_loadu_ps(b.add(p * NR + 8));
-        for r in 0..MR {
-            let av = _mm256_set1_ps(*a.add(r * k + p));
-            // mul + add, not FMA: keeps per-lane rounding identical to
-            // the scalar kernel and gemm_reference.
-            acc[2 * r] = _mm256_add_ps(acc[2 * r], _mm256_mul_ps(av, b0));
-            acc[2 * r + 1] = _mm256_add_ps(acc[2 * r + 1], _mm256_mul_ps(av, b1));
-        }
-    }
-    for r in 0..MR {
-        _mm256_storeu_ps(c.add(r * c_stride), acc[2 * r]);
-        _mm256_storeu_ps(c.add(r * c_stride + 8), acc[2 * r + 1]);
-    }
-}
-
-/// # Safety
-/// `a` must be valid for `p1` elements; `b` for `p1·NR`; `c` for `NR`.
-#[allow(clippy::too_many_arguments)]
-unsafe fn row_kernel(
-    a: *const f32,
-    b: *const f32,
-    c: *mut f32,
-    p0: usize,
-    p1: usize,
-    first: bool,
-    skip: bool,
-    simd: bool,
-) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        return row_kernel_avx2(a, b, c, p0, p1, first, skip);
-    }
-    let _ = simd;
-    let mut acc = [0.0f32; NR];
-    if !first {
-        std::ptr::copy_nonoverlapping(c, acc.as_mut_ptr(), NR);
-    }
-    for p in p0..p1 {
-        let av = *a.add(p);
-        // Zero-skip: adding `±0 · b` to a finite accumulator that started
-        // from +0.0 is a bitwise no-op, so skipping is exact (and is what
-        // makes causal-mask columns free in the LM decode path).
-        if skip && av == 0.0 {
-            continue;
-        }
-        let brow = std::slice::from_raw_parts(b.add(p * NR), NR);
-        for (acc_v, &b_v) in acc.iter_mut().zip(brow) {
-            *acc_v += av * b_v;
-        }
-    }
-    std::ptr::copy_nonoverlapping(acc.as_ptr(), c, NR);
-}
-
-/// # Safety
-/// See [`row_kernel`]; additionally requires AVX2 (checked by caller).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn row_kernel_avx2(
-    a: *const f32,
-    b: *const f32,
-    c: *mut f32,
-    p0: usize,
-    p1: usize,
-    first: bool,
-    skip: bool,
-) {
-    use core::arch::x86_64::*;
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    if !first {
-        acc0 = _mm256_loadu_ps(c);
-        acc1 = _mm256_loadu_ps(c.add(8));
-    }
-    for p in p0..p1 {
-        let av = *a.add(p);
-        if skip && av == 0.0 {
-            continue;
-        }
-        let avv = _mm256_set1_ps(av);
-        let b0 = _mm256_loadu_ps(b.add(p * NR));
-        let b1 = _mm256_loadu_ps(b.add(p * NR + 8));
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(avv, b0));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(avv, b1));
-    }
-    _mm256_storeu_ps(c, acc0);
-    _mm256_storeu_ps(c.add(8), acc1);
 }

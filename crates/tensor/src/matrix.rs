@@ -246,6 +246,14 @@ impl Matrix {
         h
     }
 
+    /// The shape and every element's bit pattern: what a bitwise proof
+    /// compares, since `==` on `f32` takes `-0.0` for `+0.0` (and NaN
+    /// for unequal to itself).
+    pub fn to_bits(&self) -> (usize, usize, Vec<u32>) {
+        let bits = self.data.iter().map(|x| x.to_bits()).collect();
+        (self.rows, self.cols, bits)
+    }
+
     /// True if all elements are within `tol` of `other`, scaled by
     /// magnitude (mixed absolute/relative comparison for tests).
     pub fn approx_eq(&self, other: &Matrix, tol: f32) -> bool {

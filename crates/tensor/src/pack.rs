@@ -11,7 +11,8 @@
 //! * **Packed B** — `⌈n/NR⌉` panels, each `k × NR`, laid out panel-major:
 //!   element `(p, lane)` of panel `jp` lives at `jp·k·NR + p·NR + lane`.
 //!   Tail-panel lanes beyond `n` are zero so the kernels always run full
-//!   width; a zero lane contributes `±0.0` products that never reach `C`.
+//!   width; a zero lane accumulates a value that never reaches `C`.
+//!   Every kernel, of every tile height and ISA, reads this one layout.
 //!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! training steps do no per-GEMM slab allocation.
@@ -21,16 +22,18 @@ use crate::gemm::MatMode;
 use crate::matrix::Matrix;
 use std::cell::RefCell;
 
-/// Register-tile rows: each micro-kernel invocation updates up to `MR`
-/// rows of `C`.
-pub const MR: usize = 4;
-/// Register-tile columns: the packed-panel width, two 8-lane AVX2 vectors.
+/// The tallest register tile: a micro-kernel call updates up to `MR`
+/// rows of `C` (12 on AVX-512, 6 on the portable kernel).
+pub const MR: usize = 12;
+/// Register-tile columns: the packed-panel width — one 16-lane AVX-512
+/// vector, or two 8-lane AVX vectors, for every tile height.
 pub const NR: usize = 16;
 
 /// Cache-blocking parameters. `kc` bounds the contracted slice held in
 /// L1 alongside one B panel (`kc × NR` floats); `mc` bounds the A rows
-/// kept warm in L2 while a panel group streams; `nc` is the panel-group
-/// width (rounded up to a multiple of [`NR`]).
+/// kept warm in L2 while a panel group streams (the default, 96, is a
+/// multiple of both tile heights); `nc` is the panel-group width
+/// (rounded up to a multiple of [`NR`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSizes {
     pub mc: usize,
@@ -41,7 +44,7 @@ pub struct BlockSizes {
 impl Default for BlockSizes {
     fn default() -> Self {
         BlockSizes {
-            mc: 64,
+            mc: 96,
             kc: 256,
             nc: 256,
         }

@@ -1,12 +1,13 @@
 //! Property tests for the tensor kernels: blocked/packed/SIMD GEMM
-//! *bitwise* agreement against the reference oracle across all modes
-//! and kernel tiers, shard/assemble round trips, and bf16 error bounds,
-//! over randomly drawn shapes.
+//! *bitwise* agreement (`Matrix::to_bits`) against the reference oracle
+//! across all modes, every kernel ISA the host runs and every tile
+//! height, shard/assemble round trips, and bf16 error bounds, over
+//! randomly drawn shapes.
 
 use axonn_tensor::shard::assemble_blocks;
 use axonn_tensor::{
     block_of, concat_cols, concat_rows, gemm, gemm_bf16, gemm_into_with, gemm_reference,
-    shard_rows, unshard_rows, BlockSizes, BlockSpec, MatMode, Matrix, PackedB, MR, NR,
+    shard_rows, unshard_rows, BlockSizes, BlockSpec, Isa, MatMode, Matrix, PackedB, MR, NR,
 };
 use proptest::prelude::*;
 
@@ -29,6 +30,18 @@ fn kernel_dim() -> impl Strategy<Value = usize> {
         Just(2 * NR),
         Just(2 * NR + 3),
     ]
+}
+
+/// Row counts that give every tile height `1..=MR` of every ISA, as a
+/// whole product or as the tail after full tiles.
+fn tile_rows() -> impl Strategy<Value = usize> {
+    1usize..=2 * MR + 1
+}
+
+/// The kernel ISAs this build and CPU run: the portable kernel always,
+/// AVX-512 with `simd` on a CPU that has it.
+fn isas() -> impl Iterator<Item = Isa> {
+    Isa::ALL.into_iter().filter(|isa| isa.runs_here())
 }
 
 /// Random operands for a logical `m×k×n` product in `mode`.
@@ -60,82 +73,92 @@ proptest! {
     fn gemm_nn_matches_reference(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
         let a = Matrix::random(m, k, 1.0, seed);
         let b = Matrix::random(k, n, 1.0, seed + 1);
-        // Bitwise: every C[i][j] is the same fixed-order mul-then-add
-        // chain in the blocked kernels as in the reference oracle.
-        prop_assert_eq!(gemm(MatMode::NN, &a, &b), gemm_reference(MatMode::NN, &a, &b));
+        // Bitwise: every C[i][j] is the same fixed-order chain of fused
+        // multiply-adds in the blocked kernels as in the reference oracle.
+        prop_assert_eq!(gemm(MatMode::NN, &a, &b).to_bits(), gemm_reference(MatMode::NN, &a, &b).to_bits());
     }
 
     #[test]
     fn gemm_nt_matches_reference(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
         let a = Matrix::random(m, k, 1.0, seed);
         let b = Matrix::random(n, k, 1.0, seed + 1);
-        prop_assert_eq!(gemm(MatMode::NT, &a, &b), gemm_reference(MatMode::NT, &a, &b));
+        prop_assert_eq!(gemm(MatMode::NT, &a, &b).to_bits(), gemm_reference(MatMode::NT, &a, &b).to_bits());
     }
 
     #[test]
     fn gemm_tn_matches_reference(m in dim(), k in dim(), n in dim(), seed in 0u64..1000) {
         let a = Matrix::random(k, m, 1.0, seed);
         let b = Matrix::random(k, n, 1.0, seed + 1);
-        prop_assert_eq!(gemm(MatMode::TN, &a, &b), gemm_reference(MatMode::TN, &a, &b));
+        prop_assert_eq!(gemm(MatMode::TN, &a, &b).to_bits(), gemm_reference(MatMode::TN, &a, &b).to_bits());
     }
 
     #[test]
     fn blocked_kernel_bitwise_across_tile_boundaries(
-        mode in mode(), m in kernel_dim(), k in kernel_dim(), n in kernel_dim(), seed in 0u64..1000
+        mode in mode(), m in tile_rows(), k in kernel_dim(), n in kernel_dim(), seed in 0u64..1000
     ) {
-        // Shapes chosen to straddle MR/NR register tiles; both the
-        // scalar and the auto (SIMD when available) kernel must equal
-        // the oracle bit for bit.
+        // Row counts give every tile height, and the other shapes
+        // straddle NR panels; every kernel ISA must equal the oracle bit
+        // for bit.
         let (a, b) = operands(mode, m, k, n, seed);
-        let oracle = gemm_reference(mode, &a, &b);
-        let mut c = Matrix::zeros(m, n);
-        let _ = gemm_into_with(mode, &a, &b, &mut c, BlockSizes::default(), true);
-        prop_assert_eq!(&c, &oracle, "scalar tier, mode {}", mode);
-        let _ = gemm_into_with(mode, &a, &b, &mut c, BlockSizes::default(), false);
-        prop_assert_eq!(&c, &oracle, "auto tier, mode {}", mode);
+        let oracle = gemm_reference(mode, &a, &b).to_bits();
+        for isa in isas() {
+            let mut c = Matrix::zeros(m, n);
+            let _ = gemm_into_with(mode, &a, &b, &mut c, BlockSizes::default(), isa);
+            prop_assert_eq!(&c.to_bits(), &oracle, "mode {}, {:?}", mode, isa);
+        }
     }
 
     #[test]
     fn tiny_cache_blocks_bitwise(
         mode in mode(),
-        m in 1usize..20, k in 1usize..20, n in 1usize..20,
-        mc in 1usize..8, kc in 1usize..8, nc in 1usize..40,
+        m in 1usize..30, k in 1usize..20, n in 1usize..20,
+        mc in 1usize..16, kc in 1usize..8, nc in 1usize..40,
         seed in 0u64..1000
     ) {
         // Arbitrary (normalized) cache-block sizes cross every block
         // boundary; partial k-sums round-trip through C exactly.
         let (a, b) = operands(mode, m, k, n, seed);
-        let mut c = Matrix::zeros(m, n);
-        let _ = gemm_into_with(mode, &a, &b, &mut c, BlockSizes { mc, kc, nc }, false);
-        prop_assert_eq!(c, gemm_reference(mode, &a, &b));
+        let oracle = gemm_reference(mode, &a, &b).to_bits();
+        for isa in isas() {
+            let mut c = Matrix::zeros(m, n);
+            let _ = gemm_into_with(mode, &a, &b, &mut c, BlockSizes { mc, kc, nc }, isa);
+            prop_assert_eq!(&c.to_bits(), &oracle, "{:?}", isa);
+        }
     }
 
     #[test]
     fn zero_rows_skip_path_bitwise(
-        m in 1usize..24, k in 1usize..24, n in 1usize..24,
-        zero_every in 1usize..4, seed in 0u64..1000
+        m in tile_rows(), k in 1usize..24, n in 1usize..24,
+        zero_every in 1usize..8, lone in 0usize..2 * MR + 1, seed in 0u64..1000
     ) {
-        // The NN pre-pack row-density check must be bitwise neutral:
-        // skipped (±0) contributions equal added ones for finite B.
+        // NN zero-skip rows (whole zero rows every `zero_every`, and one
+        // row with a single zero that splits a tile in two) beside dense
+        // tiles: skipping the exact-zero terms is the oracle's rule too.
         let mut a = Matrix::random(m, k, 1.0, seed);
         for i in (0..m).step_by(zero_every) {
             for p in 0..k {
                 a[(i, p)] = 0.0;
             }
         }
+        a[(lone % m, seed as usize % k)] = 0.0;
         let b = Matrix::random(k, n, 1.0, seed + 1);
-        prop_assert_eq!(gemm(MatMode::NN, &a, &b), gemm_reference(MatMode::NN, &a, &b));
+        let oracle = gemm_reference(MatMode::NN, &a, &b).to_bits();
+        for isa in isas() {
+            let mut c = Matrix::zeros(m, n);
+            let _ = gemm_into_with(MatMode::NN, &a, &b, &mut c, BlockSizes::default(), isa);
+            prop_assert_eq!(&c.to_bits(), &oracle, "{:?}", isa);
+        }
     }
 
     #[test]
     fn prepacked_b_matches_reference_bitwise(
-        mode in mode(), m in kernel_dim(), k in kernel_dim(), n in kernel_dim(),
-        tiny_blocks in 0usize..2, mc in 1usize..8, kc in 1usize..8, nc in 1usize..40,
+        mode in mode(), m in tile_rows(), k in kernel_dim(), n in kernel_dim(),
+        tiny_blocks in 0usize..2, mc in 1usize..16, kc in 1usize..8, nc in 1usize..40,
         zero_every in 1usize..5, seed in 0u64..1000
     ) {
         // A right operand packed once (KxN source for NN/TN, NxK for NT;
         // tail panels whenever n is not a multiple of NR) must give the
-        // oracle's bits on both kernel legs, with k spilling across kc
+        // oracle's bits on every kernel ISA, with k spilling across kc
         // blocks and with whole zero rows of A on the NN skip path.
         let (mut a, b) = operands(mode, m, k, n, seed);
         if mode == MatMode::NN {
@@ -146,13 +169,13 @@ proptest! {
             }
         }
         let blocks = if tiny_blocks == 1 { BlockSizes { mc, kc, nc } } else { BlockSizes::default() };
-        let oracle = gemm_reference(mode, &a, &b);
+        let oracle = gemm_reference(mode, &a, &b).to_bits();
         let packed = PackedB::pack(mode, &b);
         let tn_bytes = if mode == MatMode::TN { (m * k * 4) as u64 } else { 0 };
-        for force_scalar in [true, false] {
+        for isa in isas() {
             let mut c = Matrix::random(m, n, 1.0, seed + 2);
-            let stats = gemm_into_with(mode, &a, &packed, &mut c, blocks, force_scalar);
-            prop_assert_eq!(&c, &oracle, "mode {}, force_scalar {}", mode, force_scalar);
+            let stats = gemm_into_with(mode, &a, &packed, &mut c, blocks, isa);
+            prop_assert_eq!(&c.to_bits(), &oracle, "mode {}, {:?}", mode, isa);
             // Only what this call packed is accounted: A for TN, never B.
             prop_assert_eq!((stats.panels, stats.packed_bytes), (0, tn_bytes));
         }
@@ -164,7 +187,10 @@ proptest! {
         let k = 257 + extra;
         for mode in [MatMode::NN, MatMode::NT] {
             let (a, b) = operands(mode, m, k, n, seed);
-            prop_assert_eq!(gemm(mode, &a, &PackedB::pack(mode, &b)), gemm_reference(mode, &a, &b));
+            prop_assert_eq!(
+                gemm(mode, &a, &PackedB::pack(mode, &b)).to_bits(),
+                gemm_reference(mode, &a, &b).to_bits()
+            );
         }
     }
 
@@ -176,11 +202,11 @@ proptest! {
         // alone: what lets a decode batch reproduce per-stream logits.
         let (a, b) = operands(MatMode::NN, m, k, n, seed);
         let packed = PackedB::pack(MatMode::NN, &b);
-        let batched = gemm(MatMode::NN, &a, &packed);
+        let batched = gemm(MatMode::NN, &a, &packed).to_bits().2;
         for i in 0..m {
             let row = Matrix::from_vec(1, k, a.row(i).to_vec());
-            let alone = gemm(MatMode::NN, &row, &b);
-            prop_assert_eq!(batched.row(i), alone.row(0), "row {}", i);
+            let alone = gemm(MatMode::NN, &row, &b).to_bits().2;
+            prop_assert_eq!(&batched[i * n..(i + 1) * n], &alone[..], "row {}", i);
         }
     }
 
@@ -193,7 +219,7 @@ proptest! {
         let (a, b) = operands(mode, m, k, n, seed);
         let fused = gemm_bf16(mode, &a, &b);
         let staged = gemm_reference(mode, &a.to_bf16(), &b.to_bf16());
-        prop_assert_eq!(fused, staged);
+        prop_assert_eq!(fused.to_bits(), staged.to_bits());
     }
 
     #[test]
@@ -201,7 +227,7 @@ proptest! {
         let (a, b) = operands(mode, m, k, n, seed);
         let out = gemm(mode, &a, &b);
         prop_assert_eq!(out.shape(), (m, n));
-        prop_assert_eq!(out, gemm_reference(mode, &a, &b));
+        prop_assert_eq!(out.to_bits(), gemm_reference(mode, &a, &b).to_bits());
     }
 
     #[test]
