@@ -11,8 +11,8 @@
 //! the bandwidth regime, systematically above 1.0 at small sizes where
 //! the α latency term (Assumption-3 sets it to zero) dominates reality.
 //!
-//! The report is written as `results/DRIFT_perfmodel.json` by
-//! `bench_step`.
+//! The report is written as `results/DRIFT_perfmodel.json` by the
+//! `drift` binary.
 //!
 //! The same falsifiability discipline now covers the compute terms: the
 //! GEMM drift sweep times this host's real `axonn-tensor` kernels across

@@ -13,8 +13,6 @@ pub mod drift;
 pub mod memor;
 pub mod paper;
 pub mod series;
-pub mod serve;
-pub mod step;
 
 /// Render an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

@@ -3,15 +3,12 @@
 
 use std::sync::Arc;
 
-use axonn_bench::step::{compare as bench_compare, load_report, run_step_bench, StepBenchConfig};
 use axonn_cluster::{BandwidthDb, Machine};
-use axonn_collectives::{Comm, CommWorld, CostModel, ProcessGroup, RingCostModel};
+use axonn_collectives::{Comm, CommWorld, ProcessGroup, RingCostModel};
 use axonn_core::{
     default_mlp_shape, default_transformer_shape, extract_mlp_schedules,
-    extract_transformer_schedules, transformer_grid_fits, GridTopology, OverlapConfig,
-    TransformerStack,
+    extract_transformer_schedules, transformer_grid_fits, OverlapConfig,
 };
-use axonn_exec::run_spmd_traced;
 use axonn_ft::{grid_fits, legal_resume_grids, CheckpointStore};
 use axonn_gpt::{table2_models, GptConfig, HEADLINE_BATCH_TOKENS};
 use axonn_lm::{Gpt, GptModelConfig};
@@ -23,10 +20,10 @@ use axonn_serve::{
 use axonn_sim::{
     pick_best_config, publish_live_metrics, simulate_batch, simulate_batch_traced, SimOptions,
 };
-use axonn_trace::{
-    chrome_trace_json, LiveRegistry, MetricsSnapshot, OverlapReport, TraceSink, TraceSummary,
-};
+use axonn_trace::{chrome_trace_json, LiveRegistry, MetricsSnapshot, TraceSink, TraceSummary};
 use axonn_verify::{check_schedules, inject, DefectKind};
+
+mod bench;
 
 /// Usage text shown on parse errors.
 pub const USAGE: &str = "usage:
@@ -37,7 +34,7 @@ pub const USAGE: &str = "usage:
   axonnctl trace <machine> <model-billions> <gx> <gy> <gz> <gd> [batch-tokens] [out-prefix]
   axonnctl profile <machine>
   axonnctl resume <checkpoint-dir> [target-gpus] [step]
-  axonnctl bench [baseline.json]
+  axonnctl bench [run.json] [counts.json]
   axonnctl serve <checkpoint> [max-new-tokens] [--tp N] [--prompt t0,t1,...]
   axonnctl load [requests] [clients]
   axonnctl monitor [refreshes] [--sim]
@@ -83,11 +80,12 @@ pub enum Command {
         /// Specific step to inspect (default: the latest durable one).
         step: Option<u64>,
     },
-    /// Run the wall-clock step benchmark and print the delta against a
-    /// baseline file (default: the committed
-    /// `results/bench_step_baseline.json`).
+    /// Check a benchmark run file (default `benchmark/out/latest.json`)
+    /// against the committed exact counts (default
+    /// `results/bench_counts.json`).
     Bench {
-        baseline: Option<String>,
+        run: String,
+        counts: String,
     },
     /// Decode a continuation from a trained checkpoint through the
     /// KV-cached serving path — a single `lm::Checkpoint` file or an
@@ -265,7 +263,8 @@ impl Command {
                 Ok(Command::Resume { dir, gpus, step })
             }
             "bench" => Ok(Command::Bench {
-                baseline: it.next().cloned(),
+                run: it.next().map_or(bench::DEFAULT_RUN, |s| s).to_string(),
+                counts: it.next().map_or(bench::DEFAULT_COUNTS, |s| s).to_string(),
             }),
             "serve" => {
                 let checkpoint = it.next().ok_or("missing checkpoint path")?.clone();
@@ -707,79 +706,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::Bench { baseline } => {
-            let cfg = StepBenchConfig::default();
-            let report = run_step_bench(&cfg);
-            println!(
-                "median step      {:.3} ms   (min {:.3} / max {:.3}, gate stat {:.3})",
-                report.median_step_ms, report.min_step_ms, report.max_step_ms, report.gate_step_ms
-            );
-            println!(
-                "median grad-sync {:.3} ms   (gate stat {:.3})",
-                report.median_grad_sync_ms, report.gate_grad_sync_ms
-            );
-            println!(
-                "median compute   {:.3} ms   (gate stat {:.3}; NN {:.3} / NT {:.3} / TN {:.3}, \
-                 {:.1} KiB packed/step, simd {})",
-                report.median_compute_ms,
-                report.gate_compute_ms,
-                report.gate_compute_nn_ms,
-                report.gate_compute_nt_ms,
-                report.gate_compute_tn_ms,
-                report.packed_bytes_per_step as f64 / 1024.0,
-                if report.simd_active { "on" } else { "off" }
-            );
-            println!("median all-reduce {:.3} ms", report.median_allreduce_ms);
-            let dp = grad_sync_overlap_report();
-            println!(
-                "grad-sync overlap efficiency {:.1}%  ({:.3} ms issued / {:.3} ms hidden on the virtual clock)",
-                dp.overlap_efficiency * 100.0,
-                dp.total_issued_seconds * 1e3,
-                dp.total_hidden_seconds * 1e3
-            );
-            println!(
-                "buffer pool      {} hits / {} misses, {:.1} KiB fresh alloc",
-                report.pool_hits,
-                report.pool_misses,
-                report.pool_alloc_bytes as f64 / 1024.0
-            );
-            let path = std::path::PathBuf::from(
-                baseline.unwrap_or_else(|| "results/bench_step_baseline.json".to_string()),
-            );
-            match load_report(&path) {
-                Ok(base) => {
-                    let v = bench_compare(&report, &base, 0.20, None, None);
-                    let sync_delta = if base.gate_grad_sync_ms > 0.0 {
-                        (report.gate_grad_sync_ms - base.gate_grad_sync_ms) / base.gate_grad_sync_ms
-                    } else {
-                        0.0
-                    };
-                    println!(
-                        "vs {}: step {:+.1}%, grad-sync {:+.1}%, compute {:+.1}%, all-reduce {:+.1}%{}",
-                        path.display(),
-                        v.step_delta * 100.0,
-                        sync_delta * 100.0,
-                        v.compute_delta * 100.0,
-                        v.allreduce_delta * 100.0,
-                        if v.regressed {
-                            "  ** exceeds 20% regression gate **"
-                        } else {
-                            ""
-                        }
-                    );
-                }
-                Err(e) => {
-                    return Err(format!(
-                        "no step-time baseline to compare against: {e}\n\
-                         generate one with `cargo run --release -p axonn-bench \
-                         --features simd --bin bench_step -- --write-baseline` (commits to \
-                         results/bench_step_baseline.json), or pass an explicit \
-                         baseline path: axonnctl bench <baseline.json>"
-                    ))
-                }
-            }
-            Ok(())
-        }
+        Command::Bench { run, counts } => bench::run(&run, &counts),
         Command::Serve {
             checkpoint,
             prompt,
@@ -1250,41 +1177,12 @@ fn extract_verify_streams(
     }
 }
 
-/// Grad-sync overlap probe behind `axonnctl bench`: one traced training
-/// step of a tiny transformer stack on a (1, 2, 2, 2) grid with small
-/// buckets, so several buckets seal — and issue their reduce-scatters —
-/// while the backward drain is still running. The returned report counts
-/// only the bucketed pipeline's data-group collectives and says how much
-/// of their virtual-clock time was hidden under other work.
-fn grad_sync_overlap_report() -> OverlapReport {
-    let cost: Arc<dyn CostModel> = Arc::new(RingCostModel::new(1e8, 1e8));
-    let run = run_spmd_traced(8, cost, |comm| {
-        let grid = GridTopology::new(1, 2, 2, 2, comm.rank());
-        let mut stack = TransformerStack::new(&grid, 8, 8, 2, 2, 4, 42, OverlapConfig::all());
-        stack.set_grad_bucket_elems(8);
-        let tokens: Vec<usize> = (0..16).map(|i| (i * 5 + 1) % 8).collect();
-        let targets: Vec<usize> = (0..16).map(|i| (i * 3 + 2) % 8).collect();
-        stack.train_step(&comm, &grid, &tokens, &targets, 0.01)
-    });
-    OverlapReport::data_parallel_overlap(&run.traces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn grad_sync_overlap_probe_reports_hidden_time() {
-        let dp = grad_sync_overlap_report();
-        assert!(
-            dp.total_issued_seconds > 0.0,
-            "probe issued nothing: {dp:?}"
-        );
-        assert!(dp.overlap_efficiency > 0.0, "probe hid nothing: {dp:?}");
     }
 
     #[test]
@@ -1296,12 +1194,16 @@ mod tests {
         assert_eq!(Command::parse(&sv(&["models"])).unwrap(), Command::Models);
         assert_eq!(
             Command::parse(&sv(&["bench"])).unwrap(),
-            Command::Bench { baseline: None }
+            Command::Bench {
+                run: "benchmark/out/latest.json".into(),
+                counts: "results/bench_counts.json".into()
+            }
         );
         assert_eq!(
-            Command::parse(&sv(&["bench", "old.json"])).unwrap(),
+            Command::parse(&sv(&["bench", "a.json", "c.json"])).unwrap(),
             Command::Bench {
-                baseline: Some("old.json".into())
+                run: "a.json".into(),
+                counts: "c.json".into()
             }
         );
         assert_eq!(
@@ -1385,12 +1287,14 @@ mod tests {
 
     #[test]
     fn bench_without_baseline_is_a_clear_error() {
+        // No `latest.json`: the error says which command writes it.
         let e = run(Command::Bench {
-            baseline: Some("/nonexistent/baseline.json".into()),
+            run: "/nonexistent/latest.json".into(),
+            counts: bench::DEFAULT_COUNTS.into(),
         })
         .unwrap_err();
-        assert!(e.contains("no step-time baseline"), "unexpected: {e}");
-        assert!(e.contains("--write-baseline"), "no guidance: {e}");
+        assert!(e.contains("no benchmark run"), "unexpected: {e}");
+        assert!(e.contains("benchmark/run.sh --traced"), "no guidance: {e}");
     }
 
     #[test]

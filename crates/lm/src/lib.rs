@@ -12,7 +12,6 @@ pub mod attention;
 pub mod checkpoint;
 pub mod decode;
 pub mod gpt;
-pub mod llama;
 pub mod loss;
 pub mod modules;
 pub mod optim;
@@ -20,7 +19,6 @@ pub mod optim;
 pub use checkpoint::Checkpoint;
 pub use decode::{DecodeError, KvCache, PackedWeights};
 pub use gpt::{Gpt, GptModelConfig};
-pub use llama::{LlamaBlock, RmsNorm, Rope, SwiGluMlp};
 pub use loss::{cross_entropy, CrossEntropyResult};
 pub use modules::{Embedding, LayerNorm, Linear, Param};
 pub use optim::AdamW;

@@ -7,7 +7,8 @@
 use axonn_tensor::shard::assemble_blocks;
 use axonn_tensor::{
     block_of, concat_cols, concat_rows, gemm, gemm_bf16, gemm_into_with, gemm_reference,
-    shard_rows, unshard_rows, BlockSizes, BlockSpec, Isa, MatMode, Matrix, PackedB, MR, NR,
+    pack_geometry, shard_rows, unshard_rows, BlockSizes, BlockSpec, Isa, MatMode, Matrix, PackedB,
+    MR, NR,
 };
 use proptest::prelude::*;
 
@@ -98,13 +99,16 @@ proptest! {
     ) {
         // Row counts give every tile height, and the other shapes
         // straddle NR panels; every kernel ISA must equal the oracle bit
-        // for bit.
+        // for bit, and report the same pack traffic (the benchmark's
+        // exact GEMM counts must not depend on which ISA the host picks).
         let (a, b) = operands(mode, m, k, n, seed);
         let oracle = gemm_reference(mode, &a, &b).to_bits();
+        let geometry = pack_geometry(mode, m, k, n);
         for isa in isas() {
             let mut c = Matrix::zeros(m, n);
-            let _ = gemm_into_with(mode, &a, &b, &mut c, BlockSizes::default(), isa);
+            let stats = gemm_into_with(mode, &a, &b, &mut c, BlockSizes::default(), isa);
             prop_assert_eq!(&c.to_bits(), &oracle, "mode {}, {:?}", mode, isa);
+            prop_assert_eq!((stats.panels, stats.packed_bytes), geometry, "mode {}, {:?}", mode, isa);
         }
     }
 

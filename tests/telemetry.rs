@@ -134,15 +134,10 @@ fn watchdog_names_stalled_rank_on_certified_grid() {
 
 #[test]
 fn merely_slow_rank_is_not_a_watchdog_false_positive() {
-    // A rank that is slow (straggling compute, here an explicit sleep
-    // scaled by AXONN_BENCH_SLOWDOWN) but still making progress must not
-    // trip a watchdog whose threshold exceeds the per-step delay.
-    let slowdown: u64 = std::env::var("AXONN_BENCH_SLOWDOWN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .clamp(1, 10);
-    let delay = Duration::from_millis(20 * slowdown);
+    // A rank that is slow (straggling compute, here an explicit sleep)
+    // but still making progress must not trip a watchdog whose threshold
+    // exceeds the per-step delay.
+    const DELAY: Duration = Duration::from_millis(20);
     let comms = CommWorld::create(2);
     let probe = comms[0].clone();
     let dog = Watchdog::spawn(
@@ -160,7 +155,7 @@ fn merely_slow_rank_is_not_a_watchdog_false_positive() {
                 let g = ProcessGroup::new((0..2).collect());
                 for _ in 0..8 {
                     if c.rank() == 1 {
-                        std::thread::sleep(delay);
+                        std::thread::sleep(DELAY);
                     }
                     let mut v = vec![1.0f32; 256];
                     c.all_reduce(&g, &mut v);
