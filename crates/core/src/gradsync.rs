@@ -18,6 +18,10 @@
 //! 3. updated slices return via non-blocking all-gather while later
 //!    buckets are still reducing.
 //!
+//! A one-rank data group has nothing to reduce or gather: the pipeline
+//! then keeps no bucket and no copy, and `step` updates each pushed
+//! tensor in place from the gradient the [`ParamStore`] holds.
+//!
 //! Bit-identity with the per-tensor oracle ([`GradSyncMode::PerTensor`])
 //! holds for *any* bucket geometry because the data-group reduction uses
 //! the canonical-order reduce-scatter (`Comm::reduce_scatter_linear` /
@@ -28,7 +32,6 @@
 //! regression check for the pipeline.
 
 use axonn_collectives::{AsyncHandle, AsyncOp, Comm, ProcessGroup};
-use std::ops::Range;
 
 /// How the data-parallel gradient phase runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,10 +55,9 @@ pub const DEFAULT_BUCKET_ELEMS: usize = 32 * 1024;
 /// addressed by the same tensor ids the gradients were
 /// [`push`](GradSyncPipeline::push)ed under.
 pub trait ParamStore {
-    /// Copy `param[range]` of `tensor` into `dst` (`dst.len() == range.len()`).
-    fn read(&self, tensor: usize, range: Range<usize>, dst: &mut [f32]);
-    /// Overwrite `param[range]` of `tensor` from `src`.
-    fn write(&mut self, tensor: usize, range: Range<usize>, src: &[f32]);
+    /// The whole parameter of `tensor` and its gradient accumulator (the
+    /// gradient that was pushed for it).
+    fn param_and_grad(&mut self, tensor: usize) -> (&mut [f32], &[f32]);
 }
 
 /// One tensor's (partial) residence inside a bucket.
@@ -67,15 +69,13 @@ struct BucketEntry {
     len: usize,
 }
 
-/// A sealed bucket whose data-parallel reduce-scatter is in flight
-/// (or, for a size-1 group, whose gradients simply stayed local).
+/// A sealed bucket whose data-parallel reduce-scatter is in flight.
 struct InflightBucket {
     entries: Vec<BucketEntry>,
     /// Bucket length padded to a multiple of the group size; pad
     /// elements carry gradient 0 and are discarded on scatter-back.
     padded: usize,
-    rs: Option<AsyncHandle>,
-    local: Option<Vec<f32>>,
+    rs: AsyncHandle,
 }
 
 /// The reverse-backward-order gradient bucketizer + ZeRO-1 step.
@@ -85,7 +85,9 @@ struct InflightBucket {
 /// [`flush`](Self::flush) the final partial bucket, then
 /// [`step`](Self::step) to run the sharded update and scatter the
 /// updated parameters back. Gradient accumulators are untouched; the
-/// caller zeroes them after `step` (as `apply_sgd` used to).
+/// caller zeroes them after `step` (as `apply_sgd` used to). On a
+/// one-rank group a pushed gradient must stay as pushed until `step`,
+/// which reads it back through [`ParamStore::param_and_grad`].
 pub struct GradSyncPipeline {
     comm: Comm,
     group: ProcessGroup,
@@ -93,6 +95,8 @@ pub struct GradSyncPipeline {
     cur: Vec<f32>,
     cur_entries: Vec<BucketEntry>,
     inflight: Vec<InflightBucket>,
+    /// One-rank group only: `(tensor, len)` of each push, in order.
+    in_place: Vec<(usize, usize)>,
 }
 
 impl GradSyncPipeline {
@@ -105,14 +109,20 @@ impl GradSyncPipeline {
             cur: Vec::new(),
             cur_entries: Vec::new(),
             inflight: Vec::new(),
+            in_place: Vec::new(),
         }
     }
 
     /// Feed one tensor's gradient into the bucketizer. A tensor larger
     /// than the remaining bucket space is split across buckets; every
     /// bucket that fills issues its non-blocking data-parallel
-    /// reduce-scatter immediately.
+    /// reduce-scatter immediately. A one-rank group only records the
+    /// tensor: there is nothing to reduce, so no copy is made.
     pub fn push(&mut self, tensor: usize, grad: &[f32]) {
+        if self.group.size() == 1 {
+            self.in_place.push((tensor, grad.len()));
+            return;
+        }
         let mut off = 0;
         while off < grad.len() {
             let space = self.bucket_elems - self.cur.len();
@@ -144,33 +154,24 @@ impl GradSyncPipeline {
         self.cur.resize(padded, 0.0);
         let entries = std::mem::take(&mut self.cur_entries);
         let data = std::mem::take(&mut self.cur);
-        let (rs, local) = if g > 1 {
-            // Build the pooled payload first so its buffer id is known,
-            // then annotate the schedule stream: the bucket-buffer write
-            // (the bucket's last main-context mutation) must
-            // happen-before the reduce-scatter's overlap window — the
-            // verifier's race detector proves exactly that ordering.
-            let payload = self.comm.pooled_payload(&data);
-            self.comm
-                .record_buf_write(payload.buffer_id(), "bucket_grads");
-            // Marker consumed by axonn-verify's leak lint: every sealed
-            // bucket must be followed by its linear reduce-scatter.
-            self.comm.record_schedule_marker("bucket_seal");
-            (
-                Some(
-                    self.comm
-                        .start_async(&self.group, AsyncOp::ReduceScatterLinear(payload)),
-                ),
-                None,
-            )
-        } else {
-            (None, Some(data))
-        };
+        // Build the pooled payload first so its buffer id is known, then
+        // annotate the schedule stream: the bucket-buffer write (the
+        // bucket's last main-context mutation) must happen-before the
+        // reduce-scatter's overlap window — the verifier's race detector
+        // proves exactly that ordering.
+        let payload = self.comm.pooled_payload(&data);
+        self.comm
+            .record_buf_write(payload.buffer_id(), "bucket_grads");
+        // Marker consumed by axonn-verify's leak lint: every sealed
+        // bucket must be followed by its linear reduce-scatter.
+        self.comm.record_schedule_marker("bucket_seal");
+        let rs = self
+            .comm
+            .start_async(&self.group, AsyncOp::ReduceScatterLinear(payload));
         self.inflight.push(InflightBucket {
             entries,
             padded,
             rs,
-            local,
         });
     }
 
@@ -184,74 +185,71 @@ impl GradSyncPipeline {
     /// with `p += (-lr)·g`, and issue the non-blocking all-gather of the
     /// updated slice — later buckets' reduce-scatters keep streaming
     /// underneath. A second sweep waits each all-gather and scatters the
-    /// updated bucket back to the parameter tensors.
+    /// updated bucket back to the parameter tensors. On a one-rank group
+    /// each pushed tensor is updated in place instead.
     pub fn step(mut self, lr: f32, store: &mut impl ParamStore) {
         self.flush();
         let GradSyncPipeline {
             comm,
             group,
             inflight,
+            in_place,
             ..
         } = self;
+        for (tensor, len) in in_place {
+            let (param, grad) = store.param_and_grad(tensor);
+            debug_assert_eq!((param.len(), grad.len()), (len, len));
+            sgd(param, grad, lr);
+        }
         let g = group.size();
         let pos = group.position_of(comm.rank());
-        enum Updated {
-            Gather(AsyncHandle),
-            Local(Vec<f32>),
-        }
-        let mut waiting: Vec<(Vec<BucketEntry>, usize, Updated)> = Vec::new();
+        let mut waiting: Vec<(Vec<BucketEntry>, usize, AsyncHandle)> = Vec::new();
         for bucket in inflight {
             let shard = bucket.padded / g;
-            let grad = match bucket.rs {
-                Some(h) => h.wait(),
-                None => bucket.local.expect("local bucket data"),
-            };
+            let grad = bucket.rs.wait();
             debug_assert_eq!(grad.len(), shard);
             // This rank's slice of the parameters, padded region zero.
             let mut upd = vec![0.0f32; shard];
             read_params(store, &bucket.entries, pos * shard, &mut upd);
-            for (u, &gv) in upd.iter_mut().zip(&grad) {
-                *u += -lr * gv;
-            }
-            let updated = if g > 1 {
-                // Same annotation discipline as `seal`: the updated
-                // shard's last write precedes the all-gather issue.
-                let payload = comm.pooled_payload(&upd);
-                comm.record_buf_write(payload.buffer_id(), "zero1_update");
-                Updated::Gather(comm.start_async(&group, AsyncOp::AllGather(payload)))
-            } else {
-                Updated::Local(upd)
-            };
-            waiting.push((bucket.entries, bucket.padded, updated));
+            sgd(&mut upd, &grad, lr);
+            // Same annotation discipline as `seal`: the updated shard's
+            // last write precedes the all-gather issue.
+            let payload = comm.pooled_payload(&upd);
+            comm.record_buf_write(payload.buffer_id(), "zero1_update");
+            let gather = comm.start_async(&group, AsyncOp::AllGather(payload));
+            waiting.push((bucket.entries, bucket.padded, gather));
         }
-        for (entries, padded, updated) in waiting {
-            let full = match updated {
-                Updated::Gather(h) => h.wait(),
-                Updated::Local(v) => v,
-            };
+        for (entries, padded, gather) in waiting {
+            let full = gather.wait();
             debug_assert_eq!(full.len(), padded);
             for e in &entries {
-                store.write(
-                    e.tensor,
-                    e.tensor_off..e.tensor_off + e.len,
-                    &full[e.bucket_off..e.bucket_off + e.len],
-                );
+                store.param_and_grad(e.tensor).0[e.tensor_off..e.tensor_off + e.len]
+                    .copy_from_slice(&full[e.bucket_off..e.bucket_off + e.len]);
             }
         }
+    }
+}
+
+/// `param += (-lr)·grad`, elementwise: the expression of `Matrix::axpy`,
+/// so the pipeline's update has the per-tensor oracle's bits.
+fn sgd(param: &mut [f32], grad: &[f32], lr: f32) {
+    for (p, &gv) in param.iter_mut().zip(grad) {
+        *p += -lr * gv;
     }
 }
 
 /// Fill `dst` — covering bucket positions `[lo, lo + dst.len())` — with
 /// the parameter values behind each overlapping entry. Positions outside
 /// every entry (the padding tail) stay zero.
-fn read_params(store: &impl ParamStore, entries: &[BucketEntry], lo: usize, dst: &mut [f32]) {
+fn read_params(store: &mut impl ParamStore, entries: &[BucketEntry], lo: usize, dst: &mut [f32]) {
     let hi = lo + dst.len();
     for e in entries {
         let s = e.bucket_off.max(lo);
         let t = (e.bucket_off + e.len).min(hi);
         if s < t {
             let from = e.tensor_off + (s - e.bucket_off);
-            store.read(e.tensor, from..from + (t - s), &mut dst[s - lo..t - lo]);
+            dst[s - lo..t - lo]
+                .copy_from_slice(&store.param_and_grad(e.tensor).0[from..from + (t - s)]);
         }
     }
 }
@@ -261,15 +259,16 @@ mod tests {
     use super::*;
     use axonn_exec::run_spmd;
 
-    /// Plain Vec-of-Vec parameter set for tests.
-    struct VecStore(Vec<Vec<f32>>);
+    /// Plain Vec-of-Vec parameter set (and the gradients pushed for
+    /// it) for tests.
+    struct VecStore {
+        params: Vec<Vec<f32>>,
+        grads: Vec<Vec<f32>>,
+    }
 
     impl ParamStore for VecStore {
-        fn read(&self, tensor: usize, range: Range<usize>, dst: &mut [f32]) {
-            dst.copy_from_slice(&self.0[tensor][range]);
-        }
-        fn write(&mut self, tensor: usize, range: Range<usize>, src: &[f32]) {
-            self.0[tensor][range].copy_from_slice(src);
+        fn param_and_grad(&mut self, tensor: usize) -> (&mut [f32], &[f32]) {
+            (&mut self.params[tensor], &self.grads[tensor])
         }
     }
 
@@ -280,16 +279,22 @@ mod tests {
     }
 
     /// The oracle: canonical-order all-reduce + replicated axpy.
-    fn oracle(comm: &Comm, group: &ProcessGroup, rank: usize, lens: &[usize], lr: f32) -> VecStore {
-        let mut store = VecStore(lens.iter().map(|&l| vec![0.25f32; l]).collect());
+    fn oracle(
+        comm: &Comm,
+        group: &ProcessGroup,
+        rank: usize,
+        lens: &[usize],
+        lr: f32,
+    ) -> Vec<Vec<f32>> {
+        let mut params: Vec<Vec<f32>> = lens.iter().map(|&l| vec![0.25f32; l]).collect();
         for (id, &len) in lens.iter().enumerate() {
             let mut g = tensor(rank, id, len);
             comm.all_reduce_linear(group, &mut g);
-            for (p, gv) in store.0[id].iter_mut().zip(&g) {
+            for (p, gv) in params[id].iter_mut().zip(&g) {
                 *p += -lr * gv;
             }
         }
-        store
+        params
     }
 
     #[test]
@@ -303,14 +308,21 @@ mod tests {
                 let out = run_spmd(world, move |c| {
                     let group = ProcessGroup::new((0..world).collect());
                     let rank = c.rank();
-                    let mut store = VecStore(lens_v.iter().map(|&l| vec![0.25f32; l]).collect());
+                    let mut store = VecStore {
+                        params: lens_v.iter().map(|&l| vec![0.25f32; l]).collect(),
+                        grads: lens_v
+                            .iter()
+                            .enumerate()
+                            .map(|(id, &len)| tensor(rank, id, len))
+                            .collect(),
+                    };
                     let mut pipe = GradSyncPipeline::new(c.clone(), group.clone(), bucket_elems);
-                    for (id, &len) in lens_v.iter().enumerate() {
-                        pipe.push(id, &tensor(rank, id, len));
+                    for (id, grad) in store.grads.iter().enumerate() {
+                        pipe.push(id, grad);
                     }
                     pipe.step(0.1, &mut store);
                     let expect = oracle(&c, &group, rank, &lens_v, 0.1);
-                    (store.0, expect.0)
+                    (store.params, expect)
                 });
                 for (got, expect) in out {
                     for (a, b) in got.iter().zip(&expect) {
@@ -325,12 +337,29 @@ mod tests {
 
     #[test]
     fn bucket_count_reflects_capacity() {
-        let out = run_spmd(1, |c| {
-            let mut pipe = GradSyncPipeline::new(c.clone(), ProcessGroup::solo(0), 4);
-            pipe.push(0, &[1.0; 10]);
-            pipe.flush();
-            pipe.buckets()
+        let out = run_spmd(2, |c| {
+            let count = |group: ProcessGroup| {
+                let mut pipe = GradSyncPipeline::new(c.clone(), group, 4);
+                pipe.push(0, &[1.0; 10]);
+                pipe.flush();
+                let buckets = pipe.buckets();
+                pipe.step(
+                    0.0,
+                    &mut VecStore {
+                        params: vec![vec![0.0; 10]],
+                        grads: vec![vec![1.0; 10]],
+                    },
+                );
+                buckets
+            };
+            (
+                count(ProcessGroup::new(vec![0, 1])),
+                count(ProcessGroup::solo(c.rank())),
+            )
         });
-        assert_eq!(out[0], 3, "10 elements over capacity-4 buckets");
+        for (pair, solo) in out {
+            assert_eq!(pair, 3, "10 elements over capacity-4 buckets");
+            assert_eq!(solo, 0, "a one-rank group keeps no bucket");
+        }
     }
 }

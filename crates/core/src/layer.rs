@@ -202,9 +202,10 @@ impl ParallelLinear {
     }
 
     /// OAG: issue the asynchronous weight all-gather for this layer now
-    /// (line 2 of Algorithm 1, prefetched in topological order).
+    /// (line 2 of Algorithm 1, prefetched in topological order). A no-op
+    /// on a one-rank Z group, where forward multiplies by the shard itself.
     pub fn start_weight_gather(&mut self, comm: &Comm, grid: &GridTopology) {
-        if self.prefetch.is_none() {
+        if grid.gz > 1 && self.prefetch.is_none() {
             // Scope the issue event to this layer so the overlap report
             // attributes the hidden all-gather time correctly.
             if let Some(t) = comm.tracer() {
@@ -229,9 +230,17 @@ impl ParallelLinear {
         Matrix::from_vec(rows, cols, data)
     }
 
+    /// The `W` block forward multiplied by: the gathered (or bf16-rounded)
+    /// copy when forward made one, otherwise the shard itself.
+    fn forward_weight(&self) -> &Matrix {
+        self.cached_w.as_ref().unwrap_or(&self.w_shard)
+    }
+
     /// Forward pass (Algorithm 1 lines 1–7). `i_local` is the
     /// `(m/G_z) × (k/g_in)` input block; returns the `(m/G_z) × (n/g_out)`
-    /// output block. Caches `I` and the gathered `W` for backward.
+    /// output block. Caches `I`, and the gathered `W` only when Z has more
+    /// than one rank (or under bf16, which rounds its own copy), for
+    /// backward.
     pub fn forward(
         &mut self,
         comm: &Comm,
@@ -255,22 +264,26 @@ impl ParallelLinear {
                 },
             )
         });
-        let mut w = self.gathered_weight(comm, grid);
-        let i_local = match precision {
-            Precision::F32 => i_local,
+        let (cached_w, i_local) = match precision {
+            // A one-rank Z group has nothing to gather: no copy.
+            Precision::F32 if grid.gz == 1 => (None, i_local),
+            Precision::F32 => (Some(self.gathered_weight(comm, grid)), i_local),
             Precision::Bf16Mixed => {
                 // Round operands onto the bf16 grid once; the rounded
                 // copies are what the backward pass reuses, exactly like
                 // bf16 weights/activations on a GPU.
+                let mut w = self.gathered_weight(comm, grid);
                 w.round_bf16();
                 let mut i = i_local;
                 i.round_bf16();
-                i
+                (Some(w), i)
             }
         };
+        self.cached_w = cached_w;
+        let w = self.forward_weight();
         let t0 = comm.now();
         let wall0 = wall_now(comm);
-        let (o_partial, stats) = gemm_with_stats(MatMode::NN, &i_local, &w);
+        let (o_partial, stats) = gemm_with_stats(MatMode::NN, &i_local, w);
         let flops = 2.0 * i_local.rows() as f64 * w.rows() as f64 * w.cols() as f64;
         comm.advance_compute(flops);
         record_gemm(comm, t0, wall0, "NN", flops, stats);
@@ -278,7 +291,6 @@ impl ParallelLinear {
         comm.all_reduce(grid.row_group(self.transposed), &mut o);
         let out = Matrix::from_vec(i_local.rows(), self.local_output_cols(grid), o);
         self.cached_i = Some(i_local);
-        self.cached_w = Some(w);
         if let Some(t) = comm.tracer() {
             t.close_span(span, comm.now());
             t.set_layer(None);
@@ -295,10 +307,7 @@ impl ParallelLinear {
             .cached_i
             .as_ref()
             .expect("recompute without cached input");
-        let w = self
-            .cached_w
-            .as_ref()
-            .expect("recompute without cached weight");
+        let w = self.forward_weight();
         if let Some(t) = comm.tracer() {
             t.set_layer(Some(self.layer_id));
         }
@@ -316,9 +325,11 @@ impl ParallelLinear {
         Matrix::from_vec(i_local.rows(), self.local_output_cols(grid), o)
     }
 
-    /// Backward pass (Algorithm 1 lines 9–16). Returns the input-gradient
-    /// block and, under ORS, the pending weight-gradient reduce-scatter
-    /// (otherwise the gradient is accumulated into the layer immediately).
+    /// Backward pass (Algorithm 1 lines 9–16), reading `I` and, when Z
+    /// has more than one rank, the gathered `W` that forward cached.
+    /// Returns the input-gradient block and, under ORS on a multi-rank Z
+    /// group, the pending weight-gradient reduce-scatter (otherwise the
+    /// gradient is accumulated into the layer immediately).
     pub fn backward(
         &mut self,
         comm: &Comm,
@@ -332,10 +343,7 @@ impl ParallelLinear {
             .cached_i
             .take()
             .expect("backward called without a cached forward");
-        let w = self
-            .cached_w
-            .take()
-            .expect("backward called without a cached weight");
+        let w = self.forward_weight();
         assert_eq!(d_o.shape(), (i_local.rows(), w.cols()), "dO shape mismatch");
         let rounded;
         let d_o = match precision {
@@ -359,7 +367,7 @@ impl ParallelLinear {
         // Line 11: dÎ = dO · Wᵀ.
         let t0 = comm.now();
         let wall0 = wall_now(comm);
-        let (d_i_partial, stats) = gemm_with_stats(MatMode::NT, d_o, &w);
+        let (d_i_partial, stats) = gemm_with_stats(MatMode::NT, d_o, w);
         let flops = 2.0 * d_o.rows() as f64 * d_o.cols() as f64 * w.rows() as f64;
         comm.advance_compute(flops);
         record_gemm(comm, t0, wall0, "NT", flops, stats);
@@ -435,8 +443,14 @@ impl ParallelLinear {
             d_i_buf.expect("input gradient buffer"),
         );
 
-        // Line 14: reduce-scatter of dŴ across Z.
-        let pending = if overlap.ors {
+        self.cached_w = None;
+
+        // Line 14: reduce-scatter of dŴ across Z. A one-rank Z group has
+        // nothing to reduce: dŴ is this rank's gradient shard as is.
+        let pending = if grid.gz == 1 {
+            self.accumulate_grad(d_w);
+            None
+        } else if overlap.ors {
             let handle = comm.ireduce_scatter(grid.z_group(), d_w.into_vec());
             Some(PendingGrad {
                 layer_id: self.layer_id,
@@ -474,6 +488,11 @@ impl ParallelLinear {
     /// Mutable access for the data-parallel gradient synchronisation.
     pub fn grad_shard_mut(&mut self) -> &mut Matrix {
         &mut self.grad_shard
+    }
+
+    /// The weight shard and its gradient together, for an in-place update.
+    pub(crate) fn weight_and_grad_mut(&mut self) -> (&mut Matrix, &Matrix) {
+        (&mut self.w_shard, &self.grad_shard)
     }
 
     /// SGD update: `Ŵ -= lr · dŴ`, then clear the accumulator.

@@ -212,11 +212,9 @@ struct MlpParams<'a> {
 }
 
 impl ParamStore for MlpParams<'_> {
-    fn read(&self, tensor: usize, range: std::ops::Range<usize>, dst: &mut [f32]) {
-        dst.copy_from_slice(&self.layers[tensor].weight_shard().as_slice()[range]);
-    }
-    fn write(&mut self, tensor: usize, range: std::ops::Range<usize>, src: &[f32]) {
-        self.layers[tensor].weight_shard_mut().as_mut_slice()[range].copy_from_slice(src);
+    fn param_and_grad(&mut self, tensor: usize) -> (&mut [f32], &[f32]) {
+        let (param, grad) = self.layers[tensor].weight_and_grad_mut();
+        (param.as_mut_slice(), grad.as_slice())
     }
 }
 
@@ -411,9 +409,9 @@ impl Network4d {
                     self.cfg.grad_bucket_elems,
                 );
                 if pending.is_empty() {
-                    // ORS off: gradients landed synchronously during
-                    // backward; feed them in the same reverse-backward
-                    // order the deferred path would.
+                    // ORS off or a one-rank Z group: gradients landed
+                    // synchronously during backward; feed them in the
+                    // same reverse-backward order the deferred path would.
                     for i in (0..self.layers.len()).rev() {
                         pipe.push(i, self.layers[i].grad_shard().as_slice());
                     }

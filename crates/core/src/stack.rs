@@ -76,18 +76,20 @@ impl ParallelEmbedding {
     /// group order so the result is bitwise comparable with the bucketed
     /// gradient pipeline.
     pub fn sync_grads(&mut self, comm: &Comm, grid: &GridTopology) {
-        let mut buf = self.grad.as_slice().to_vec();
-        comm.all_reduce(grid.z_group(), &mut buf);
-        comm.all_reduce_linear(grid.data_group(), &mut buf);
-        self.grad = Matrix::from_vec(self.grad.rows(), self.grad.cols(), buf);
+        if grid.gz == 1 && grid.gd == 1 {
+            return;
+        }
+        comm.all_reduce(grid.z_group(), self.grad.as_mut_slice());
+        comm.all_reduce_linear(grid.data_group(), self.grad.as_mut_slice());
     }
 
     /// Z-group-only gradient reduction: the bucketed pipeline performs
     /// the data-parallel stage (and the update) itself.
     pub fn sync_grads_z(&mut self, comm: &Comm, grid: &GridTopology) {
-        let mut buf = self.grad.as_slice().to_vec();
-        comm.all_reduce(grid.z_group(), &mut buf);
-        self.grad = Matrix::from_vec(self.grad.rows(), self.grad.cols(), buf);
+        if grid.gz == 1 {
+            return;
+        }
+        comm.all_reduce(grid.z_group(), self.grad.as_mut_slice());
     }
 
     pub fn apply_sgd(&mut self, lr: f32) {
@@ -196,53 +198,16 @@ struct StackParams<'a> {
     emb: &'a mut ParallelEmbedding,
 }
 
-impl StackParams<'_> {
-    fn param(&self, tensor: usize) -> &Matrix {
+impl ParamStore for StackParams<'_> {
+    fn param_and_grad(&mut self, tensor: usize) -> (&mut [f32], &[f32]) {
         let nb = self.blocks.len();
         let base = 4 * nb + 1;
-        if tensor < 4 * nb {
-            let b = &self.blocks[tensor / 4];
-            match tensor % 4 {
-                0 => b.qkv.weight_shard(),
-                1 => b.proj.weight_shard(),
-                2 => b.fc1.weight_shard(),
-                _ => b.fc2.weight_shard(),
-            }
+        let (param, grad) = if tensor < 4 * nb {
+            self.blocks[tensor / 4]
+                .fc_mut(tensor % 4)
+                .weight_and_grad_mut()
         } else if tensor == 4 * nb {
-            self.head.weight_shard()
-        } else if tensor < base + 2 * (2 * nb + 1) {
-            let k = (tensor - base) / 2;
-            let ln = if k == 2 * nb {
-                &*self.final_ln
-            } else if k.is_multiple_of(2) {
-                &self.blocks[k / 2].ln1
-            } else {
-                &self.blocks[k / 2].ln2
-            };
-            if (tensor - base).is_multiple_of(2) {
-                &ln.gain
-            } else {
-                &ln.bias
-            }
-        } else {
-            debug_assert_eq!(tensor, base + 4 * nb + 2, "unknown tensor id");
-            &self.emb.table
-        }
-    }
-
-    fn param_mut(&mut self, tensor: usize) -> &mut Matrix {
-        let nb = self.blocks.len();
-        let base = 4 * nb + 1;
-        if tensor < 4 * nb {
-            let b = &mut self.blocks[tensor / 4];
-            match tensor % 4 {
-                0 => b.qkv.weight_shard_mut(),
-                1 => b.proj.weight_shard_mut(),
-                2 => b.fc1.weight_shard_mut(),
-                _ => b.fc2.weight_shard_mut(),
-            }
-        } else if tensor == 4 * nb {
-            self.head.weight_shard_mut()
+            self.head.weight_and_grad_mut()
         } else if tensor < base + 2 * (2 * nb + 1) {
             let k = (tensor - base) / 2;
             let ln = if k == 2 * nb {
@@ -253,23 +218,15 @@ impl StackParams<'_> {
                 &mut self.blocks[k / 2].ln2
             };
             if (tensor - base).is_multiple_of(2) {
-                &mut ln.gain
+                (&mut ln.gain, &ln.gain_grad)
             } else {
-                &mut ln.bias
+                (&mut ln.bias, &ln.bias_grad)
             }
         } else {
             debug_assert_eq!(tensor, base + 4 * nb + 2, "unknown tensor id");
-            &mut self.emb.table
-        }
-    }
-}
-
-impl ParamStore for StackParams<'_> {
-    fn read(&self, tensor: usize, range: std::ops::Range<usize>, dst: &mut [f32]) {
-        dst.copy_from_slice(&self.param(tensor).as_slice()[range]);
-    }
-    fn write(&mut self, tensor: usize, range: std::ops::Range<usize>, src: &[f32]) {
-        self.param_mut(tensor).as_mut_slice()[range].copy_from_slice(src);
+            (&mut self.emb.table, &self.emb.grad)
+        };
+        (param.as_mut_slice(), grad.as_slice())
     }
 }
 

@@ -143,6 +143,9 @@ impl ParallelLayerNorm {
     /// is bitwise comparable with the bucketed gradient pipeline, which
     /// reduces these tensors inside mixed buckets.
     pub fn sync_param_grads(&mut self, comm: &Comm, grid: &GridTopology) {
+        if grid.gz == 1 && grid.gd == 1 {
+            return;
+        }
         let mut buf = self.fused_grads();
         comm.all_reduce(grid.z_group(), &mut buf);
         comm.all_reduce_linear(grid.data_group(), &mut buf);
@@ -152,6 +155,9 @@ impl ParallelLayerNorm {
     /// Z-group-only gradient reduction: used by the bucketed pipeline,
     /// which takes over the data-parallel stage (and the update) itself.
     pub fn sync_param_grads_z(&mut self, comm: &Comm, grid: &GridTopology) {
+        if grid.gz == 1 {
+            return;
+        }
         let mut buf = self.fused_grads();
         comm.all_reduce(grid.z_group(), &mut buf);
         self.split_grads(&buf);

@@ -101,12 +101,16 @@ fn bucketed_matches_oracle_on_mixed_grids() {
 
 /// Full-stack contract: the GPT's mixed buckets (FC shards, LayerNorm
 /// gains/biases, the embedding table) reduce and update bit-identically
-/// to the per-tensor path.
+/// to the per-tensor path. The one-rank grids hold the in-place update of
+/// a one-rank data group and the unreduced dŴ of a one-rank Z group to
+/// the oracle too; (1, 1, 2, 1) keeps ORS on a two-rank Z group.
 #[test]
 fn transformer_stack_bucketed_matches_oracle_bitwise() {
-    let run = |mode: GradSyncMode, bucket_elems: usize| {
-        run_spmd(4, move |comm| {
-            let grid = GridTopology::new(1, 2, 1, 2, comm.rank());
+    let run = |(gx, gy, gz, gd): (usize, usize, usize, usize),
+               mode: GradSyncMode,
+               bucket_elems: usize| {
+        run_spmd(gx * gy * gz * gd, move |comm| {
+            let grid = GridTopology::new(gx, gy, gz, gd, comm.rank());
             let mut stack = TransformerStack::new(&grid, 8, 8, 2, 2, 4, 3, OverlapConfig::all());
             stack.set_grad_sync(mode);
             stack.set_grad_bucket_elems(bucket_elems);
@@ -144,11 +148,13 @@ fn transformer_stack_bucketed_matches_oracle_bitwise() {
             (bits, losses)
         })
     };
-    for bucket_elems in [6usize, 17, 4096] {
-        assert_eq!(
-            run(GradSyncMode::Bucketed, bucket_elems),
-            run(GradSyncMode::PerTensor, bucket_elems),
-            "bucket_elems {bucket_elems}"
-        );
+    for grid in [(1, 2, 1, 2), (1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 2, 1)] {
+        for bucket_elems in [6usize, 17, 4096] {
+            assert_eq!(
+                run(grid, GradSyncMode::Bucketed, bucket_elems),
+                run(grid, GradSyncMode::PerTensor, bucket_elems),
+                "grid {grid:?} bucket_elems {bucket_elems}"
+            );
+        }
     }
 }

@@ -157,3 +157,25 @@ fn parallel_training_is_deterministic() {
         assert_eq!(wa, wb);
     }
 }
+
+#[test]
+fn one_rank_z_group_prefetches_nothing() {
+    // OAG on a one-rank Z group has nothing to gather: forward borrows
+    // the shard, so no weight copy goes through the world's slab pool.
+    let stats = run_spmd(1, |comm| {
+        let grid = GridTopology::new(1, 1, 1, 1, comm.rank());
+        let mut net = Network4d::new(
+            comm.clone(),
+            grid,
+            &DIMS,
+            Activation::Gelu,
+            SEED,
+            OverlapConfig::all(),
+            false,
+        );
+        let (x, t) = global_batch();
+        net.train_step(&x, &t, LR);
+        comm.pool_stats()
+    });
+    assert_eq!(stats[0].hits + stats[0].misses, 0, "{:?}", stats[0]);
+}
