@@ -13,9 +13,9 @@
 //!   medium payloads.
 //!
 //! Selection is a pure function of `(element count, group size,
-//! policy)`, so the execution plane, the simulator mirror
-//! (`axonn-sim`), the analytic cost curves (`axonn-perfmodel`), and the
-//! schedule verifier (`axonn-verify`) all agree on which algorithm ran.
+//! policy)`, so the execution plane, the dry schedule extractor, the
+//! analytic cost curves (`axonn-perfmodel`), and the schedule verifier
+//! (`axonn-verify`) all agree on which algorithm ran.
 //! The policy is resolved once per world from [`AlgoPolicy::from_env`]
 //! (`AXONN_COLL_ALGO`) unless overridden on the builder, so every rank
 //! of a world selects identically.

@@ -115,47 +115,11 @@ impl Drop for OpScope<'_> {
     }
 }
 
-/// Factory for communicator worlds.
+/// Factory for communicator worlds: [`CommWorld::builder`] for a live
+/// world, [`CommWorld::dry`] for schedule extraction.
 pub struct CommWorld;
 
 impl CommWorld {
-    /// A world of `size` ranks with no virtual-time tracking.
-    pub fn create(size: usize) -> Vec<Comm> {
-        Self::builder(size).build()
-    }
-
-    /// A world of `size` ranks whose clocks advance per `cost`.
-    pub fn create_timed(size: usize, cost: Arc<dyn CostModel>) -> Vec<Comm> {
-        Self::builder(size).cost(cost).build()
-    }
-
-    /// An untimed world with deterministic fault injection installed
-    /// (message drops, link stalls, recv timeout).
-    pub fn create_faulty(size: usize, faults: FaultConfig) -> Vec<Comm> {
-        Self::builder(size).faults(faults).build()
-    }
-
-    /// A timed world with fault injection (stall rules need a clock to
-    /// be observable).
-    pub fn create_timed_faulty(
-        size: usize,
-        cost: Arc<dyn CostModel>,
-        faults: FaultConfig,
-    ) -> Vec<Comm> {
-        Self::builder(size).cost(cost).faults(faults).build()
-    }
-
-    /// A timed world whose ranks record trace events. The returned sinks
-    /// (one per rank, same order) stay valid after the `Comm`s are moved
-    /// to their threads; drain them with [`TraceSink::finish`] once the
-    /// run is over.
-    pub fn create_traced(
-        size: usize,
-        cost: Arc<dyn CostModel>,
-    ) -> (Vec<Comm>, Vec<Arc<TraceSink>>) {
-        Self::builder(size).cost(cost).build_traced()
-    }
-
     /// Start configuring a world explicitly (cost model, fault
     /// injection, chunk-pipeline policy).
     pub fn builder(size: usize) -> WorldBuilder {
@@ -217,7 +181,9 @@ impl WorldBuilder {
         self
     }
 
-    /// Install deterministic fault injection.
+    /// Install deterministic fault injection (message drops, link
+    /// stalls, recv timeout). Stall rules are only observable on a timed
+    /// world, so pair them with [`cost`](Self::cost).
     pub fn faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
         self
@@ -260,7 +226,10 @@ impl WorldBuilder {
         self.build_inner(None)
     }
 
-    /// Create the world with per-rank trace sinks.
+    /// Create the world with per-rank trace sinks. The returned sinks
+    /// (one per rank, same order) stay valid after the `Comm`s are moved
+    /// to their threads; drain them with [`TraceSink::finish`] once the
+    /// run is over.
     pub fn build_traced(self) -> (Vec<Comm>, Vec<Arc<TraceSink>>) {
         let sinks: Vec<Arc<TraceSink>> = (0..self.size).map(TraceSink::new).collect();
         let comms = self.build_inner(Some(&sinks));
@@ -370,8 +339,6 @@ pub mod lane {
     /// Clock synchronisation (gather to root, then fan-out).
     pub const CLOCK_UP: u32 = 0x0003_0000;
     pub const CLOCK_DOWN: u32 = 0x0004_0000;
-    /// Recursive-doubling exchange steps: `RD + s`.
-    pub const RD: u32 = 0x0005_0000;
     /// Direct-exchange (linear-order) reduce-scatter: `LRS + segment`.
     /// One logical step — receivers disambiguate senders by source rank.
     pub const LRS: u32 = 0x0006_0000;
@@ -1010,48 +977,6 @@ impl Comm {
         self.charge_blocking(group, seq, kind, (buf.len() * 4) as f64, wall, stats)
     }
 
-    /// Blocking all-reduce choosing the algorithm the way NCCL does:
-    /// recursive doubling for small buffers (latency-bound) on
-    /// power-of-two groups, ring otherwise (bandwidth-bound). Results are
-    /// identical up to floating-point summation order.
-    pub fn all_reduce_auto(&self, group: &ProcessGroup, buf: &mut [f32]) {
-        const SMALL_ELEMS: usize = 4096;
-        if buf.len() <= SMALL_ELEMS && group.size().is_power_of_two() {
-            let seq = self.next_seq(group);
-            self.record_issue(
-                SchedKind::AllReduceRd,
-                group,
-                buf.len(),
-                None,
-                Some(ReduceOp::Sum),
-                true,
-                false,
-                seq,
-            );
-            if self.shared.dry {
-                return;
-            }
-            let _op = self.op_scope("all_reduce_rd");
-            let wall = self.wall_now();
-            let mut stats = HopStats::default();
-            unwrap_comm(
-                recursive_doubling_all_reduce(&self.shared, self.rank, group, seq, buf, &mut stats)
-                    .and_then(|()| {
-                        self.charge_blocking(
-                            group,
-                            seq,
-                            CollectiveKind::AllReduceRecursiveDoubling,
-                            (buf.len() * 4) as f64,
-                            wall,
-                            stats,
-                        )
-                    }),
-            );
-        } else {
-            self.all_reduce(group, buf);
-        }
-    }
-
     /// Blocking broadcast from the member at group position `root_pos`.
     pub fn broadcast(&self, group: &ProcessGroup, root_pos: usize, buf: &mut [f32]) {
         unwrap_comm(self.try_broadcast(group, root_pos, buf))
@@ -1535,49 +1460,6 @@ pub(crate) fn ring_all_reduce(
     let mine = ring_reduce_scatter_op(shared, rank, group, seq, &work, op, stats)?;
     let full = ring_all_gather(shared, rank, group, seq, &mine, stats)?;
     buf.copy_from_slice(&full[..n]);
-    Ok(())
-}
-
-/// Recursive-doubling all-reduce: at step `s`, exchange the whole buffer
-/// with the partner at position `pos XOR 2^s` and add. `log2(g)` steps —
-/// latency-optimal, used for small messages. Power-of-two groups only.
-pub(crate) fn recursive_doubling_all_reduce(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &mut [f32],
-    stats: &mut HopStats,
-) -> Result<(), CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(());
-    }
-    assert!(
-        g.is_power_of_two(),
-        "recursive doubling needs a power-of-two group"
-    );
-    // Recursive doubling serves the latency-bound small-message regime:
-    // whole-buffer exchanges, never segmented.
-    stats.chunks = stats.chunks.max(1);
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let mut stride = 1usize;
-    let mut s = 0u32;
-    while stride < g {
-        let partner = group.rank_at(pos ^ stride);
-        let payload = pooled(shared, buf, stats);
-        shared
-            .transport
-            .send(rank, partner, msg_key(gk, seq, lane::RD + s), payload);
-        let data = shared
-            .transport
-            .recv_result(rank, partner, msg_key(gk, seq, lane::RD + s))?;
-        assert_eq!(data.len(), buf.len(), "recursive-doubling length mismatch");
-        fold::fold_sum(buf, &data);
-        stride <<= 1;
-        s += 1;
-    }
     Ok(())
 }
 

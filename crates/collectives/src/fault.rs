@@ -7,7 +7,7 @@
 //! [`InjectedKill`] panic payload used by deterministic kill injection,
 //! and the transport-level [`FaultConfig`] (message drops, link stalls,
 //! recv timeouts) threaded into the mailbox by
-//! [`CommWorld::create_faulty`](crate::CommWorld::create_faulty).
+//! [`WorldBuilder::faults`](crate::WorldBuilder::faults).
 
 use crate::mailbox::PoisonInfo;
 use std::time::Duration;

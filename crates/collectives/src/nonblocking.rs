@@ -519,7 +519,7 @@ mod tests {
         F: Fn(Comm) -> T + Send + Sync + Clone + 'static,
         T: Send + 'static,
     {
-        let comms = CommWorld::create(n);
+        let comms = CommWorld::builder(n).build();
         run_world_with(comms, f)
     }
 
@@ -598,7 +598,7 @@ mod tests {
         // Timed world: a rank that overlaps an all-reduce with compute
         // should finish earlier than one that serialises them.
         let cost = Arc::new(RingCostModel::new(1e9, 1e9));
-        let make = || CommWorld::create_timed(2, cost.clone());
+        let make = || CommWorld::builder(2).cost(cost.clone()).build();
 
         // Serial: collective then compute.
         let serial = run_world_with(make(), |c| {

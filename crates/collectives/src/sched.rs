@@ -41,7 +41,7 @@ use std::fmt;
 
 /// The verifier-visible kind of a scheduled collective. Finer-grained than
 /// [`crate::CollectiveKind`]: algorithms that use disjoint wire lanes (ring
-/// vs. linear reduce-scatter, ring vs. recursive-doubling all-reduce) must
+/// vs. linear reduce-scatter, ring vs. recursive-halving/doubling all-reduce) must
 /// not be considered matching, so each gets its own kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedKind {
@@ -56,8 +56,6 @@ pub enum SchedKind {
     /// Canonical-order all-reduce = linear reduce-scatter + ring all-gather
     /// (`lane::LRS` + `lane::AG`).
     AllReduceLinear,
-    /// Recursive-doubling all-reduce (`lane::RD`).
-    AllReduceRd,
     /// Recursive-doubling all-gather (`lane::RDAG`).
     AllGatherRd,
     /// Recursive-halving reduce-scatter (`lane::RHD`).
@@ -86,7 +84,6 @@ impl SchedKind {
             SchedKind::ReduceScatterLinear => "reduce_scatter_linear",
             SchedKind::AllReduce => "all_reduce",
             SchedKind::AllReduceLinear => "all_reduce_linear",
-            SchedKind::AllReduceRd => "all_reduce_rd",
             SchedKind::AllGatherRd => "all_gather_rd",
             SchedKind::ReduceScatterRh => "reduce_scatter_rh",
             SchedKind::AllReduceRhd => "all_reduce_rhd",
@@ -108,7 +105,6 @@ impl SchedKind {
             SchedKind::ReduceScatterLinear => "lrs",
             SchedKind::AllReduce | SchedKind::Barrier => "rs+ag",
             SchedKind::AllReduceLinear => "lrs+ag",
-            SchedKind::AllReduceRd => "rd",
             SchedKind::AllGatherRd => "rdag",
             SchedKind::ReduceScatterRh => "rhd",
             SchedKind::AllReduceRhd => "rhd+rdag",
@@ -128,7 +124,6 @@ impl SchedKind {
             SchedKind::ReduceScatterLinear => &[lane::LRS],
             SchedKind::AllReduce | SchedKind::Barrier => &[lane::RS, lane::AG],
             SchedKind::AllReduceLinear => &[lane::LRS, lane::AG],
-            SchedKind::AllReduceRd => &[lane::RD],
             SchedKind::AllGatherRd => &[lane::RDAG],
             SchedKind::ReduceScatterRh => &[lane::RHD],
             SchedKind::AllReduceRhd => &[lane::RHD, lane::RDAG],

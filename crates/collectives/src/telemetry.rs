@@ -33,7 +33,6 @@ pub fn lane_name(key: MsgKey) -> &'static str {
         0x0002_0000 => "bcast",
         0x0003_0000 => "clock_up",
         0x0004_0000 => "clock_down",
-        0x0005_0000 => "rd",
         0x0006_0000 => "lrs",
         0x0007_0000 => "rhd",
         0x0008_0000 => "rdag",
@@ -225,7 +224,6 @@ mod tests {
         assert_eq!(lane_name(msg_key(3, 7, lane::BCAST)), "bcast");
         assert_eq!(lane_name(msg_key(3, 7, lane::CLOCK_UP)), "clock_up");
         assert_eq!(lane_name(msg_key(3, 7, lane::CLOCK_DOWN)), "clock_down");
-        assert_eq!(lane_name(msg_key(3, 7, lane::RD)), "rd");
         assert_eq!(lane_name(msg_key(3, 7, lane::LRS)), "lrs");
         assert_eq!(lane_name(msg_key(3, 7, lane::RHD + sub(1, 0))), "rhd");
         assert_eq!(lane_name(msg_key(3, 7, lane::RDAG)), "rdag");

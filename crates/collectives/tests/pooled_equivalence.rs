@@ -155,7 +155,7 @@ proptest! {
 
 #[test]
 fn indivisible_reduce_scatter_is_a_typed_error() {
-    let comms = CommWorld::create(3);
+    let comms = CommWorld::builder(3).build();
     let errs = spmd_world(comms, |c| {
         let g = ProcessGroup::new(vec![0, 1, 2]);
         // 3 ranks, 7 elements: must be rejected before any message moves.

@@ -34,7 +34,7 @@ where
     F: Fn(Comm) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    launch(CommWorld::create(world_size), body)
+    launch(CommWorld::builder(world_size).build(), body)
 }
 
 /// Run `body` on `world_size` ranks with virtual clocks advanced by
@@ -44,7 +44,7 @@ where
     F: Fn(Comm) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    launch(CommWorld::create_timed(world_size, cost), body)
+    launch(CommWorld::builder(world_size).cost(cost).build(), body)
 }
 
 /// Run `body` on a pre-built world — the escape hatch for callers that
@@ -76,7 +76,7 @@ where
     F: Fn(Comm) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    let (comms, sinks) = CommWorld::create_traced(world_size, cost);
+    let (comms, sinks) = CommWorld::builder(world_size).cost(cost).build_traced();
     let results = launch(comms, body);
     let traces = sinks.iter().map(|s| s.finish()).collect();
     TracedRun { results, traces }

@@ -106,7 +106,10 @@ where
     F: Fn(Comm) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    launch_fallible(CommWorld::create_faulty(world_size, faults), Arc::new(body))
+    launch_fallible(
+        CommWorld::builder(world_size).faults(faults).build(),
+        Arc::new(body),
+    )
 }
 
 pub(crate) fn launch_fallible<T>(
@@ -264,7 +267,9 @@ where
             log.event("restart", attempt, 0, 0);
         }
         match launch_fallible(
-            CommWorld::create_faulty(spec.world_size, spec.faults),
+            CommWorld::builder(spec.world_size)
+                .faults(spec.faults)
+                .build(),
             spec.body,
         ) {
             Ok(results) => {

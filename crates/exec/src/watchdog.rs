@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn healthy_world_reports_nothing() {
-        let comms = CommWorld::create(2);
+        let comms = CommWorld::builder(2).build();
         let probe = comms[0].clone();
         let dog = Watchdog::spawn(
             probe,

@@ -261,9 +261,9 @@ pub(crate) fn with_row_flags<R>(
 }
 
 /// Pack traffic the blocked engine generates for an f32 multiply of the
-/// given mode and shape: `(B panels, packed bytes)`. Pure geometry — used
-/// by the simulator's compute mirror so trace counters agree across the
-/// exec and sim planes without running a kernel.
+/// given mode and shape: `(B panels, packed bytes)`. Pure geometry — a
+/// caller that knows which strategy ran (the tuned weight-gradient
+/// product) records its pack traffic without the kernel's own stats.
 pub fn pack_geometry(mode: MatMode, m: usize, k: usize, n: usize) -> (u32, u64) {
     if m == 0 || n == 0 || k == 0 {
         return (0, 0);

@@ -226,9 +226,10 @@ pub enum EventDetail {
 }
 
 impl EventDetail {
-    /// The event-kind label used for cross-plane schedule comparison:
-    /// coarse enough to be plane-independent (no sizes, no timings),
-    /// fine enough to pin the schedule (op names included).
+    /// The event-kind label used for schedule comparison across ranks
+    /// and runs: coarse enough to be rank- and timing-independent (no
+    /// sizes, no timings), fine enough to pin the schedule (op names
+    /// included).
     pub fn kind(&self) -> String {
         match self {
             EventDetail::Gemm { .. } => "gemm".to_string(),

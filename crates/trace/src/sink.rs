@@ -233,7 +233,7 @@ impl RankTrace {
     }
 
     /// The ordered event-kind labels on the compute stream — the
-    /// plane-independent schedule signature (see acceptance criterion 3).
+    /// rank-independent schedule signature of an SPMD step.
     pub fn kind_signature(&self) -> Vec<String> {
         self.stream_events(Stream::Compute)
             .map(|e| e.detail.kind())

@@ -41,7 +41,7 @@
 //! `axonn_exec::run_spmd` applies to shadow-recorded schedules at
 //! teardown (matching plus the hb/slab analyses — completion already
 //! witnesses deadlock freedom, and fire-and-forget handles are legal at
-//! runtime, so the lints stay off). [`inject`] seeds defects for
+//! runtime, so the lints stay off). [`inject`](mod@inject) seeds defects for
 //! negative-path tests.
 
 pub mod deadlock;

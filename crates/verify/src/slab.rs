@@ -15,9 +15,9 @@
 //!   (use-after-recycle); if the windows are concurrent, two in-flight
 //!   collectives on different lanes alias the same slab.
 //! * **early recycle** ([`Diagnostic::EarlyRecycle`]): an explicit
-//!   [`SchedEvent::SlabRecycle`] not ordered after the end of every
-//!   window reading the slab — the pool could re-issue storage a
-//!   pending collective still reads.
+//!   [`SchedEvent::SlabRecycle`](axonn_collectives::SchedEvent::SlabRecycle)
+//!   not ordered after the end of every window reading the slab — the
+//!   pool could re-issue storage a pending collective still reads.
 //! * **double recycle** ([`Diagnostic::DoubleRecycle`]): two recycles
 //!   of one slab id — the free-list would hold the buffer twice and
 //!   serve it to two owners.

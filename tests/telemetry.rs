@@ -138,7 +138,7 @@ fn merely_slow_rank_is_not_a_watchdog_false_positive() {
     // but still making progress must not trip a watchdog whose threshold
     // exceeds the per-step delay.
     const DELAY: Duration = Duration::from_millis(20);
-    let comms = CommWorld::create(2);
+    let comms = CommWorld::builder(2).build();
     let probe = comms[0].clone();
     let dog = Watchdog::spawn(
         probe,

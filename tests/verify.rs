@@ -1,20 +1,19 @@
 //! Workspace-level verification integration: negative-path defect
 //! seeding against real extracted schedules (exact rank/op-index
 //! diagnostics), property-based "verifier-accepted implies run_spmd
-//! completes", and cross-plane agreement between the dry-extracted
-//! schedule and the simulator's mirrored collective sequence.
+//! completes", the dry-extracted schedule pinned event for event to the
+//! stream a live world records, and the decode schedule's contract.
 
-use axonn::collectives::{RingCostModel, SchedEvent, SchedKind};
+use axonn::collectives::{Comm, CommWorld, SchedEvent, SchedKind, SchedOp};
 use axonn::engine::{
     default_mlp_shape, default_transformer_shape, extract_mlp_schedules,
     extract_transformer_schedules, transformer_grid_fits, Activation, GridTopology, Network4d,
-    OverlapConfig, TransformerStack,
+    OverlapConfig, TransformerShape, TransformerStack,
 };
-use axonn::exec::run_spmd;
+use axonn::exec::{run_spmd, run_spmd_on};
 use axonn::perfmodel::Grid4d;
-use axonn::sim::{simulate_mlp_step, MlpStepConfig};
+use axonn::serve::extract_tp_decode_schedule;
 use axonn::tensor::Matrix;
-use axonn::trace::{CollOp, EventDetail, Stream};
 use axonn::verify::{check_schedules, inject, DefectKind, Diagnostic};
 use proptest::prelude::*;
 
@@ -239,7 +238,7 @@ fn injected_slab_aliasing_names_both_ops() {
 #[test]
 fn serve_decode_schedule_certifies_with_timed_checks() {
     for tp in [1usize, 2, 4] {
-        let streams = axonn::serve::extract_tp_decode_schedule(tp, 2, 3);
+        let streams = extract_tp_decode_schedule(tp, 2, 3);
         let report = check_schedules(&streams);
         assert!(report.is_ok(), "tp={tp}: {report}");
         let names: Vec<&str> = report.timings_us.iter().map(|(n, _)| *n).collect();
@@ -248,108 +247,157 @@ fn serve_decode_schedule_certifies_with_timed_checks() {
 }
 
 #[test]
-fn serve_schedule_matches_sim_decode_mirror() {
-    // Serving-plane twin of the MLP cross-plane test below: the dry
-    // extractor and the perf-model mirror must replay the same decode
-    // collective sequence.
-    use axonn::sim::{simulate_tp_decode, TpDecodeConfig};
+fn serve_decode_schedule_is_two_all_reduces_per_layer_per_token() {
+    // `TpShard::decode_token` reduces the attention output and the MLP
+    // output across the tensor-parallel group once per layer per token,
+    // and nothing else: the extractor's synthetic shape has `dim = 8·tp`.
+    let (layers, tokens) = (2usize, 3usize);
+    let solo = extract_tp_decode_schedule(1, layers, tokens);
+    assert!(
+        solo.iter().all(Vec::is_empty),
+        "tp=1 communicated: {solo:?}"
+    );
     for tp in [2usize, 4] {
-        let (layers, tokens) = (2usize, 3usize);
-        let streams = axonn::serve::extract_tp_decode_schedule(tp, layers, tokens);
-        let extracted: Vec<&'static str> = streams[0]
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Issue(op) => Some(sched_coll_name(op.kind)),
-                _ => None,
-            })
-            .collect();
-
-        let trace = simulate_tp_decode(
-            &TpDecodeConfig {
-                tp,
-                layers,
-                dim: 8 * tp, // the extractor's synthetic checkpoint shape
-                vocab: 16,
-                tokens,
-            },
-            &RingCostModel::new(1e8, 1e8),
-        );
-        let mirrored: Vec<&'static str> = trace
-            .stream_events(Stream::Compute)
-            .filter_map(|e| match &e.detail {
-                EventDetail::Collective { op, .. } => Some(op.name()),
-                EventDetail::Issue { op, .. } => Some(op.name()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(extracted, mirrored, "planes disagree on tp={tp}");
+        let streams = extract_tp_decode_schedule(tp, layers, tokens);
+        assert_eq!(streams.len(), tp);
+        let group: Vec<usize> = (0..tp).collect();
+        for (rank, stream) in streams.iter().enumerate() {
+            let issues: Vec<&SchedOp> = stream
+                .iter()
+                .filter_map(|e| match e {
+                    SchedEvent::Issue(op) => Some(op),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(issues.len(), 2 * layers * tokens, "tp={tp} rank {rank}");
+            let kind = issues[0].kind;
+            assert!(
+                matches!(
+                    kind,
+                    SchedKind::AllReduce
+                        | SchedKind::AllReduceLinear
+                        | SchedKind::AllReduceRhd
+                        | SchedKind::AllReduceTree
+                ),
+                "tp={tp} rank {rank}: {kind} is not an all-reduce"
+            );
+            for op in issues {
+                assert!(op.blocking, "tp={tp} rank {rank}: async {op}");
+                assert_eq!(op.kind, kind, "tp={tp} rank {rank}: mixed kinds");
+                assert_eq!(op.ranks, group, "tp={tp} rank {rank}: {op}");
+                assert_eq!(op.elems, 8 * tp, "tp={tp} rank {rank}: {op}");
+            }
+        }
     }
 }
 
-/// SchedKind → the simulator's collective vocabulary. The schedule plane
-/// distinguishes ring vs linear vs recursive-doubling variants; the
-/// trace vocabulary names the collective itself.
-fn sched_coll_name(kind: SchedKind) -> &'static str {
-    match kind {
-        SchedKind::AllGather => CollOp::AllGather.name(),
-        SchedKind::ReduceScatter | SchedKind::ReduceScatterLinear => CollOp::ReduceScatter.name(),
-        SchedKind::AllReduce | SchedKind::AllReduceLinear => CollOp::AllReduce.name(),
-        SchedKind::AllReduceRd => CollOp::AllReduceRd.name(),
-        SchedKind::AllGatherRd => CollOp::AllGatherRd.name(),
-        SchedKind::ReduceScatterRh => CollOp::ReduceScatterRh.name(),
-        SchedKind::AllReduceRhd => CollOp::AllReduceRhd.name(),
-        SchedKind::AllReduceTree => CollOp::AllReduceTree.name(),
-        SchedKind::Broadcast => CollOp::Broadcast.name(),
-        SchedKind::BroadcastTree => CollOp::BroadcastTree.name(),
-        SchedKind::Barrier => CollOp::Barrier.name(),
+/// Streams with the rank-local buffer and slab ids zeroed: the only
+/// fields a dry world and a live one may number differently.
+fn zero_local_ids(streams: Vec<Vec<SchedEvent>>) -> Vec<Vec<SchedEvent>> {
+    streams
+        .into_iter()
+        .map(|stream| {
+            stream
+                .into_iter()
+                .map(|e| match e {
+                    SchedEvent::Issue(mut op) => {
+                        op.buf = op.buf.map(|_| 0);
+                        op.slab = op.slab.map(|_| 0);
+                        SchedEvent::Issue(op)
+                    }
+                    SchedEvent::BufWrite { label, .. } => SchedEvent::BufWrite { buf: 0, label },
+                    other => other,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Run `step` on every rank of a live `world`-rank world with schedule
+/// recording forced on, and return each rank's recorded stream.
+fn live_streams(world: usize, step: impl Fn(Comm) + Send + Sync + 'static) -> Vec<Vec<SchedEvent>> {
+    let comms = CommWorld::builder(world).record_schedule(true).build();
+    let probe = comms[0].clone();
+    run_spmd_on(comms, step);
+    probe.schedule_streams().expect("recording was forced on")
+}
+
+fn assert_dry_equals_live(case: &str, dry: Vec<Vec<SchedEvent>>, live: Vec<Vec<SchedEvent>>) {
+    let (dry, live) = (zero_local_ids(dry), zero_local_ids(live));
+    assert_eq!(dry.len(), live.len(), "{case}: rank count");
+    for (rank, (d, l)) in dry.iter().zip(&live).enumerate() {
+        assert!(!d.is_empty(), "{case}: rank {rank} recorded nothing");
+        if let Some(i) = (0..d.len().max(l.len())).find(|&i| d.get(i) != l.get(i)) {
+            panic!(
+                "{case}: rank {rank} diverges at event #{i} (dry {} / live {} events): dry {:?}, live {:?}",
+                d.len(),
+                l.len(),
+                d.get(i),
+                l.get(i)
+            );
+        }
     }
 }
 
 #[test]
-fn dry_extracted_schedule_matches_sim_collective_sequence() {
-    // Rank 0's dry-extracted issue order must equal the performance
-    // plane's mirrored collective order: both planes claim to replay the
-    // same Algorithm-1 control flow, and this pins them together.
-    for (gx, gy, gz, gd) in [(2usize, 1usize, 2usize, 1usize), (1, 2, 2, 2)] {
-        let dims = vec![8usize, 8, 8];
-        let batch = 8usize;
-        let streams = extract_mlp_schedules(gx, gy, gz, gd, &dims, batch, OverlapConfig::all());
-        let extracted: Vec<&'static str> = streams[0]
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Issue(op) => Some(sched_coll_name(op.kind)),
-                _ => None,
-            })
-            .collect();
+fn dry_extracted_schedule_matches_live_recorded_streams() {
+    // The dry extractor replays the real step on a world that moves no
+    // data; a live world running the same step must record the same
+    // per-rank streams, event for event, up to rank-local buffer ids.
+    let dims = [8usize, 8, 8];
+    let batch = 8usize;
+    for (gx, gy, gz, gd) in [(2usize, 1usize, 2usize, 1usize), (1, 2, 2, 2), (2, 2, 1, 1)] {
+        for overlap in [OverlapConfig::all(), OverlapConfig::default()] {
+            let dry = extract_mlp_schedules(gx, gy, gz, gd, &dims, batch, overlap);
+            // The extractor's own model seed and batch seeds.
+            let live = live_streams(gx * gy * gz * gd, move |comm| {
+                let grid = GridTopology::new(gx, gy, gz, gd, comm.rank());
+                let mut net =
+                    Network4d::new(comm, grid, &dims, Activation::Gelu, 7, overlap, false);
+                let x = Matrix::random(batch, dims[0], 1.0, 11);
+                let t = Matrix::random(batch, dims[2], 1.0, 13);
+                net.train_step(&x, &t, 0.01);
+            });
+            let case = format!("mlp ({gx},{gy},{gz},{gd}) {overlap:?}");
+            assert_dry_equals_live(&case, dry, live);
+        }
+    }
 
-        let trace = simulate_mlp_step(
-            &MlpStepConfig {
-                gx,
-                gy,
-                gz,
-                gd,
-                dims,
-                batch_rows: batch,
-                oar: true,
-                ors: true,
-                oag: true,
-                kernel_tuning: false,
-                activation_checkpointing: false,
-            },
-            &RingCostModel::new(1e8, 1e8),
-        );
-        let mirrored: Vec<&'static str> = trace
-            .stream_events(Stream::Compute)
-            .filter_map(|e| match &e.detail {
-                EventDetail::Collective { op, .. } => Some(op.name()),
-                EventDetail::Issue { op, .. } => Some(op.name()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            extracted, mirrored,
-            "planes disagree on ({gx},{gy},{gz},{gd})"
-        );
+    let shape = TransformerShape {
+        vocab: 16,
+        hidden: 16,
+        n_heads: 2,
+        n_layers: 2,
+        seq_len: 2,
+        seqs: 8,
+    };
+    for (gx, gy, gz, gd) in [
+        (1usize, 1usize, 2usize, 1usize),
+        (2, 1, 1, 1),
+        (1, 1, 1, 2),
+        (1, 2, 2, 2),
+    ] {
+        assert!(transformer_grid_fits(gx, gy, gz, gd, &shape));
+        let overlap = OverlapConfig::all();
+        let dry = extract_transformer_schedules(gx, gy, gz, gd, &shape, overlap);
+        let live = live_streams(gx * gy * gz * gd, move |comm| {
+            let grid = GridTopology::new(gx, gy, gz, gd, comm.rank());
+            let n_tokens = shape.seqs * shape.seq_len;
+            let tokens: Vec<usize> = (0..n_tokens).map(|i| (i * 5 + 1) % shape.vocab).collect();
+            let targets: Vec<usize> = (0..n_tokens).map(|i| (i * 3 + 2) % shape.vocab).collect();
+            let mut stack = TransformerStack::new(
+                &grid,
+                shape.vocab,
+                shape.hidden,
+                shape.n_heads,
+                shape.n_layers,
+                shape.seq_len,
+                42,
+                overlap,
+            );
+            stack.train_step(&comm, &grid, &tokens, &targets, 0.01);
+        });
+        assert_dry_equals_live(&format!("transformer ({gx},{gy},{gz},{gd})"), dry, live);
     }
 }
 
