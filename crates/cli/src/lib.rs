@@ -14,8 +14,7 @@ use axonn_gpt::{table2_models, GptConfig, HEADLINE_BATCH_TOKENS};
 use axonn_lm::{Gpt, GptModelConfig};
 use axonn_perfmodel::{rank_configs, Grid4d};
 use axonn_serve::{
-    run_load, tp_greedy_spmd, DecodeSession, LoadConfig, Sampling, ServeConfig, ServeEngine,
-    ServeRequest,
+    run_load, tp_greedy_spmd, LoadConfig, Sampling, ServeConfig, ServeEngine, ServeRequest,
 };
 use axonn_sim::{
     pick_best_config, publish_live_metrics, simulate_batch, simulate_batch_traced, SimOptions,
@@ -738,28 +737,25 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 "loaded {} (vocab {}, window {}, dim {}, {} heads x {} layers)",
                 checkpoint, cfg.vocab, cfg.seq_len, cfg.dim, cfg.n_heads, cfg.n_layers
             );
-            let generated = if tp == 1 {
-                let mut session = DecodeSession::start(model, &prompt, Sampling::Greedy, 0);
-                while session.generated().len() < max_new && session.step().is_some() {}
-                session.generated().to_vec()
-            } else {
-                if cfg.n_heads % tp != 0 {
-                    return Err(format!("{} heads not divisible by --tp {tp}", cfg.n_heads));
-                }
-                let registry = LiveRegistry::new_enabled(true);
-                let streams = tp_greedy_spmd(&model, tp, &prompt, max_new, &registry);
-                let (tokens, _) = &streams[0];
-                println!(
-                    "tensor-parallel decode over {tp} ranks, {} pooled all-reduce calls",
-                    registry
-                        .snapshot()
-                        .counters
-                        .get("collective.all_reduce.calls")
-                        .copied()
-                        .unwrap_or(0)
-                );
-                tokens.clone()
-            };
+            if cfg.n_heads % tp != 0 {
+                return Err(format!("{} heads not divisible by --tp {tp}", cfg.n_heads));
+            }
+            let registry = LiveRegistry::new_enabled(true);
+            let generated = tp_greedy_spmd(&model, tp, &prompt, max_new, &registry)
+                .swap_remove(0)
+                .0;
+            // Every all-reduce algorithm (ring, halving-doubling, tree)
+            // stamps its own `collective.<algo>.calls` counter.
+            let all_reduces: u64 = registry
+                .snapshot()
+                .counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("collective.all_reduce") && k.ends_with(".calls"))
+                .map(|(_, v)| v)
+                .sum();
+            println!(
+                "tensor-parallel decode over {tp} rank(s), {all_reduces} pooled all-reduce calls"
+            );
             println!("prompt       {prompt:?}");
             println!("continuation {generated:?}");
             Ok(())

@@ -5,6 +5,7 @@ use axonn_tensor::{gemm, MatMode, Matrix};
 
 /// Multi-head causal self-attention: QKV projection, per-head scaled
 /// dot-product attention with a causal mask, output projection.
+#[derive(Clone)]
 pub struct CausalSelfAttention {
     pub qkv: Linear,
     pub proj: Linear,
@@ -13,6 +14,7 @@ pub struct CausalSelfAttention {
     cache: Option<AttnCache>,
 }
 
+#[derive(Clone)]
 struct AttnCache {
     /// Per (batch, head): Q, K, V (T × hd) and softmax probabilities P
     /// (T × T).

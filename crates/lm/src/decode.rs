@@ -3,7 +3,13 @@
 //! The training modules (`modules`, `attention`) take `&mut self`
 //! because they cache activations for backward; inference needs neither
 //! the mutation nor the caches, so this module re-implements the forward
-//! math as free functions over `&Gpt` plus a per-request [`KvCache`].
+//! math as free functions over a [`Shard`] plus a per-request
+//! [`KvCache`]. A whole [`Gpt`] is a shard; so is one tensor-parallel
+//! rank's slice of it (`axonn_serve::tp`), which is the same blocks on
+//! fewer heads and a narrower MLP, plus an all-reduce where the shard's
+//! two row-sharded products are folded. This is the only inference
+//! forward in the tree.
+//!
 //! Prefill runs the prompt in one batched pass (storing every layer's
 //! K/V rows); each subsequent token then costs O(seq) attention against
 //! the cached keys/values instead of the full-sequence recompute the
@@ -33,14 +39,14 @@
 //!   the training path's T×T probability matrix contribute nothing (not
 //!   even `+0.0` additions) to P·V, which makes a 1×(p+1) probability
 //!   row reproduce row p of the batched product bit-for-bit;
-//! * cached attention ([`attend`]) runs those same chains through
+//! * cached attention (`attend`) runs those same chains through
 //!   `axonn_tensor::fused` — `q·Kᵀ` as one chain per key row, `p·V` as
 //!   one chain per output lane with the same zero-skip — on the slab,
 //!   without copying K or V out.
 
-use crate::gpt::{gelu_in_place, Block, Gpt, GptModelConfig};
+use crate::gpt::{Block, Gpt, GptModelConfig};
 use crate::modules::{LayerNorm, Linear};
-use axonn_tensor::{fused, gemm, MatMode, Matrix, PackedB, Rhs};
+use axonn_tensor::{fused, gelu_in_place, gemm, MatMode, Matrix, PackedB, Rhs};
 
 /// Per-request key/value cache: one K and one V matrix per (layer, head),
 /// preallocated at `seq_len × head_dim`, filled up to [`KvCache::len`].
@@ -112,28 +118,29 @@ impl KvCache {
         self.len = 0;
     }
 
+    /// Whether every block of `model` reads this cache's shape: as many
+    /// layers, and per layer the block's head count and head width.
+    fn fits(&self, model: &Gpt) -> bool {
+        self.layers.len() == model.blocks.len()
+            && model
+                .blocks
+                .iter()
+                .all(|b| block_heads(b) == (self.n_heads, self.head_dim))
+    }
+
     /// The first `len` cached K rows of `(layer, head)`, borrowed from
-    /// the slab: row-major `len × head_dim`. Public for the
-    /// tensor-parallel decode path, which runs [`attend`] over a
-    /// partial-head cache.
-    pub fn k_rows(&self, layer: usize, head: usize, len: usize) -> &[f32] {
+    /// the slab: row-major `len × head_dim`.
+    fn k_rows(&self, layer: usize, head: usize, len: usize) -> &[f32] {
         &self.layers[layer].0[head].as_slice()[..len * self.head_dim]
     }
 
     /// See [`KvCache::k_rows`].
-    pub fn v_rows(&self, layer: usize, head: usize, len: usize) -> &[f32] {
+    fn v_rows(&self, layer: usize, head: usize, len: usize) -> &[f32] {
         &self.layers[layer].1[head].as_slice()[..len * self.head_dim]
     }
 
     /// Store position `pos`'s K/V rows for `(layer, head)`.
-    pub fn push_row(
-        &mut self,
-        layer: usize,
-        head: usize,
-        pos: usize,
-        k_row: &[f32],
-        v_row: &[f32],
-    ) {
+    fn push_row(&mut self, layer: usize, head: usize, pos: usize, k_row: &[f32], v_row: &[f32]) {
         self.layers[layer].0[head]
             .row_mut(pos)
             .copy_from_slice(k_row);
@@ -141,16 +148,37 @@ impl KvCache {
             .row_mut(pos)
             .copy_from_slice(v_row);
     }
+}
 
-    /// Mark `n` more positions as cached (after [`KvCache::push_row`]ing
-    /// them for every layer and head).
-    pub fn advance(&mut self, n: usize) {
-        assert!(
-            self.len + n <= self.seq_len,
-            "cache advanced past its window"
-        );
-        self.len += n;
+/// The weights one decode forward reads, and the fold that completes its
+/// two row-sharded products — the attention output projection and the
+/// MLP's fc2 — before their bias is added.
+///
+/// A whole [`Gpt`] is its own shard and folds nothing. A tensor-parallel
+/// rank is a `Gpt` whose blocks hold the rank's heads and MLP columns,
+/// and folds by all-reducing the partial products over its group. The
+/// block code reads head counts and section widths from the blocks
+/// themselves, so both run the same forward.
+pub trait Shard {
+    /// The (possibly sliced) model whose weights the forward reads.
+    fn gpt(&self) -> &Gpt;
+    /// Complete a row-sharded product in place, before its bias.
+    fn fold(&self, partial: &mut Matrix);
+}
+
+impl Shard for Gpt {
+    fn gpt(&self) -> &Gpt {
+        self
     }
+
+    fn fold(&self, _partial: &mut Matrix) {}
+}
+
+/// `(heads, head_dim)` of a block, read from its own weights: its head
+/// count and the width of each of its Q|K|V sections over that count.
+fn block_heads(block: &Block) -> (usize, usize) {
+    let heads = block.attn.n_heads;
+    (heads, block.attn.qkv.w.value.cols() / 3 / heads)
 }
 
 /// The four linear weights of one block, packed for `x·W`.
@@ -199,6 +227,14 @@ pub enum DecodeError {
     WindowFull { row: usize },
     /// `tokens` and `caches` differ in length.
     BatchMismatch { tokens: usize, caches: usize },
+    /// Row `row`'s cache was built for another shape than the model's
+    /// blocks: it holds `layers` layers of `heads` heads, `head_dim` wide.
+    CacheShape {
+        row: usize,
+        layers: usize,
+        heads: usize,
+        head_dim: usize,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -213,6 +249,16 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BatchMismatch { tokens, caches } => {
                 write!(f, "{tokens} fed tokens for {caches} caches")
             }
+            DecodeError::CacheShape {
+                row,
+                layers,
+                heads,
+                head_dim,
+            } => write!(
+                f,
+                "cache of {layers} layers x {heads} heads x {head_dim} head dim \
+                 does not fit the model (batch row {row})"
+            ),
         }
     }
 }
@@ -222,8 +268,21 @@ impl std::error::Error for DecodeError {}
 /// `y = x·W + b` exactly as [`Linear::forward`], without caching; `W`
 /// read from `packed` when given.
 fn linear(l: &Linear, packed: Option<&PackedB>, x: &Matrix) -> Matrix {
+    folded_linear(l, packed, x, |_| {})
+}
+
+/// [`linear`] with `fold` applied to `x·W` before the bias is added, so
+/// a row-sharded product gets its bias once, on the folded sum. A fold
+/// that does nothing leaves [`linear`]'s bits.
+fn folded_linear(
+    l: &Linear,
+    packed: Option<&PackedB>,
+    x: &Matrix,
+    fold: impl FnOnce(&mut Matrix),
+) -> Matrix {
     let w = packed.map_or(Rhs::Matrix(&l.w.value), Rhs::Packed);
     let mut y = gemm(MatMode::NN, x, w);
+    fold(&mut y);
     for r in 0..y.rows() {
         let row = y.row_mut(r);
         for (v, b) in row.iter_mut().zip(l.b.value.as_slice()) {
@@ -240,7 +299,7 @@ fn linear(l: &Linear, packed: Option<&PackedB>, x: &Matrix) -> Matrix {
 /// `forward`'s; rows run eight at a time so that eight such chains are
 /// in flight instead of one waiting on each add (an 80×128 input: 14.4
 /// → 6.5 µs, 2-core Sapphire Rapids VM).
-pub fn layernorm_infer(ln: &LayerNorm, x: &Matrix) -> Matrix {
+fn layernorm_infer(ln: &LayerNorm, x: &Matrix) -> Matrix {
     const CHAINS: usize = 8;
     let (rows, d) = x.shape();
     let eps = ln.eps();
@@ -326,7 +385,7 @@ fn causal_softmax_row(row: &mut [f32], i: usize) {
 /// fused multiply-adds over the head dimension from `+0.0`, each output
 /// lane the chain over positions, skipping exact-zero probabilities as
 /// every NN product does.
-pub fn attend(
+fn attend(
     q: &[f32],
     k_rows: &[f32],
     v_rows: &[f32],
@@ -354,19 +413,22 @@ pub fn attend(
 
 /// Everything in a block after attention: output projection, residual,
 /// second norm, MLP, residual. `x` is the block input, `heads_out` the
-/// concatenated attention heads.
+/// concatenated attention heads. The output projection and fc2 products
+/// are folded by `shard` before their bias.
 fn block_tail(
+    shard: &impl Shard,
     block: &Block,
     packed: Option<&PackedBlock>,
     x: &Matrix,
     heads_out: &Matrix,
 ) -> Matrix {
-    let mut hres = linear(&block.attn.proj, packed.map(|p| &p.proj), heads_out);
+    let fold = |y: &mut Matrix| shard.fold(y);
+    let mut hres = folded_linear(&block.attn.proj, packed.map(|p| &p.proj), heads_out, fold);
     hres.add_assign(x);
     let normed2 = layernorm_infer(&block.ln2, &hres);
     let mut act = linear(&block.mlp.fc1, packed.map(|p| &p.fc1), &normed2);
     gelu_in_place(act.as_mut_slice());
-    let mut out = linear(&block.mlp.fc2, packed.map(|p| &p.fc2), &act);
+    let mut out = folded_linear(&block.mlp.fc2, packed.map(|p| &p.fc2), &act, fold);
     out.add_assign(&hres);
     out
 }
@@ -376,8 +438,8 @@ fn block_tail(
 /// logits matrix (row `prompt.len()-1` feeds the first sampled token).
 ///
 /// # Panics
-/// If the cache is non-empty, the prompt is empty, or it exceeds the
-/// model window.
+/// If the cache is non-empty or not shaped for the model, the prompt is
+/// empty, or it exceeds the model window.
 pub fn prefill(model: &Gpt, prompt: &[usize], cache: &mut KvCache) -> Matrix {
     let x = prefill_blocks(model, None, prompt, cache);
     let x = layernorm_infer(&model.ln_f, &x);
@@ -393,12 +455,13 @@ pub fn prefill(model: &Gpt, prompt: &[usize], cache: &mut KvCache) -> Matrix {
 /// # Panics
 /// As [`prefill`].
 pub fn prefill_last(
-    model: &Gpt,
+    shard: &impl Shard,
     packed: Option<&PackedWeights>,
     prompt: &[usize],
     cache: &mut KvCache,
 ) -> Vec<f32> {
-    let x = prefill_blocks(model, packed, prompt, cache);
+    let x = prefill_blocks(shard, packed, prompt, cache);
+    let model = shard.gpt();
     let last = Matrix::from_vec(1, x.cols(), x.row(x.rows() - 1).to_vec());
     let last = layernorm_infer(&model.ln_f, &last);
     linear(&model.head, packed.map(|p| &p.head), &last).into_vec()
@@ -407,12 +470,14 @@ pub fn prefill_last(
 /// The blocks of a prefill: fills `cache` and returns the last block's
 /// output, one row per prompt position.
 fn prefill_blocks(
-    model: &Gpt,
+    shard: &impl Shard,
     packed: Option<&PackedWeights>,
     prompt: &[usize],
     cache: &mut KvCache,
 ) -> Matrix {
+    let model = shard.gpt();
     assert!(cache.is_empty(), "prefill into a non-empty cache");
+    assert!(cache.fits(model), "prefill into a cache of another shape");
     assert!(!prompt.is_empty(), "empty prompt");
     assert!(
         prompt.len() <= cache.seq_len,
@@ -421,20 +486,18 @@ fn prefill_blocks(
         cache.seq_len
     );
     let t = prompt.len();
-    let dim = model.cfg.dim;
-    let n_heads = model.cfg.n_heads;
-    let hd = dim / n_heads;
-    let scale = 1.0 / (hd as f32).sqrt();
-
-    let mut x = Matrix::zeros(t, dim);
+    let mut x = Matrix::zeros(t, model.cfg.dim);
     for (pos, &token) in prompt.iter().enumerate() {
         embed_row(model, token, pos, x.row_mut(pos));
     }
     for (li, block) in model.blocks.iter().enumerate() {
+        let (n_heads, hd) = block_heads(block);
+        let sec = n_heads * hd;
+        let scale = 1.0 / (hd as f32).sqrt();
         let pb = packed.map(|p| &p.blocks[li]);
         let normed = layernorm_infer(&block.ln1, &x);
         let qkv = linear(&block.attn.qkv, pb.map(|p| &p.qkv), &normed);
-        let mut heads_out = Matrix::zeros(t, dim);
+        let mut heads_out = Matrix::zeros(t, sec);
         for h in 0..n_heads {
             // Slice out Q, K, V for this head — same row copies as the
             // training module's (b=1) path.
@@ -446,9 +509,9 @@ fn prefill_blocks(
                 let off = h * hd;
                 q.row_mut(ti).copy_from_slice(&row[off..off + hd]);
                 k.row_mut(ti)
-                    .copy_from_slice(&row[dim + off..dim + off + hd]);
+                    .copy_from_slice(&row[sec + off..sec + off + hd]);
                 v.row_mut(ti)
-                    .copy_from_slice(&row[2 * dim + off..2 * dim + off + hd]);
+                    .copy_from_slice(&row[2 * sec + off..2 * sec + off + hd]);
             }
             let mut p = gemm(MatMode::NT, &q, &k);
             p.scale(scale);
@@ -463,7 +526,7 @@ fn prefill_blocks(
                 cache.push_row(li, h, ti, k.row(ti), v.row(ti));
             }
         }
-        x = block_tail(block, pb, &x, &heads_out);
+        x = block_tail(shard, block, pb, &x, &heads_out);
     }
     cache.len = t;
     x
@@ -480,11 +543,12 @@ fn prefill_blocks(
 /// An empty batch returns a `0 × vocab` matrix. On `Err` no cache was
 /// modified.
 pub fn decode_batch(
-    model: &Gpt,
+    shard: &impl Shard,
     packed: Option<&PackedWeights>,
     tokens: &[usize],
     caches: &mut [&mut KvCache],
 ) -> Result<Matrix, DecodeError> {
+    let model = shard.gpt();
     if tokens.len() != caches.len() {
         return Err(DecodeError::BatchMismatch {
             tokens: tokens.len(),
@@ -498,26 +562,32 @@ pub fn decode_batch(
         if cache.remaining() == 0 {
             return Err(DecodeError::WindowFull { row });
         }
+        if !cache.fits(model) {
+            return Err(DecodeError::CacheShape {
+                row,
+                layers: cache.layers.len(),
+                heads: cache.n_heads,
+                head_dim: cache.head_dim,
+            });
+        }
     }
     let rows = tokens.len();
     if rows == 0 {
         return Ok(Matrix::zeros(0, model.cfg.vocab));
     }
-    let dim = model.cfg.dim;
-    let n_heads = model.cfg.n_heads;
-    let hd = dim / n_heads;
-    let scale = 1.0 / (hd as f32).sqrt();
-
-    let mut x = Matrix::zeros(rows, dim);
+    let mut x = Matrix::zeros(rows, model.cfg.dim);
     for (r, (&token, cache)) in tokens.iter().zip(caches.iter()).enumerate() {
         embed_row(model, token, cache.len, x.row_mut(r));
     }
     let mut probs = Vec::new();
     for (li, block) in model.blocks.iter().enumerate() {
+        let (n_heads, hd) = block_heads(block);
+        let sec = n_heads * hd;
+        let scale = 1.0 / (hd as f32).sqrt();
         let pb = packed.map(|p| &p.blocks[li]);
         let normed = layernorm_infer(&block.ln1, &x);
         let qkv = linear(&block.attn.qkv, pb.map(|p| &p.qkv), &normed);
-        let mut heads_out = Matrix::zeros(rows, dim);
+        let mut heads_out = Matrix::zeros(rows, sec);
         for (r, cache) in caches.iter_mut().enumerate() {
             let pos = cache.len;
             let row = qkv.row(r);
@@ -527,8 +597,8 @@ pub fn decode_batch(
                     li,
                     h,
                     pos,
-                    &row[dim + off..dim + off + hd],
-                    &row[2 * dim + off..2 * dim + off + hd],
+                    &row[sec + off..sec + off + hd],
+                    &row[2 * sec + off..2 * sec + off + hd],
                 );
                 // Attend over the cached rows *including* the one just pushed.
                 attend(
@@ -541,7 +611,7 @@ pub fn decode_batch(
                 );
             }
         }
-        x = block_tail(block, pb, &x, &heads_out);
+        x = block_tail(shard, block, pb, &x, &heads_out);
     }
     for cache in caches.iter_mut() {
         cache.len += 1;
@@ -555,7 +625,8 @@ pub fn decode_batch(
 /// the weights per call.
 ///
 /// # Panics
-/// If the cache is empty (prefill first) or the window is full.
+/// If the cache is empty (prefill first), the window is full, or the
+/// cache is not shaped for the model.
 pub fn decode_step(model: &Gpt, token: usize, cache: &mut KvCache) -> Vec<f32> {
     decode_batch(model, None, &[token], &mut [cache])
         .unwrap_or_else(|e| panic!("{e}"))
@@ -697,6 +768,39 @@ mod tests {
         let none = decode_batch(&g, None, &[], &mut []).unwrap();
         assert_eq!(none.shape(), (0, 12));
         assert_eq!(axonn_tensor::take_gemm_phase().calls, 0);
+    }
+
+    #[test]
+    fn mis_shaped_cache_is_a_typed_error_and_leaves_every_cache_untouched() {
+        // A 2-way tensor-parallel rank's cache (one of the two heads per
+        // layer) fed to the full model, behind a valid row: refused up
+        // front, before row 0's K/V rows are written.
+        let g = toy();
+        let mut ready = KvCache::for_model(&g.cfg);
+        let _ = prefill(&g, &[1, 2], &mut ready);
+        let mut rank = KvCache::with_heads(2, 1, 10, 8);
+        rank.len = 2;
+        let before = ready.layers[1].0[1].clone();
+        let err = decode_batch(&g, None, &[3, 4], &mut [&mut ready, &mut rank]);
+        assert_eq!(
+            err.unwrap_err(),
+            DecodeError::CacheShape {
+                row: 1,
+                layers: 2,
+                heads: 1,
+                head_dim: 8
+            }
+        );
+        assert_eq!((ready.len(), rank.len()), (2, 2));
+        assert_eq!(ready.layers[1].0[1].to_bits(), before.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "cache of another shape")]
+    fn prefill_into_a_mis_shaped_cache_panics() {
+        let g = toy();
+        let mut cache = KvCache::with_heads(1, 2, 10, 8);
+        let _ = prefill(&g, &[1, 2], &mut cache);
     }
 
     #[test]

@@ -5,15 +5,10 @@ use crate::attention::CausalSelfAttention;
 use crate::loss::cross_entropy;
 use crate::modules::{Embedding, LayerNorm, Linear, Param};
 use crate::optim::AdamW;
-use axonn_tensor::{gelu_backprop, Matrix};
-
-/// The exact GELU used by [`Mlp::forward`], per element and over a slice;
-/// re-exported so inference paths (the KV-cached decoder,
-/// tensor-parallel serving shards) reproduce the training activation
-/// bit-for-bit.
-pub use axonn_tensor::{gelu, gelu_in_place};
+use axonn_tensor::{gelu_backprop, gelu_in_place, Matrix};
 
 /// The transformer MLP: `fc2(gelu(fc1(x)))`.
+#[derive(Clone)]
 pub struct Mlp {
     pub fc1: Linear,
     pub fc2: Linear,
@@ -52,6 +47,7 @@ impl Mlp {
 }
 
 /// One pre-LN transformer block with residual connections.
+#[derive(Clone)]
 pub struct Block {
     pub ln1: LayerNorm,
     pub attn: CausalSelfAttention,
@@ -124,6 +120,7 @@ impl GptModelConfig {
 }
 
 /// The full model.
+#[derive(Clone)]
 pub struct Gpt {
     pub cfg: GptModelConfig,
     pub emb: Embedding,

@@ -49,6 +49,7 @@ impl Param {
 }
 
 /// Fully-connected layer `y = x·W + b`.
+#[derive(Clone)]
 pub struct Linear {
     pub w: Param,
     pub b: Param,
@@ -99,6 +100,7 @@ impl Linear {
 }
 
 /// Layer normalization with learned gain and bias, over the feature axis.
+#[derive(Clone)]
 pub struct LayerNorm {
     pub gain: Param,
     pub bias: Param,
@@ -116,9 +118,8 @@ impl LayerNorm {
         }
     }
 
-    /// The normalization epsilon — exposed so stateless inference paths
-    /// (KV-cached decode, tensor-parallel serving) reproduce `forward`
-    /// bit-for-bit.
+    /// The normalization epsilon — exposed so the stateless inference
+    /// path (KV-cached decode) reproduces `forward` bit-for-bit.
     pub fn eps(&self) -> f32 {
         self.eps
     }
@@ -187,6 +188,7 @@ impl LayerNorm {
 
 /// Token + learned positional embedding. Input is `B` sequences of `T`
 /// token ids; output is a `(B·T) × d` activation matrix.
+#[derive(Clone)]
 pub struct Embedding {
     pub tok: Param,
     pub pos: Param,

@@ -19,7 +19,8 @@
 //!   [`ServeError::Overloaded`] when the queue is full.
 //! * [`sampler`] — greedy and temperature/top-k sampling.
 //! * [`tp`] — tensor-parallel decode: Megatron-style head/MLP sharding
-//!   over the `core` grid's X group, partial sums folded with pooled
+//!   over the `core` grid's X group, each rank running `lm::decode`'s
+//!   forward on its slice with partial sums folded by pooled
 //!   all-reduces inside `exec::run_spmd_on`, every rank emitting the
 //!   same replicated token stream.
 //! * [`load`] — a closed-loop load generator (N clients, Poisson
@@ -41,4 +42,4 @@ pub use metrics::ServeMetrics;
 pub use sampler::Sampling;
 pub use scheduler::{Completion, FinishReason, ServeConfig, ServeEngine, ServeError, ServeRequest};
 pub use session::{load_model, load_sharded, save_sharded, DecodeSession};
-pub use tp::{extract_tp_decode_schedule, tp_greedy_spmd, TpShard};
+pub use tp::{extract_tp_decode_schedule, tp_greedy_spmd};

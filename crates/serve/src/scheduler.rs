@@ -285,7 +285,7 @@ impl ServeEngine {
                 mc.dim / mc.n_heads,
             );
             let logits =
-                decode::prefill_last(&self.model, Some(&self.weights), &q.prompt, &mut cache);
+                decode::prefill_last(&*self.model, Some(&self.weights), &q.prompt, &mut cache);
             let mut rng =
                 StdRng::seed_from_u64(self.cfg.seed ^ q.id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let first = sampler::sample(&logits, self.cfg.sampling, &mut rng);
@@ -351,7 +351,7 @@ impl ServeEngine {
             .map(|(_, s)| *s.tokens.last().expect("admission pushed a token"))
             .collect();
         let mut caches: Vec<&mut KvCache> = batch.iter_mut().map(|(_, s)| &mut s.cache).collect();
-        let logits = decode::decode_batch(&self.model, Some(&self.weights), &fed, &mut caches)
+        let logits = decode::decode_batch(&*self.model, Some(&self.weights), &fed, &mut caches)
             .expect("submit() bounds every stream inside the model window");
         let mut finished_idx: Vec<usize> = Vec::new();
         for (row, (idx, s)) in batch.into_iter().enumerate() {
