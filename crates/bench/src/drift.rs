@@ -151,7 +151,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 }
 
 /// Cost-model `bytes` for each measured op, matching exactly what the
-/// runtime charges (`charge_blocking` call sites): all-gather is billed
+/// runtime charges (`SchedKind::charged_bytes`): all-gather is billed
 /// on the *gathered* buffer, the others on the input buffer.
 fn model_bytes(op: &'static str, elems: usize, g: usize) -> u64 {
     match op {

@@ -15,10 +15,16 @@
 //! Selection is a pure function of `(element count, group size,
 //! policy)`, so the execution plane, the dry schedule extractor, the
 //! analytic cost curves (`axonn-perfmodel`), and the schedule verifier
-//! (`axonn-verify`) all agree on which algorithm ran.
+//! (`axonn-verify`) all agree on which algorithm ran. It names the
+//! algorithm as a [`SchedKind`]; every kind is a step program (the
+//! `program` module) that one executor runs for the blocking calls and
+//! the asynchronous worker alike, so a selected algorithm is the same
+//! sequence of messages on either path.
 //! The policy is resolved once per world from [`AlgoPolicy::from_env`]
 //! (`AXONN_COLL_ALGO`) unless overridden on the builder, so every rank
 //! of a world selects identically.
+
+use crate::sched::SchedKind;
 
 /// Algorithm for an all-reduce of `n` elements over `g` ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,6 +196,35 @@ impl AlgoPolicy {
             }
         }
         p
+    }
+
+    /// The one selection behind every blocking and asynchronous issue:
+    /// the algorithm, as the [`SchedKind`] whose step program runs, for
+    /// collective `op` (named by its ring or chain kind) over `elems`
+    /// contributed elements on `g` ranks. The canonical-order linear
+    /// kinds and the barrier pass through: their fixed fold order is the
+    /// contract the gradient bucketizer's bit-identity rests on.
+    pub(crate) fn select(&self, op: SchedKind, elems: usize, g: usize) -> SchedKind {
+        match op {
+            SchedKind::AllReduce => match self.all_reduce(elems, g) {
+                ArAlgo::Ring => SchedKind::AllReduce,
+                ArAlgo::Rhd => SchedKind::AllReduceRhd,
+                ArAlgo::Tree => SchedKind::AllReduceTree,
+            },
+            SchedKind::ReduceScatter => match self.reduce_scatter(elems, g) {
+                RsAlgo::Ring => SchedKind::ReduceScatter,
+                RsAlgo::Rh => SchedKind::ReduceScatterRh,
+            },
+            SchedKind::AllGather => match self.all_gather(elems, g) {
+                AgAlgo::Ring => SchedKind::AllGather,
+                AgAlgo::Rd => SchedKind::AllGatherRd,
+            },
+            SchedKind::Broadcast => match self.broadcast(elems, g) {
+                BcastAlgo::Chain => SchedKind::Broadcast,
+                BcastAlgo::Tree => SchedKind::BroadcastTree,
+            },
+            other => other,
+        }
     }
 
     /// Pick the all-reduce algorithm for `elems` elements over `g` ranks.

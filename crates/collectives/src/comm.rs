@@ -1,26 +1,29 @@
-//! Per-rank communicators and blocking ring collectives.
+//! Per-rank communicators and their blocking collectives.
 //!
-//! The collectives are the textbook ring algorithms the paper's model
-//! assumes (Assumption-1): reduce-scatter and all-gather move
-//! `(g-1)/g · n` bytes per rank in `g-1` steps, and all-reduce is
-//! reduce-scatter followed by all-gather (Rabenseifner). Reduction order
-//! around the ring is fixed by group order, so results are deterministic
-//! (bit-identical across runs for the same grid).
+//! The collectives are the textbook algorithms the paper's model assumes
+//! (Assumption-1): ring reduce-scatter and all-gather move `(g-1)/g · n`
+//! bytes per rank in `g-1` steps, and all-reduce is reduce-scatter
+//! followed by all-gather (Rabenseifner); below per-collective thresholds
+//! [`crate::algo`] selects tree and halving/doubling variants. Every
+//! algorithm is a step program run by one executor (the `program`
+//! module); this module issues them, blocking, and charges their virtual
+//! time. Reduction order is fixed by group order, so results are
+//! deterministic (bit-identical across runs for the same grid).
 //!
 //! Every collective has two faces: the infallible legacy API (panics on a
 //! poisoned world or lost peer, preserving PR 1's semantics) and a
 //! fallible `try_*` API returning [`CommError`], which is what the
 //! fault-tolerant supervisor builds on.
 
-use crate::algo::{AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, RsAlgo};
+use crate::algo::AlgoPolicy;
 use crate::cost::{CollectiveKind, CostModel, NullCost};
 use crate::fault::{unwrap_comm, CommError, FaultConfig};
-use crate::fold;
 use crate::group::ProcessGroup;
 use crate::mailbox::{MsgKey, PoisonInfo, Transport};
-use crate::pool::{segment_ranges, Payload, PipelineConfig, PoolStats};
+use crate::pool::{Payload, PipelineConfig, PoolStats};
+use crate::program::{self, HopStats, Program};
 use crate::sched::{SchedEvent, SchedKind, SchedOp};
-use axonn_trace::{CollOp, EventDetail, Stream, TraceSink, XferStats};
+use axonn_trace::{CollOp, EventDetail, Stream, TraceSink};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -327,8 +330,8 @@ impl ReduceOp {
 /// how the full message key composes with the group key and sequence
 /// number — lives in the [`crate::sched`] module docs; this module is just
 /// the constants. Each lane spans `0x1_0000` sub-keys, addressed as
-/// `lane + step * SEG_STRIDE + segment` by `sub` — up to 256 ring steps of
-/// up to 256 pipeline segments.
+/// `lane + step * 256 + segment` — up to 256 steps of up to 256 pipeline
+/// segments.
 pub mod lane {
     /// Ring steps of the reduce-scatter phase.
     pub const RS: u32 = 0;
@@ -351,71 +354,6 @@ pub mod lane {
     /// Binomial-tree broadcast phase (parent → child):
     /// `TREE_DOWN + step·256`.
     pub const TREE_DOWN: u32 = 0x000a_0000;
-}
-
-/// Sub-keys per ring step (and therefore the cap on pipeline segments).
-pub(crate) const SEG_STRIDE: u32 = 256;
-
-/// Sub-key of pipeline `segment` within ring `step` (lane-relative).
-#[inline]
-pub(crate) fn sub(step: usize, segment: usize) -> u32 {
-    debug_assert!(step < 256, "ring step {step} exceeds key space");
-    debug_assert!(
-        segment < SEG_STRIDE as usize,
-        "segment {segment} exceeds key space"
-    );
-    step as u32 * SEG_STRIDE + segment as u32
-}
-
-/// Per-collective transport statistics gathered by the ring functions:
-/// how the payload was segmented and how the slab pool behaved. Kept
-/// local to the operation (not read back from the world-wide pool) so
-/// concurrent collectives on the compute and comm-worker threads don't
-/// smear each other's numbers.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct HopStats {
-    pub(crate) chunks: u32,
-    pub(crate) alloc_bytes: u64,
-    pub(crate) pool_hits: u64,
-    pub(crate) pool_misses: u64,
-}
-
-impl HopStats {
-    /// Record one hop-buffer checkout of `elems` elements.
-    fn note(&mut self, hit: bool, elems: usize) {
-        if hit {
-            self.pool_hits += 1;
-        } else {
-            self.pool_misses += 1;
-            self.alloc_bytes += (elems * 4) as u64;
-        }
-    }
-
-    pub(crate) fn xfer(&self) -> XferStats {
-        XferStats {
-            chunks: self.chunks,
-            alloc_bytes: self.alloc_bytes,
-            pool_hits: self.pool_hits,
-            pool_misses: self.pool_misses,
-        }
-    }
-}
-
-/// Copy `src` into a pooled slab, tallying the checkout into `stats`.
-fn pooled(shared: &CommShared, src: &[f32], stats: &mut HopStats) -> Payload {
-    let (payload, hit) = Payload::copy_pooled(shared.transport.pool(), src);
-    stats.note(hit, src.len());
-    payload
-}
-
-/// Segment count for a payload of `len` elements under the world's
-/// pipeline policy, clamped to the key-space cap.
-fn segments(shared: &CommShared, len: usize) -> usize {
-    shared
-        .transport
-        .pipeline()
-        .segments_for(len)
-        .min(SEG_STRIDE as usize)
 }
 
 impl Comm {
@@ -640,29 +578,6 @@ impl Comm {
         self.shared.transport.schedule_clean()
     }
 
-    /// Symbolic reduce-scatter result: mirrors the divisibility contract
-    /// of the real ring/linear implementations, byte for byte on the
-    /// diagnostic, without moving data.
-    pub(crate) fn dry_reduce_scatter(
-        &self,
-        len: usize,
-        group: &ProcessGroup,
-        op: &'static str,
-    ) -> Result<Vec<f32>, CommError> {
-        let g = group.size();
-        if g == 1 {
-            return Ok(vec![0.0; len]);
-        }
-        if !len.is_multiple_of(g) {
-            self.shared.transport.note_error();
-            return Err(CommError::InvalidBuffer {
-                op,
-                detail: format!("length {len} not divisible by group size {g}"),
-            });
-        }
-        Ok(vec![0.0; len / g])
-    }
-
     /// Raw tagged point-to-point send (tag space is disjoint from
     /// collective keys). Accepts anything convertible to a [`Payload`];
     /// re-sending a received payload is zero-copy.
@@ -723,33 +638,7 @@ impl Comm {
         group: &ProcessGroup,
         shard: &[f32],
     ) -> Result<Vec<f32>, CommError> {
-        let algo = self.shared.algo.all_gather(shard.len(), group.size());
-        let (sched, kind, name) = match algo {
-            AgAlgo::Ring => (
-                SchedKind::AllGather,
-                CollectiveKind::AllGather,
-                "all_gather",
-            ),
-            AgAlgo::Rd => (
-                SchedKind::AllGatherRd,
-                CollectiveKind::AllGatherRecursiveDoubling,
-                "all_gather_rd",
-            ),
-        };
-        let seq = self.next_seq(group);
-        self.record_issue(sched, group, shard.len(), None, None, true, false, seq);
-        if self.shared.dry {
-            return Ok(vec![0.0; shard.len() * group.size()]);
-        }
-        let _op = self.op_scope(name);
-        let wall = self.wall_now();
-        let mut stats = HopStats::default();
-        let out = match algo {
-            AgAlgo::Ring => ring_all_gather(&self.shared, self.rank, group, seq, shard, &mut stats),
-            AgAlgo::Rd => rd_all_gather(&self.shared, self.rank, group, seq, shard, &mut stats),
-        }?;
-        self.charge_blocking(group, seq, kind, (out.len() * 4) as f64, wall, stats)?;
-        Ok(out)
+        self.blocking(SchedKind::AllGather, group, None, None, Data::In(shard))
     }
 
     /// Blocking reduce-scatter (sum): every member contributes a buffer of
@@ -767,58 +656,14 @@ impl Comm {
         group: &ProcessGroup,
         buf: &[f32],
     ) -> Result<Vec<f32>, CommError> {
-        let algo = self.shared.algo.reduce_scatter(buf.len(), group.size());
-        let (sched, kind, name) = match algo {
-            RsAlgo::Ring => (
-                SchedKind::ReduceScatter,
-                CollectiveKind::ReduceScatter,
-                "reduce_scatter",
-            ),
-            RsAlgo::Rh => (
-                SchedKind::ReduceScatterRh,
-                CollectiveKind::ReduceScatterRecursiveHalving,
-                "reduce_scatter_rh",
-            ),
-        };
-        let seq = self.next_seq(group);
-        self.record_issue(
-            sched,
-            group,
-            buf.len(),
-            None,
-            Some(ReduceOp::Sum),
-            true,
-            false,
-            seq,
-        );
-        if self.shared.dry {
-            return self.dry_reduce_scatter(buf.len(), group, "reduce_scatter");
-        }
-        let _op = self.op_scope(name);
-        let wall = self.wall_now();
-        let mut stats = HopStats::default();
-        let out = match algo {
-            RsAlgo::Ring => {
-                ring_reduce_scatter(&self.shared, self.rank, group, seq, buf, &mut stats)
-            }
-            RsAlgo::Rh => rh_reduce_scatter_op(
-                &self.shared,
-                self.rank,
-                group,
-                seq,
-                buf,
-                ReduceOp::Sum,
-                &mut stats,
-            ),
-        }?;
-        self.charge_blocking(group, seq, kind, (buf.len() * 4) as f64, wall, stats)?;
-        Ok(out)
+        let sum = Some(ReduceOp::Sum);
+        self.blocking(SchedKind::ReduceScatter, group, None, sum, Data::In(buf))
     }
 
-    /// Blocking reduce-scatter (sum) with canonical fold order: bits are
-    /// independent of how tensors were packed into the buffer (see
-    /// [`linear_reduce_scatter`]). Same per-rank volume and cost as
-    /// [`reduce_scatter`](Self::reduce_scatter).
+    /// Blocking reduce-scatter (sum) with canonical fold order: every
+    /// owner folds the contributions in group-position order, so the bits
+    /// are independent of how tensors were packed into the buffer. Same
+    /// per-rank volume and cost as [`reduce_scatter`](Self::reduce_scatter).
     pub fn reduce_scatter_linear(&self, group: &ProcessGroup, buf: &[f32]) -> Vec<f32> {
         unwrap_comm(self.try_reduce_scatter_linear(group, buf))
     }
@@ -829,33 +674,14 @@ impl Comm {
         group: &ProcessGroup,
         buf: &[f32],
     ) -> Result<Vec<f32>, CommError> {
-        let seq = self.next_seq(group);
-        self.record_issue(
+        let sum = Some(ReduceOp::Sum);
+        self.blocking(
             SchedKind::ReduceScatterLinear,
             group,
-            buf.len(),
             None,
-            Some(ReduceOp::Sum),
-            true,
-            false,
-            seq,
-        );
-        if self.shared.dry {
-            return self.dry_reduce_scatter(buf.len(), group, "reduce_scatter_linear");
-        }
-        let _op = self.op_scope("reduce_scatter");
-        let wall = self.wall_now();
-        let mut stats = HopStats::default();
-        let out = linear_reduce_scatter(&self.shared, self.rank, group, seq, buf, &mut stats)?;
-        self.charge_blocking(
-            group,
-            seq,
-            CollectiveKind::ReduceScatter,
-            (buf.len() * 4) as f64,
-            wall,
-            stats,
-        )?;
-        Ok(out)
+            sum,
+            Data::In(buf),
+        )
     }
 
     /// Blocking all-reduce (sum) with canonical reduction order: linear
@@ -873,41 +699,13 @@ impl Comm {
         group: &ProcessGroup,
         buf: &mut [f32],
     ) -> Result<(), CommError> {
-        let g = group.size();
-        if g == 1 {
+        if group.size() == 1 {
             return Ok(());
         }
-        let seq = self.next_seq(group);
-        self.record_issue(
-            SchedKind::AllReduceLinear,
-            group,
-            buf.len(),
-            None,
-            Some(ReduceOp::Sum),
-            true,
-            false,
-            seq,
-        );
-        if self.shared.dry {
-            return Ok(());
-        }
-        let _op = self.op_scope("all_reduce");
-        let wall = self.wall_now();
-        let mut stats = HopStats::default();
-        let n = buf.len();
-        let mut work = buf.to_vec();
-        work.resize(n.div_ceil(g) * g, 0.0);
-        let mine = linear_reduce_scatter(&self.shared, self.rank, group, seq, &work, &mut stats)?;
-        let full = ring_all_gather(&self.shared, self.rank, group, seq, &mine, &mut stats)?;
-        buf.copy_from_slice(&full[..n]);
-        self.charge_blocking(
-            group,
-            seq,
-            CollectiveKind::AllReduce,
-            (n * 4) as f64,
-            wall,
-            stats,
-        )
+        let sum = Some(ReduceOp::Sum);
+        let kind = SchedKind::AllReduceLinear;
+        self.blocking(kind, group, None, sum, Data::InOut(buf))
+            .map(drop)
     }
 
     /// Blocking all-reduce (sum) in place: reduce-scatter + all-gather.
@@ -939,42 +737,9 @@ impl Comm {
         buf: &mut [f32],
         op: ReduceOp,
     ) -> Result<(), CommError> {
-        let algo = self.shared.algo.all_reduce(buf.len(), group.size());
-        let (sched, kind, name) = match algo {
-            ArAlgo::Ring => (
-                SchedKind::AllReduce,
-                CollectiveKind::AllReduce,
-                "all_reduce",
-            ),
-            ArAlgo::Rhd => (
-                SchedKind::AllReduceRhd,
-                CollectiveKind::AllReduceRecursiveHalvingDoubling,
-                "all_reduce_rhd",
-            ),
-            ArAlgo::Tree => (
-                SchedKind::AllReduceTree,
-                CollectiveKind::AllReduceTree,
-                "all_reduce_tree",
-            ),
-        };
-        let seq = self.next_seq(group);
-        self.record_issue(sched, group, buf.len(), None, Some(op), true, false, seq);
-        if self.shared.dry {
-            return Ok(());
-        }
-        let _op = self.op_scope(name);
-        let wall = self.wall_now();
-        let mut stats = HopStats::default();
-        match algo {
-            ArAlgo::Ring => {
-                ring_all_reduce(&self.shared, self.rank, group, seq, buf, op, &mut stats)
-            }
-            ArAlgo::Rhd => rhd_all_reduce(&self.shared, self.rank, group, seq, buf, op, &mut stats),
-            ArAlgo::Tree => {
-                tree_all_reduce(&self.shared, self.rank, group, seq, buf, op, &mut stats)
-            }
-        }?;
-        self.charge_blocking(group, seq, kind, (buf.len() * 4) as f64, wall, stats)
+        let kind = SchedKind::AllReduce;
+        self.blocking(kind, group, None, Some(op), Data::InOut(buf))
+            .map(drop)
     }
 
     /// Blocking broadcast from the member at group position `root_pos`.
@@ -989,53 +754,9 @@ impl Comm {
         root_pos: usize,
         buf: &mut [f32],
     ) -> Result<(), CommError> {
-        let algo = self.shared.algo.broadcast(buf.len(), group.size());
-        let (sched, kind, name) = match algo {
-            BcastAlgo::Chain => (SchedKind::Broadcast, CollectiveKind::Broadcast, "broadcast"),
-            BcastAlgo::Tree => (
-                SchedKind::BroadcastTree,
-                CollectiveKind::BroadcastTree,
-                "broadcast_tree",
-            ),
-        };
-        let seq = self.next_seq(group);
-        self.record_issue(
-            sched,
-            group,
-            buf.len(),
-            Some(root_pos),
-            None,
-            true,
-            false,
-            seq,
-        );
-        if self.shared.dry {
-            return Ok(());
-        }
-        let _op = self.op_scope(name);
-        let wall = self.wall_now();
-        let mut stats = HopStats::default();
-        match algo {
-            BcastAlgo::Chain => ring_broadcast(
-                &self.shared,
-                self.rank,
-                group,
-                seq,
-                root_pos,
-                buf,
-                &mut stats,
-            ),
-            BcastAlgo::Tree => tree_broadcast(
-                &self.shared,
-                self.rank,
-                group,
-                seq,
-                root_pos,
-                buf,
-                &mut stats,
-            ),
-        }?;
-        self.charge_blocking(group, seq, kind, (buf.len() * 4) as f64, wall, stats)
+        let kind = SchedKind::Broadcast;
+        self.blocking(kind, group, Some(root_pos), None, Data::InOut(buf))
+            .map(drop)
     }
 
     /// Block until every group member has arrived.
@@ -1046,34 +767,77 @@ impl Comm {
     /// Fallible barrier: completes only when every member arrived, or
     /// reports the peer that never will.
     pub fn try_barrier(&self, group: &ProcessGroup) -> Result<(), CommError> {
-        let mut token = vec![0.0f32];
+        let token = Data::InOut(&mut [0.0]);
+        self.blocking(SchedKind::Barrier, group, None, Some(ReduceOp::Sum), token)
+            .map(drop)
+    }
+
+    /// The one blocking issue path: select the algorithm for collective
+    /// `op` (named by its ring or chain kind), record the issue, run its
+    /// step program on this rank and charge it on the compute stream.
+    /// Out-of-place collectives return their result; in-place ones write
+    /// it back into the buffer and return an empty vector.
+    fn blocking(
+        &self,
+        op: SchedKind,
+        group: &ProcessGroup,
+        root: Option<usize>,
+        reduce: Option<ReduceOp>,
+        data: Data<'_>,
+    ) -> Result<Vec<f32>, CommError> {
+        let elems = match &data {
+            Data::In(input) => input.len(),
+            Data::InOut(buf) => buf.len(),
+        };
+        let kind = self.shared.algo.select(op, elems, group.size());
         let seq = self.next_seq(group);
-        self.record_issue(
-            SchedKind::Barrier,
-            group,
-            1,
-            None,
-            Some(ReduceOp::Sum),
-            true,
-            false,
-            seq,
+        self.record_issue(kind, group, elems, root, reduce, true, false, seq);
+        let program = Program::new(
+            kind,
+            group.size(),
+            group.position_of(self.rank),
+            elems,
+            root,
+            reduce.unwrap_or(ReduceOp::Sum),
+            self.shared.transport.pipeline(),
         );
         if self.shared.dry {
-            return Ok(());
+            // Symbolic result of the right shape; the divisibility
+            // contract still holds, byte for byte on the diagnostic.
+            program.check(&self.shared)?;
+            return Ok(match data {
+                Data::In(_) => vec![0.0; program.result.len()],
+                Data::InOut(_) => Vec::new(),
+            });
         }
-        let _op = self.op_scope("barrier");
+        let _op = self.op_scope(kind.op_name());
         let wall = self.wall_now();
         let mut stats = HopStats::default();
-        ring_all_reduce(
-            &self.shared,
-            self.rank,
+        let (shared, rank) = (&self.shared, self.rank);
+        let out = match data {
+            Data::In(input) => {
+                program::run_on(shared, rank, group, seq, &program, input, &mut stats)?
+            }
+            Data::InOut(buf) => {
+                program::run_in_place(shared, rank, group, seq, &program, buf, &mut stats)?;
+                Vec::new()
+            }
+        };
+        let layer = shared.tracer.as_ref().and_then(|t| t.layer());
+        charge(
+            shared,
+            rank,
             group,
             seq,
-            &mut token,
-            ReduceOp::Sum,
-            &mut stats,
+            kind,
+            elems,
+            Stream::Compute,
+            self.now(),
+            layer,
+            wall,
+            stats,
         )?;
-        self.charge_blocking(group, seq, CollectiveKind::Barrier, 0.0, wall, stats)
+        Ok(out)
     }
 
     /// Wall-clock timestamp for trace events (0 when not tracing).
@@ -1093,86 +857,109 @@ impl Comm {
             .record(format!("enter {op}"));
         OpScope { comm: self, op }
     }
+}
 
-    /// Stamp one finished blocking/async collective into the live
-    /// metrics plane (no-op when telemetry is off). `seconds` carries
-    /// the modelled op time on timed worlds.
-    pub(crate) fn stamp_metrics(
-        &self,
-        kind: CollectiveKind,
-        bytes: u64,
-        seconds: Option<f64>,
-        xfer: XferStats,
-    ) {
-        self.shared.transport.beats().note_collective(self.rank);
-        if let Some(m) = &self.shared.metrics {
-            m.record_collective(coll_op(kind), bytes, seconds, xfer);
-        }
+/// The buffer a blocking collective works on.
+enum Data<'a> {
+    /// Read-only input of an out-of-place collective.
+    In(&'a [f32]),
+    /// Input that the result overwrites.
+    InOut(&'a mut [f32]),
+}
+
+/// Charge one finished collective of `kind` over `elems` contributed
+/// elements, issued at virtual time `entry`, to this rank's `stream`:
+/// synchronise clocks across the group, add the modelled cost (plus any
+/// injected link stall pending against this rank), occupy the stream,
+/// stamp the live metrics and record the trace span. Returns the
+/// completion time (`entry` on untimed worlds).
+///
+/// [`Stream::Compute`] is the blocking path: it occupies the synchronous
+/// stream, holds the compute clock until completion, and its span is the
+/// whole compute-stream stall from `entry`. [`Stream::Comm`] is the
+/// asynchronous worker: it occupies the asynchronous stream, leaves the
+/// compute clock alone (the handle's wait merges it), and its span is the
+/// modelled run only.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn charge(
+    shared: &CommShared,
+    rank: usize,
+    group: &ProcessGroup,
+    seq: u64,
+    kind: SchedKind,
+    elems: usize,
+    stream: Stream,
+    entry: f64,
+    layer: Option<usize>,
+    wall_start: u64,
+    stats: HopStats,
+) -> Result<f64, CommError> {
+    let g = group.size();
+    if g <= 1 {
+        return Ok(entry);
     }
-
-    /// Charge virtual time for a blocking collective: synchronise clocks
-    /// across the group, add the modelled cost (plus any injected link
-    /// stall pending against this rank), and occupy the comm stream.
-    /// Records the full compute-stream stall (entry → completion) as a
-    /// blocking collective span when tracing.
-    fn charge_blocking(
-        &self,
-        group: &ProcessGroup,
-        seq: u64,
-        kind: CollectiveKind,
-        bytes: f64,
-        wall_start: u64,
-        stats: HopStats,
-    ) -> Result<(), CommError> {
-        if group.size() <= 1 {
-            return Ok(());
+    let op = coll_op(kind.collective_kind());
+    let bytes = kind.charged_bytes(elems, g);
+    let stamp = |seconds| {
+        shared.transport.beats().note_collective(rank);
+        if let Some(m) = &shared.metrics {
+            m.record_collective(op, bytes, seconds, stats.xfer());
         }
-        if !self.shared.track_time {
-            // Untimed worlds still stamp the live plane (no modelled
-            // seconds — matching `from_traces`, which only sees timed
-            // runs' op_seconds).
-            self.stamp_metrics(kind, bytes as u64, None, stats.xfer());
-            return Ok(());
-        }
-        let entry = self.shared.clock.lock().now;
-        let start = clock_sync(&self.shared, self.rank, group, seq, entry)?;
-        let stall = self.shared.transport.take_stall(self.rank);
-        let cost = self.shared.cost.collective_seconds_chunked(
-            kind,
-            group.size(),
-            bytes,
-            stats.chunks.max(1) as usize,
-        ) + stall;
-        let done = {
-            let mut clock = self.shared.clock.lock();
-            let begin = start.max(clock.comm_free_sync);
-            let done = begin + cost;
+    };
+    if !shared.track_time {
+        // Untimed worlds still stamp the live plane (no modelled
+        // seconds — matching `from_traces`, which only sees timed runs'
+        // op_seconds).
+        stamp(None);
+        return Ok(entry);
+    }
+    let start = clock_sync(shared, rank, group, seq, entry)?;
+    let stall = shared.transport.take_stall(rank);
+    let chunks = stats.chunks.max(1) as usize;
+    let cost =
+        shared
+            .cost
+            .collective_seconds_chunked(kind.collective_kind(), g, bytes as f64, chunks)
+            + stall;
+    let blocking = stream == Stream::Compute;
+    let (begin, done) = {
+        let mut clock = shared.clock.lock();
+        let free = if blocking {
+            clock.comm_free_sync
+        } else {
+            clock.comm_free_async
+        };
+        let begin = start.max(free);
+        let done = begin + cost;
+        if blocking {
             clock.comm_free_sync = done;
             clock.now = clock.now.max(done);
-            done
-        };
-        self.stamp_metrics(kind, bytes as u64, Some(cost), stats.xfer());
-        if let Some(tracer) = &self.shared.tracer {
-            tracer.record_xfer(
-                Stream::Compute,
-                entry,
-                done,
-                wall_start,
-                tracer.now_ns(),
-                tracer.layer(),
-                EventDetail::Collective {
-                    op: coll_op(kind),
-                    group_size: group.size(),
-                    bytes: bytes as u64,
-                    seq,
-                    blocking: true,
-                    op_seconds: cost,
-                },
-                stats.xfer(),
-            );
+        } else {
+            clock.comm_free_async = done;
         }
-        Ok(())
+        (begin, done)
+    };
+    stamp(Some(cost));
+    if let Some(tracer) = &shared.tracer {
+        tracer.record_xfer(
+            stream,
+            if blocking { entry } else { begin },
+            done,
+            wall_start,
+            tracer.now_ns(),
+            layer,
+            EventDetail::Collective {
+                op,
+                group_size: g,
+                bytes,
+                seq,
+                blocking,
+                op_seconds: cost,
+            },
+            stats.xfer(),
+        );
     }
+    Ok(done)
 }
 
 /// Max-reduce the members' clock values: gather to group root, fan out.
@@ -1217,609 +1004,6 @@ pub(crate) fn clock_sync(
             .recv_result(rank, root, msg_key(gk, seq, lane::CLOCK_DOWN))?;
         Ok(v[0] as f64)
     }
-}
-
-/// Ring all-gather over a group. `shard` is this rank's contribution;
-/// returns all shards concatenated in group-position order.
-///
-/// Every member must contribute the same shard length (an SPMD contract
-/// this rank cannot check locally; violations surface as a per-segment
-/// length-mismatch panic at the receiver).
-///
-/// Each per-step block is segmented into pipeline chunks sent as pooled
-/// slabs: sends never block, so segment `j` of step `s` is already on
-/// the wire while segment `j-1` is being copied out at the receiver —
-/// and each slab is bounded by `shard/S`, which is what lets the pool
-/// recycle hop buffers across steps instead of allocating per hop.
-pub(crate) fn ring_all_gather(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    shard: &[f32],
-    stats: &mut HopStats,
-) -> Result<Vec<f32>, CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(shard.to_vec());
-    }
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let next = group.next_of(rank);
-    let prev = group.prev_of(rank);
-    let chunk = shard.len();
-    let segs = segments(shared, chunk);
-    stats.chunks = stats.chunks.max(segs as u32);
-    let mut out = vec![0.0f32; chunk * g];
-    out[pos * chunk..(pos + 1) * chunk].copy_from_slice(shard);
-    for s in 0..g - 1 {
-        let send_c = (pos + g - s) % g;
-        let send_base = send_c * chunk;
-        for (j, r) in segment_ranges(chunk, segs).enumerate() {
-            let payload = pooled(shared, &out[send_base + r.start..send_base + r.end], stats);
-            shared
-                .transport
-                .send(rank, next, msg_key(gk, seq, lane::AG + sub(s, j)), payload);
-        }
-        let recv_c = (pos + g - s - 1) % g;
-        let recv_base = recv_c * chunk;
-        for (j, r) in segment_ranges(chunk, segs).enumerate() {
-            let data =
-                shared
-                    .transport
-                    .recv_result(rank, prev, msg_key(gk, seq, lane::AG + sub(s, j)))?;
-            assert_eq!(data.len(), r.len(), "all-gather shard length mismatch");
-            out[recv_base + r.start..recv_base + r.end].copy_from_slice(&data);
-        }
-    }
-    Ok(out)
-}
-
-/// Ring reduce-scatter (sum) over a group. Returns the chunk owned by this
-/// rank (chunk index = group position).
-pub(crate) fn ring_reduce_scatter(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &[f32],
-    stats: &mut HopStats,
-) -> Result<Vec<f32>, CommError> {
-    ring_reduce_scatter_op(shared, rank, group, seq, buf, ReduceOp::Sum, stats)
-}
-
-/// Ring reduce-scatter with an explicit reduction operator.
-///
-/// The buffer length must be divisible by the group size; an indivisible
-/// length is rejected with [`CommError::InvalidBuffer`] *before* any
-/// message moves (the seed transport silently assumed divisibility).
-/// Segmentation follows the same pipeline policy as all-gather; the
-/// elementwise reduction order around the ring is unchanged by it, so
-/// results stay bit-identical to the unsegmented reference.
-pub(crate) fn ring_reduce_scatter_op(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &[f32],
-    op: ReduceOp,
-    stats: &mut HopStats,
-) -> Result<Vec<f32>, CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(buf.to_vec());
-    }
-    if !buf.len().is_multiple_of(g) {
-        shared.transport.note_error();
-        return Err(CommError::InvalidBuffer {
-            op: "reduce_scatter",
-            detail: format!("length {} not divisible by group size {g}", buf.len()),
-        });
-    }
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let next = group.next_of(rank);
-    let prev = group.prev_of(rank);
-    let chunk = buf.len() / g;
-    let segs = segments(shared, chunk);
-    stats.chunks = stats.chunks.max(segs as u32);
-    let mut work = buf.to_vec();
-    for s in 0..g - 1 {
-        // Logical chunk indices: after g-1 steps this rank owns chunk
-        // `pos`, fully reduced around the ring.
-        let send_c = (pos + 2 * g - s - 1) % g;
-        let send_base = send_c * chunk;
-        for (j, r) in segment_ranges(chunk, segs).enumerate() {
-            let payload = pooled(shared, &work[send_base + r.start..send_base + r.end], stats);
-            shared
-                .transport
-                .send(rank, next, msg_key(gk, seq, lane::RS + sub(s, j)), payload);
-        }
-        let recv_c = (pos + 2 * g - s - 2) % g;
-        let recv_base = recv_c * chunk;
-        for (j, r) in segment_ranges(chunk, segs).enumerate() {
-            let data =
-                shared
-                    .transport
-                    .recv_result(rank, prev, msg_key(gk, seq, lane::RS + sub(s, j)))?;
-            assert_eq!(data.len(), r.len(), "reduce-scatter chunk length mismatch");
-            fold::fold_op(op, &mut work[recv_base + r.start..recv_base + r.end], &data);
-        }
-    }
-    Ok(work[pos * chunk..(pos + 1) * chunk].to_vec())
-}
-
-/// Direct-exchange reduce-scatter (sum) with a *canonical* fold order:
-/// every member sends its slice `o` straight to the member at group
-/// position `o`, which folds the `g` contributions in fixed
-/// group-position order `((c_0 + c_1) + c_2) + …`. Ring reduce-scatter
-/// instead folds in ring order — a rotation of the group order that
-/// differs per owned chunk — so its bits depend on how tensors are
-/// packed into the buffer. The gradient bucketizer relies on this
-/// layout independence to stay bit-identical to the per-tensor oracle
-/// for any bucket geometry.
-///
-/// Per-rank volume matches the ring algorithm (`(g-1)/g · n` bytes sent
-/// and received), so callers charge it as a regular reduce-scatter.
-pub(crate) fn linear_reduce_scatter(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &[f32],
-    stats: &mut HopStats,
-) -> Result<Vec<f32>, CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(buf.to_vec());
-    }
-    if !buf.len().is_multiple_of(g) {
-        shared.transport.note_error();
-        return Err(CommError::InvalidBuffer {
-            op: "reduce_scatter_linear",
-            detail: format!("length {} not divisible by group size {g}", buf.len()),
-        });
-    }
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let chunk = buf.len() / g;
-    let segs = segments(shared, chunk);
-    stats.chunks = stats.chunks.max(segs as u32);
-    // All sends first (the transport never blocks on send), then receive
-    // in group-position order so the fold order is the same on every
-    // owner regardless of arrival order.
-    for o in 0..g {
-        if o == pos {
-            continue;
-        }
-        let base = o * chunk;
-        for (j, r) in segment_ranges(chunk, segs).enumerate() {
-            let payload = pooled(shared, &buf[base + r.start..base + r.end], stats);
-            shared.transport.send(
-                rank,
-                group.rank_at(o),
-                msg_key(gk, seq, lane::LRS + j as u32),
-                payload,
-            );
-        }
-    }
-    let own = &buf[pos * chunk..(pos + 1) * chunk];
-    let mut acc = vec![0.0f32; chunk];
-    let mut first = true;
-    for p in 0..g {
-        if p == pos {
-            if first {
-                acc.copy_from_slice(own);
-            } else {
-                fold::fold_sum(&mut acc, own);
-            }
-        } else {
-            for (j, r) in segment_ranges(chunk, segs).enumerate() {
-                let data = shared.transport.recv_result(
-                    rank,
-                    group.rank_at(p),
-                    msg_key(gk, seq, lane::LRS + j as u32),
-                )?;
-                assert_eq!(data.len(), r.len(), "linear reduce-scatter length mismatch");
-                if first {
-                    acc[r].copy_from_slice(&data);
-                } else {
-                    fold::fold_sum(&mut acc[r], &data);
-                }
-            }
-        }
-        first = false;
-    }
-    Ok(acc)
-}
-
-/// Ring all-reduce (sum) in place: pad to a multiple of the group size,
-/// reduce-scatter, all-gather, truncate.
-pub(crate) fn ring_all_reduce(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &mut [f32],
-    op: ReduceOp,
-    stats: &mut HopStats,
-) -> Result<(), CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(());
-    }
-    let n = buf.len();
-    let padded = n.div_ceil(g) * g;
-    let mut work = buf.to_vec();
-    // Padding must be the identity of the reduction operator.
-    let pad = match op {
-        ReduceOp::Sum => 0.0,
-        ReduceOp::Max => f32::NEG_INFINITY,
-    };
-    work.resize(padded, pad);
-    let mine = ring_reduce_scatter_op(shared, rank, group, seq, &work, op, stats)?;
-    let full = ring_all_gather(shared, rank, group, seq, &mine, stats)?;
-    buf.copy_from_slice(&full[..n]);
-    Ok(())
-}
-
-/// Broadcast from group position `root_pos` as a chunk-pipelined chain
-/// around the ring: the root segments the buffer into pooled payloads
-/// and streams them to its successor; every other rank forwards each
-/// segment to the next rank (an `Arc` clone — the slab is never copied
-/// on the wire) *before* unpacking it locally, so segment `j` travels
-/// hop `k+1` while segment `j+1` travels hop `k`. The seed transport
-/// instead star-fanned one full copy of the buffer per receiver from the
-/// root; the chain matches the pipelined cost the model charges.
-pub(crate) fn ring_broadcast(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    root_pos: usize,
-    buf: &mut [f32],
-    stats: &mut HopStats,
-) -> Result<(), CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(());
-    }
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let segs = segments(shared, buf.len());
-    stats.chunks = stats.chunks.max(segs as u32);
-    // Distance from the root along the chain; the rank at distance g-1
-    // is the tail and forwards nothing.
-    let dist = (pos + g - root_pos) % g;
-    let next = group.rank_at((pos + 1) % g);
-    let prev = group.rank_at((pos + g - 1) % g);
-    if dist == 0 {
-        for (j, r) in segment_ranges(buf.len(), segs).enumerate() {
-            let payload = pooled(shared, &buf[r], stats);
-            shared.transport.send(
-                rank,
-                next,
-                msg_key(gk, seq, lane::BCAST + j as u32),
-                payload,
-            );
-        }
-    } else {
-        for (j, r) in segment_ranges(buf.len(), segs).enumerate() {
-            let key = msg_key(gk, seq, lane::BCAST + j as u32);
-            let data = shared.transport.recv_result(rank, prev, key)?;
-            if dist + 1 < g {
-                // Forward before unpacking: zero-copy, and the next hop
-                // overlaps this rank's local copy.
-                shared.transport.send(rank, next, key, data.clone());
-            }
-            assert_eq!(data.len(), r.len(), "broadcast length mismatch");
-            buf[r].copy_from_slice(&data);
-        }
-    }
-    Ok(())
-}
-
-/// Recursive-halving reduce-scatter: at step `s` the window of chunk
-/// indices this rank still owns is halved — it sends the half its
-/// partner keeps (the partner sits `window/2` positions away) and folds
-/// the partner's contribution into the half it keeps. `⌈log2 g⌉` steps
-/// at the ring's bandwidth-optimal volume (`n/2 + n/4 + … = (g-1)/g·n`
-/// per rank). Power-of-two groups only; callers guarantee this via
-/// [`AlgoPolicy`] selection.
-///
-/// Fold order per element: this rank's running value folds the incoming
-/// half as `own = op(own, incoming)` at every step — a fixed order the
-/// serial replay oracle in [`crate::reference`] reproduces exactly.
-pub(crate) fn rh_reduce_scatter_op(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &[f32],
-    op: ReduceOp,
-    stats: &mut HopStats,
-) -> Result<Vec<f32>, CommError> {
-    let mut work = buf.to_vec();
-    let mine = rh_reduce_scatter_inplace(shared, rank, group, seq, &mut work, op, stats)?;
-    Ok(work[mine].to_vec())
-}
-
-/// Scratch-free core of the recursive halving: folds in place on `work`
-/// and returns the element range of the chunk this rank owns at the
-/// end. Lets the halving/doubling all-reduce run without cloning the
-/// full buffer.
-pub(crate) fn rh_reduce_scatter_inplace(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    work: &mut [f32],
-    op: ReduceOp,
-    stats: &mut HopStats,
-) -> Result<std::ops::Range<usize>, CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(0..work.len());
-    }
-    if !work.len().is_multiple_of(g) {
-        shared.transport.note_error();
-        return Err(CommError::InvalidBuffer {
-            op: "reduce_scatter",
-            detail: format!("length {} not divisible by group size {g}", work.len()),
-        });
-    }
-    assert!(
-        g.is_power_of_two(),
-        "recursive halving needs a power-of-two group"
-    );
-    // Whole-block exchanges serving the latency-bound regime: never
-    // segmented.
-    stats.chunks = stats.chunks.max(1);
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let chunk = work.len() / g;
-    // Window of chunk indices this rank still accumulates: [lo, lo+span).
-    let mut lo = 0usize;
-    let mut span = g;
-    let mut s = 0usize;
-    while span > 1 {
-        let half = span / 2;
-        let mid = lo + half;
-        let in_lower = pos < mid;
-        let partner_pos = if in_lower { pos + half } else { pos - half };
-        let partner = group.rank_at(partner_pos);
-        let (keep, send) = if in_lower {
-            (lo * chunk..mid * chunk, mid * chunk..(lo + span) * chunk)
-        } else {
-            (mid * chunk..(lo + span) * chunk, lo * chunk..mid * chunk)
-        };
-        let key = msg_key(gk, seq, lane::RHD + sub(s, 0));
-        let payload = pooled(shared, &work[send], stats);
-        shared.transport.send(rank, partner, key, payload);
-        let data = shared.transport.recv_result(rank, partner, key)?;
-        assert_eq!(data.len(), keep.len(), "recursive-halving length mismatch");
-        fold::fold_op(op, &mut work[keep], &data);
-        if in_lower {
-            span = half;
-        } else {
-            lo = mid;
-            span = half;
-        }
-        s += 1;
-    }
-    Ok(pos * chunk..(pos + 1) * chunk)
-}
-
-/// Recursive-doubling all-gather: at step `s` (distance `d = 2^s`) every
-/// rank exchanges its aligned block of `d` chunks with the partner at
-/// position `pos XOR d`, doubling the assembled block. `⌈log2 g⌉` steps
-/// at the ring's volume (`n + 2n + … = (g-1)·shard` per rank).
-/// Power-of-two groups only; pure data movement, so results are
-/// bit-identical to the ring for any inputs.
-pub(crate) fn rd_all_gather(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    shard: &[f32],
-    stats: &mut HopStats,
-) -> Result<Vec<f32>, CommError> {
-    let mut out = vec![0.0f32; shard.len() * group.size()];
-    rd_all_gather_into(shared, rank, group, seq, shard, &mut out, stats)?;
-    Ok(out)
-}
-
-/// Scratch-free core of the recursive doubling: assembles the gathered
-/// result directly into `out` (length `shard.len() * g`). Lets the
-/// halving/doubling all-reduce gather straight into the caller's buffer
-/// instead of allocating a fresh one per call.
-pub(crate) fn rd_all_gather_into(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    shard: &[f32],
-    out: &mut [f32],
-    stats: &mut HopStats,
-) -> Result<(), CommError> {
-    let g = group.size();
-    assert_eq!(out.len(), shard.len() * g, "all-gather output length");
-    if g == 1 {
-        out.copy_from_slice(shard);
-        return Ok(());
-    }
-    assert!(
-        g.is_power_of_two(),
-        "recursive doubling needs a power-of-two group"
-    );
-    stats.chunks = stats.chunks.max(1);
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let chunk = shard.len();
-    out[pos * chunk..(pos + 1) * chunk].copy_from_slice(shard);
-    let mut d = 1usize;
-    let mut s = 0usize;
-    while d < g {
-        // This rank holds the aligned block [base, base+d); the partner
-        // holds the sibling block [base XOR d, …).
-        let base = pos & !(d - 1);
-        let partner = group.rank_at(pos ^ d);
-        let key = msg_key(gk, seq, lane::RDAG + sub(s, 0));
-        let payload = pooled(shared, &out[base * chunk..(base + d) * chunk], stats);
-        shared.transport.send(rank, partner, key, payload);
-        let data = shared.transport.recv_result(rank, partner, key)?;
-        assert_eq!(
-            data.len(),
-            d * chunk,
-            "recursive-doubling all-gather length mismatch"
-        );
-        let rbase = base ^ d;
-        out[rbase * chunk..(rbase + d) * chunk].copy_from_slice(&data);
-        d <<= 1;
-        s += 1;
-    }
-    Ok(())
-}
-
-/// Recursive halving/doubling all-reduce (Rabenseifner over hypercube
-/// exchanges): pad to a multiple of the group size with the operator
-/// identity, recursive-halving reduce-scatter, recursive-doubling
-/// all-gather, truncate. `2⌈log2 g⌉` messages per rank at the ring
-/// all-reduce's bandwidth-optimal volume — the medium-payload winner
-/// when the per-message cost dominates. Power-of-two groups only.
-pub(crate) fn rhd_all_reduce(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &mut [f32],
-    op: ReduceOp,
-    stats: &mut HopStats,
-) -> Result<(), CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(());
-    }
-    let n = buf.len();
-    if n.is_multiple_of(g) {
-        // Divisible fast path: halve in place on the caller's buffer and
-        // gather straight back into it; the only scratch is the owned
-        // chunk (aliasing: the gather reads the shard while rewriting
-        // `buf`).
-        let mine = rh_reduce_scatter_inplace(shared, rank, group, seq, buf, op, stats)?;
-        let shard = buf[mine].to_vec();
-        return rd_all_gather_into(shared, rank, group, seq, &shard, buf, stats);
-    }
-    let padded = n.div_ceil(g) * g;
-    let mut work = buf.to_vec();
-    let pad = match op {
-        ReduceOp::Sum => 0.0,
-        ReduceOp::Max => f32::NEG_INFINITY,
-    };
-    work.resize(padded, pad);
-    let mine = rh_reduce_scatter_op(shared, rank, group, seq, &work, op, stats)?;
-    let full = rd_all_gather(shared, rank, group, seq, &mine, stats)?;
-    buf.copy_from_slice(&full[..n]);
-    Ok(())
-}
-
-/// Binomial-tree all-reduce: reduce the whole buffer up the tree to the
-/// member at group position 0, then tree-broadcast the result back down.
-/// `2⌈log2 g⌉` hops on the critical path but `log2(g)·n` volume per
-/// phase — the small-payload winner where the α term dominates. Any
-/// group size.
-///
-/// Reduce fold order: at step `s` (mask `2^s`) the rank at position
-/// `p` with `p mod 2^(s+1) == 0` folds the accumulated buffer of
-/// `p + 2^s` (when present) as `own = op(own, incoming)` — reproduced
-/// serially by the oracle in [`crate::reference`].
-pub(crate) fn tree_all_reduce(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &mut [f32],
-    op: ReduceOp,
-    stats: &mut HopStats,
-) -> Result<(), CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(());
-    }
-    stats.chunks = stats.chunks.max(1);
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let mut mask = 1usize;
-    let mut s = 0usize;
-    while mask < g {
-        if pos & mask != 0 {
-            // Hand the accumulated buffer to the parent and leave the
-            // reduce phase.
-            let parent = group.rank_at(pos - mask);
-            let key = msg_key(gk, seq, lane::TREE_UP + sub(s, 0));
-            let payload = pooled(shared, buf, stats);
-            shared.transport.send(rank, parent, key, payload);
-            break;
-        }
-        if pos + mask < g {
-            let child = group.rank_at(pos + mask);
-            let key = msg_key(gk, seq, lane::TREE_UP + sub(s, 0));
-            let data = shared.transport.recv_result(rank, child, key)?;
-            assert_eq!(data.len(), buf.len(), "tree all-reduce length mismatch");
-            fold::fold_op(op, buf, &data);
-        }
-        mask <<= 1;
-        s += 1;
-    }
-    // Fan the root's result back out.
-    tree_broadcast(shared, rank, group, seq, 0, buf, stats)
-}
-
-/// Binomial-tree broadcast from group position `root_pos`: with
-/// positions renumbered so the root is virtual rank 0, virtual rank `v`
-/// receives from `v - 2^⌊log2 v⌋` at step `⌊log2 v⌋` and then sends to
-/// `v + 2^k` for each higher step `k` while that child exists.
-/// `⌈log2 g⌉` hops on the critical path; any group size.
-pub(crate) fn tree_broadcast(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    root_pos: usize,
-    buf: &mut [f32],
-    stats: &mut HopStats,
-) -> Result<(), CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(());
-    }
-    stats.chunks = stats.chunks.max(1);
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let v = (pos + g - root_pos) % g;
-    let recv_step = if v == 0 {
-        None
-    } else {
-        Some(v.ilog2() as usize)
-    };
-    if let Some(s) = recv_step {
-        let parent_v = v - (1 << s);
-        let parent = group.rank_at((parent_v + root_pos) % g);
-        let key = msg_key(gk, seq, lane::TREE_DOWN + sub(s, 0));
-        let data = shared.transport.recv_result(rank, parent, key)?;
-        assert_eq!(data.len(), buf.len(), "tree broadcast length mismatch");
-        buf.copy_from_slice(&data);
-    }
-    let mut k = recv_step.map(|s| s + 1).unwrap_or(0);
-    while v + (1 << k) < g {
-        let child_v = v + (1 << k);
-        let child = group.rank_at((child_v + root_pos) % g);
-        let key = msg_key(gk, seq, lane::TREE_DOWN + sub(k, 0));
-        let payload = pooled(shared, buf, stats);
-        shared.transport.send(rank, child, key, payload);
-        k += 1;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ pub mod group;
 pub mod mailbox;
 pub mod nonblocking;
 pub mod pool;
+mod program;
 pub mod reference;
 pub mod sched;
 pub mod telemetry;

@@ -7,14 +7,15 @@
 //! returns an [`AsyncHandle`]; `wait` blocks until completion and merges
 //! the operation's virtual completion time into the rank's clock, so
 //! overlap genuinely reduces virtual batch time exactly when it reduces
-//! non-overlapped communication.
+//! non-overlapped communication. The worker runs the same selection,
+//! step programs, executor and charge as the blocking calls, on the
+//! asynchronous stream.
 
-use crate::algo::{AgAlgo, AlgoPolicy, ArAlgo, RsAlgo};
-use crate::comm::{clock_sync, coll_op, Comm, CommShared, HopStats};
-use crate::cost::CollectiveKind;
+use crate::comm::{charge, coll_op, Comm, CommShared, ReduceOp};
 use crate::fault::{unwrap_comm, CommError};
 use crate::group::ProcessGroup;
 use crate::pool::Payload;
+use crate::program::{self, HopStats, Program};
 use crate::sched::{SchedEvent, SchedKind};
 use axonn_trace::{EventDetail, Stream};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -42,41 +43,14 @@ pub enum AsyncOp {
 }
 
 impl AsyncOp {
-    /// Resolve the effective algorithm for this op under `policy` on a
-    /// group of `g` ranks. The returned [`CollectiveKind`] names the
-    /// algorithm (the worker dispatches on it; the cost model prices
-    /// it), the [`SchedKind`] its wire lanes (the verifier matches on
-    /// it). Canonical-order linear reduce-scatter is exempt from
-    /// selection: its fixed fold order is the contract the gradient
-    /// bucketizer's bit-identity rests on.
-    fn select(&self, policy: &AlgoPolicy, g: usize) -> (CollectiveKind, SchedKind) {
+    /// The collective asked for, named by its ring (or canonical-order)
+    /// kind — the input to `AlgoPolicy::select`.
+    fn collective(&self) -> SchedKind {
         match self {
-            AsyncOp::AllReduce(p) => match policy.all_reduce(p.len(), g) {
-                ArAlgo::Ring => (CollectiveKind::AllReduce, SchedKind::AllReduce),
-                ArAlgo::Rhd => (
-                    CollectiveKind::AllReduceRecursiveHalvingDoubling,
-                    SchedKind::AllReduceRhd,
-                ),
-                ArAlgo::Tree => (CollectiveKind::AllReduceTree, SchedKind::AllReduceTree),
-            },
-            AsyncOp::ReduceScatter(p) => match policy.reduce_scatter(p.len(), g) {
-                RsAlgo::Ring => (CollectiveKind::ReduceScatter, SchedKind::ReduceScatter),
-                RsAlgo::Rh => (
-                    CollectiveKind::ReduceScatterRecursiveHalving,
-                    SchedKind::ReduceScatterRh,
-                ),
-            },
-            AsyncOp::ReduceScatterLinear(_) => (
-                CollectiveKind::ReduceScatter,
-                SchedKind::ReduceScatterLinear,
-            ),
-            AsyncOp::AllGather(p) => match policy.all_gather(p.len(), g) {
-                AgAlgo::Ring => (CollectiveKind::AllGather, SchedKind::AllGather),
-                AgAlgo::Rd => (
-                    CollectiveKind::AllGatherRecursiveDoubling,
-                    SchedKind::AllGatherRd,
-                ),
-            },
+            AsyncOp::AllReduce(_) => SchedKind::AllReduce,
+            AsyncOp::ReduceScatter(_) => SchedKind::ReduceScatter,
+            AsyncOp::ReduceScatterLinear(_) => SchedKind::ReduceScatterLinear,
+            AsyncOp::AllGather(_) => SchedKind::AllGather,
         }
     }
 
@@ -95,7 +69,7 @@ pub(crate) struct Job {
     op: AsyncOp,
     /// Effective algorithm, resolved at issue time (the worker must
     /// execute exactly what was recorded in the schedule stream).
-    kind: CollectiveKind,
+    kind: SchedKind,
     seq: u64,
     issue_clock: f64,
     /// Layer scope at issue time, stamped onto the execution span so
@@ -109,7 +83,7 @@ pub struct AsyncHandle {
     rx: Receiver<Result<(Vec<f32>, f64), CommError>>,
     rank: usize,
     shared: Arc<CommShared>,
-    kind: CollectiveKind,
+    kind: SchedKind,
     seq: u64,
     group_key: u64,
     group_size: usize,
@@ -144,6 +118,7 @@ impl AsyncHandle {
         if let Some(info) = self.shared.transport.poison_info() {
             return Err(CommError::Poisoned(info));
         }
+        let wall_start = self.shared.tracer.as_ref().map_or(0, |t| t.now_ns());
         let recv = self.rx.recv();
         let (result, completion) = match recv {
             Ok(Ok(pair)) => pair,
@@ -173,27 +148,21 @@ impl AsyncHandle {
                 }
             }
             if let Some(tracer) = self.shared.tracer.as_ref().filter(|_| self.group_size > 1) {
-                let now = tracer.now_ns();
                 tracer.record(
                     Stream::Compute,
                     gap_start,
                     gap_end,
-                    now,
-                    now,
+                    wall_start,
+                    tracer.now_ns(),
                     tracer.layer(),
                     EventDetail::OverlapWait {
-                        op: coll_op(self.kind),
+                        op: coll_op(self.kind.collective_kind()),
                         seq: self.seq,
                     },
                 );
             }
         }
         Ok(result)
-    }
-
-    /// True if the collective already finished (never blocks).
-    pub fn is_ready(&self) -> bool {
-        !self.rx.is_empty()
     }
 }
 
@@ -203,19 +172,23 @@ impl Comm {
     /// the same program order, as in SPMD code).
     pub fn start_async(&self, group: &ProcessGroup, op: AsyncOp) -> AsyncHandle {
         self.shared.transport.check_poison();
-        let (kind, sched) = op.select(&self.shared.algo, group.size());
+        let elems = op.payload().len();
+        let kind = self
+            .shared
+            .algo
+            .select(op.collective(), elems, group.size());
         let seq = self.next_seq(group);
         // Buffer-identity annotations for the verifier: the payload's id
         // is the logical buffer this op's overlap window covers, and its
         // slab id (pooled payloads only) keys the lifetime analysis.
         self.record_issue_tagged(
-            sched,
+            kind,
             group,
-            op.payload().len(),
+            elems,
             None,
             match op {
                 AsyncOp::AllGather(_) => None,
-                _ => Some(crate::ReduceOp::Sum),
+                _ => Some(ReduceOp::Sum),
             },
             false,
             op.payload().is_pooled(),
@@ -223,32 +196,25 @@ impl Comm {
             Some(op.payload().buffer_id()),
             op.payload().slab_id(),
         );
+        let (reply, rx) = unbounded();
+        let handle = AsyncHandle {
+            rx,
+            rank: self.rank(),
+            shared: self.shared.clone(),
+            kind,
+            seq,
+            group_key: group.key(),
+            group_size: group.size(),
+        };
         if self.shared.dry {
             // No comm worker exists in dry worlds: synthesise the
             // symbolic (zero-filled) result eagerly so the handle's
             // `wait` completes immediately, preserving the real API's
             // issue/wait shape for schedule extraction.
-            let (reply_tx, reply_rx) = unbounded();
-            let result = match &op {
-                AsyncOp::AllReduce(p) => Ok((vec![0.0; p.len()], 0.0)),
-                AsyncOp::ReduceScatter(p) => self
-                    .dry_reduce_scatter(p.len(), group, "reduce_scatter")
-                    .map(|v| (v, 0.0)),
-                AsyncOp::ReduceScatterLinear(p) => self
-                    .dry_reduce_scatter(p.len(), group, "reduce_scatter_linear")
-                    .map(|v| (v, 0.0)),
-                AsyncOp::AllGather(p) => Ok((vec![0.0; p.len() * group.size()], 0.0)),
-            };
-            let _ = reply_tx.send(result);
-            return AsyncHandle {
-                rx: reply_rx,
-                rank: self.rank(),
-                shared: self.shared.clone(),
-                kind,
-                seq,
-                group_key: group.key(),
-                group_size: group.size(),
-            };
+            let program = job_program(&self.shared, self.rank(), group, kind, elems);
+            let result = program.check(&self.shared);
+            let _ = reply.send(result.map(|()| (vec![0.0; program.result.len()], 0.0)));
+            return handle;
         }
         let issue_clock = if self.shared.track_time {
             self.shared.clock.lock().now
@@ -260,24 +226,17 @@ impl Comm {
         // event exists iff the op really communicates (the blocking path
         // skips them too).
         if let Some(tracer) = self.tracer().filter(|_| group.size() > 1) {
-            let bytes = match &op {
-                AsyncOp::AllReduce(b)
-                | AsyncOp::ReduceScatter(b)
-                | AsyncOp::ReduceScatterLinear(b) => b.len() * 4,
-                AsyncOp::AllGather(shard) => shard.len() * group.size() * 4,
-            };
             tracer.mark(
                 Stream::Compute,
                 issue_clock,
                 EventDetail::Issue {
-                    op: coll_op(kind),
+                    op: coll_op(kind.collective_kind()),
                     group_size: group.size(),
-                    bytes: bytes as u64,
+                    bytes: kind.charged_bytes(elems, group.size()),
                     seq,
                 },
             );
         }
-        let (reply_tx, reply_rx) = unbounded();
         let job = Job {
             group: group.clone(),
             op,
@@ -285,22 +244,14 @@ impl Comm {
             seq,
             issue_clock,
             layer,
-            reply: reply_tx,
+            reply,
         };
         self.async_tx
             .as_ref()
             .expect("communicator has no async worker")
             .send(job)
             .expect("async worker terminated");
-        AsyncHandle {
-            rx: reply_rx,
-            rank: self.rank(),
-            shared: self.shared.clone(),
-            kind,
-            seq,
-            group_key: group.key(),
-            group_size: group.size(),
-        }
+        handle
     }
 
     /// Convenience: asynchronous in-place all-reduce.
@@ -327,13 +278,6 @@ impl Comm {
         self.start_async(group, AsyncOp::AllGather(payload))
     }
 
-    /// Asynchronous sum all-reduce of a borrowed buffer via a pooled
-    /// slab (see [`iall_gather_pooled`](Self::iall_gather_pooled)).
-    pub fn iall_reduce_pooled(&self, group: &ProcessGroup, buf: &[f32]) -> AsyncHandle {
-        let payload = self.pooled_payload(buf);
-        self.start_async(group, AsyncOp::AllReduce(payload))
-    }
-
     /// Asynchronous canonical-order reduce-scatter of a borrowed buffer
     /// via a pooled slab — the bucket-granular primitive of the gradient
     /// sync pipeline.
@@ -341,6 +285,27 @@ impl Comm {
         let payload = self.pooled_payload(buf);
         self.start_async(group, AsyncOp::ReduceScatterLinear(payload))
     }
+}
+
+/// The step program `rank` runs for an asynchronous (sum) collective.
+fn job_program(
+    shared: &CommShared,
+    rank: usize,
+    group: &ProcessGroup,
+    kind: SchedKind,
+    elems: usize,
+) -> Program {
+    let pos = group.position_of(rank);
+    let pipeline = shared.transport.pipeline();
+    Program::new(
+        kind,
+        group.size(),
+        pos,
+        elems,
+        None,
+        ReduceOp::Sum,
+        pipeline,
+    )
 }
 
 /// Spawn the communication worker for `rank`. Returns the job queue; the
@@ -371,135 +336,37 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
     let wall_start = shared.tracer.as_ref().map(|t| t.now_ns()).unwrap_or(0);
     // Watchdog marker: the comm worker is inside this collective until
     // the job resolves (cleared below, error or not).
-    shared.transport.beats().set_op(rank, coll_op(kind).name());
+    shared.transport.beats().set_op(rank, kind.op_name());
     let outcome = (|| -> Result<(Vec<f32>, f64), CommError> {
-        let bytes;
+        let elems = op.payload().len();
+        let program = job_program(shared, rank, &group, kind, elems);
         let mut stats = HopStats::default();
         let result = match op {
             AsyncOp::AllReduce(payload) => {
-                bytes = (payload.len() * 4) as f64;
                 // Zero-copy when the caller's handle was the last
                 // reference; otherwise one copy into a work buffer.
                 let mut buf = payload.into_vec();
-                match kind {
-                    CollectiveKind::AllReduceRecursiveHalvingDoubling => {
-                        crate::comm::rhd_all_reduce(
-                            shared,
-                            rank,
-                            &group,
-                            seq,
-                            &mut buf,
-                            crate::comm::ReduceOp::Sum,
-                            &mut stats,
-                        )?
-                    }
-                    CollectiveKind::AllReduceTree => crate::comm::tree_all_reduce(
-                        shared,
-                        rank,
-                        &group,
-                        seq,
-                        &mut buf,
-                        crate::comm::ReduceOp::Sum,
-                        &mut stats,
-                    )?,
-                    _ => crate::comm::ring_all_reduce(
-                        shared,
-                        rank,
-                        &group,
-                        seq,
-                        &mut buf,
-                        crate::comm::ReduceOp::Sum,
-                        &mut stats,
-                    )?,
-                }
+                program::run_in_place(shared, rank, &group, seq, &program, &mut buf, &mut stats)?;
                 buf
             }
-            AsyncOp::ReduceScatter(payload) => {
-                bytes = (payload.len() * 4) as f64;
-                match kind {
-                    CollectiveKind::ReduceScatterRecursiveHalving => {
-                        crate::comm::rh_reduce_scatter_op(
-                            shared,
-                            rank,
-                            &group,
-                            seq,
-                            &payload,
-                            crate::comm::ReduceOp::Sum,
-                            &mut stats,
-                        )?
-                    }
-                    _ => crate::comm::ring_reduce_scatter(
-                        shared, rank, &group, seq, &payload, &mut stats,
-                    )?,
-                }
-            }
-            AsyncOp::ReduceScatterLinear(payload) => {
-                bytes = (payload.len() * 4) as f64;
-                crate::comm::linear_reduce_scatter(shared, rank, &group, seq, &payload, &mut stats)?
-            }
-            AsyncOp::AllGather(shard) => {
-                bytes = (shard.len() * group.size() * 4) as f64;
-                match kind {
-                    CollectiveKind::AllGatherRecursiveDoubling => {
-                        crate::comm::rd_all_gather(shared, rank, &group, seq, &shard, &mut stats)?
-                    }
-                    _ => {
-                        crate::comm::ring_all_gather(shared, rank, &group, seq, &shard, &mut stats)?
-                    }
-                }
+            other => {
+                let input = other.payload();
+                program::run_on(shared, rank, &group, seq, &program, input, &mut stats)?
             }
         };
-        let modeled_cost;
-        let completion = if shared.track_time && group.size() > 1 {
-            // The collective can start once every member has issued it and
-            // this rank's comm stream is free; it then runs for its modelled
-            // duration without blocking the compute stream.
-            let start = clock_sync(shared, rank, &group, seq, issue_clock)?;
-            let stall = shared.transport.take_stall(rank);
-            let cost = shared.cost.collective_seconds_chunked(
-                kind,
-                group.size(),
-                bytes,
-                stats.chunks.max(1) as usize,
-            ) + stall;
-            modeled_cost = Some(cost);
-            let (begin, done) = {
-                let mut clock = shared.clock.lock();
-                let begin = start.max(clock.comm_free_async);
-                let done = begin + cost;
-                clock.comm_free_async = done;
-                (begin, done)
-            };
-            if let Some(tracer) = &shared.tracer {
-                tracer.record_xfer(
-                    Stream::Comm,
-                    begin,
-                    done,
-                    wall_start,
-                    tracer.now_ns(),
-                    layer,
-                    EventDetail::Collective {
-                        op: coll_op(kind),
-                        group_size: group.size(),
-                        bytes: bytes as u64,
-                        seq,
-                        blocking: false,
-                        op_seconds: cost,
-                    },
-                    stats.xfer(),
-                );
-            }
-            done
-        } else {
-            modeled_cost = None;
-            issue_clock
-        };
-        if group.size() > 1 {
-            shared.transport.beats().note_collective(rank);
-            if let Some(m) = &shared.metrics {
-                m.record_collective(coll_op(kind), bytes as u64, modeled_cost, stats.xfer());
-            }
-        }
+        let completion = charge(
+            shared,
+            rank,
+            &group,
+            seq,
+            kind,
+            elems,
+            Stream::Comm,
+            issue_clock,
+            layer,
+            wall_start,
+            stats,
+        )?;
         Ok((result, completion))
     })();
     shared.transport.beats().clear_op(rank);
@@ -627,13 +494,33 @@ mod tests {
     }
 
     #[test]
-    fn is_ready_eventually_true() {
-        let results = run_world(2, |c| {
+    fn overlap_wait_spans_the_wall_time_it_blocked() {
+        // Rank 1 issues 50 ms after rank 0 has, so rank 0's wait blocks
+        // about that long; its OverlapWait span must carry that wall
+        // time (the margin absorbs scheduling delay on a loaded host).
+        let (comms, sinks) = CommWorld::builder(2)
+            .cost(Arc::new(crate::cost::NullCost))
+            .build_traced();
+        let issued = Arc::new(std::sync::Barrier::new(2));
+        run_world_with(comms, move |c| {
             let g = ProcessGroup::new(vec![0, 1]);
-            let h = c.iall_reduce(&g, vec![1.0]);
-
-            h.wait()
+            if c.rank() == 0 {
+                let h = c.iall_reduce(&g, vec![1.0]);
+                issued.wait();
+                h.wait()
+            } else {
+                issued.wait();
+                thread::sleep(std::time::Duration::from_millis(50));
+                c.iall_reduce(&g, vec![1.0]).wait()
+            }
         });
-        assert_eq!(results[0], vec![2.0]);
+        let trace = sinks[0].finish();
+        let wait = trace
+            .events
+            .iter()
+            .find(|e| matches!(e.detail, EventDetail::OverlapWait { .. }))
+            .expect("rank 0 records its wait");
+        let waited_ns = wait.wall_end_ns - wait.wall_start_ns;
+        assert!(waited_ns >= 15_000_000, "wait spans {waited_ns} ns");
     }
 }

@@ -29,12 +29,16 @@
 //! where `step` is the ring/exchange step (up to 256) and `segment` the
 //! chunk-pipeline segment within that step (up to 256, the `SEG_STRIDE`).
 //! The lane constants live in [`crate::comm::lane`]; the full message key is
-//! `(group_key << 64) | (seq << 32) | sub_key`. Everything the verifier calls
+//! `(group_key << 64) | (seq << 32) | sub_key`. Algorithms name only
+//! `(lane, step)` slots in their step programs; the one executor that runs
+//! them (`program::run`) is the only place a collective's keys are composed
+//! (the clock synchronisation after it uses its own two lanes). Everything the verifier calls
 //! a "communicator lane" is the `(group, lane)` projection of this space:
 //! per-lane FIFO order is exactly what the mailbox transport guarantees, so
 //! per-lane schedule equality is the property that rules out cross-rank
 //! deadlock and misdelivery.
 
+use crate::cost::CollectiveKind;
 use crate::group::ProcessGroup;
 use crate::ReduceOp;
 use std::fmt;
@@ -112,6 +116,44 @@ impl SchedKind {
             SchedKind::Broadcast => "bcast",
             SchedKind::BroadcastTree => "tree_down",
         }
+    }
+
+    /// The cost-model kind that prices this algorithm (and labels its
+    /// trace events and live metrics).
+    pub(crate) fn collective_kind(&self) -> CollectiveKind {
+        match self {
+            SchedKind::AllGather => CollectiveKind::AllGather,
+            SchedKind::AllGatherRd => CollectiveKind::AllGatherRecursiveDoubling,
+            SchedKind::ReduceScatter | SchedKind::ReduceScatterLinear => {
+                CollectiveKind::ReduceScatter
+            }
+            SchedKind::ReduceScatterRh => CollectiveKind::ReduceScatterRecursiveHalving,
+            SchedKind::AllReduce | SchedKind::AllReduceLinear => CollectiveKind::AllReduce,
+            SchedKind::AllReduceRhd => CollectiveKind::AllReduceRecursiveHalvingDoubling,
+            SchedKind::AllReduceTree => CollectiveKind::AllReduceTree,
+            SchedKind::Broadcast => CollectiveKind::Broadcast,
+            SchedKind::BroadcastTree => CollectiveKind::BroadcastTree,
+            SchedKind::Barrier => CollectiveKind::Barrier,
+        }
+    }
+
+    /// The op name a rank inside this collective reports to the watchdog
+    /// and the flight recorder (the canonical-order kinds report as the
+    /// collective they compute).
+    pub(crate) fn op_name(&self) -> &'static str {
+        crate::comm::coll_op(self.collective_kind()).name()
+    }
+
+    /// Bytes the cost model charges for `elems` contributed elements over
+    /// `g` ranks: the gathered size for all-gathers, nothing for the
+    /// barrier, the whole buffer otherwise.
+    pub(crate) fn charged_bytes(&self, elems: usize, g: usize) -> u64 {
+        let elems = match self {
+            SchedKind::AllGather | SchedKind::AllGatherRd => elems * g,
+            SchedKind::Barrier => 0,
+            _ => elems,
+        };
+        (elems * 4) as u64
     }
 
     /// The wire lanes (see [`crate::comm::lane`]) this kind occupies, in

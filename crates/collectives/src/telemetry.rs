@@ -215,7 +215,8 @@ impl Beats {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::comm::{lane, msg_key, sub};
+    use crate::comm::{lane, msg_key};
+    use crate::program::sub;
 
     #[test]
     fn lane_decoding() {
