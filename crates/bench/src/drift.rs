@@ -22,9 +22,7 @@
 //! blocked+SIMD GF/s) that documents what the blocked rewrite buys.
 
 use axonn_cluster::{CalibratedGemm, GemmMode, GemmSample};
-use axonn_collectives::{
-    AgAlgo, AlgoPolicy, ArAlgo, CollectiveKind, ProcessGroup, RingCostModel, RsAlgo,
-};
+use axonn_collectives::{AlgoPolicy, ProcessGroup, RingCostModel, SchedKind};
 use axonn_exec::run_spmd;
 use axonn_tensor::{
     gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with, BlockSizes, Isa, MatMode, Matrix,
@@ -150,46 +148,22 @@ fn median(mut samples: Vec<f64>) -> f64 {
     }
 }
 
-/// Cost-model `bytes` for each measured op, matching exactly what the
-/// runtime charges (`SchedKind::charged_bytes`): all-gather is billed
-/// on the *gathered* buffer, the others on the input buffer.
-fn model_bytes(op: &'static str, elems: usize, g: usize) -> u64 {
-    match op {
-        "all_gather" => (elems * g * 4) as u64,
-        _ => (elems * 4) as u64,
-    }
-}
+/// The measured collectives, by the ring kind the runtime's selection
+/// starts from; an entry's `op` is the kind's label.
+const OPS: [SchedKind; 3] = [
+    SchedKind::AllGather,
+    SchedKind::ReduceScatter,
+    SchedKind::AllReduce,
+];
 
-/// The collective kind the runtime actually executes at this size under
-/// `policy` — predicting a tree-selected point with the ring curve would
-/// report spurious drift. `elems` is the per-rank input (the contributed
-/// shard for all-gather, the full buffer otherwise), matching the
-/// runtime's selection inputs.
-fn model_kind(
-    op: &'static str,
-    elems: usize,
-    g: usize,
-    policy: &AlgoPolicy,
-) -> (CollectiveKind, &'static str) {
-    match op {
-        "all_gather" => match policy.all_gather(elems, g) {
-            AgAlgo::Ring => (CollectiveKind::AllGather, "ring"),
-            AgAlgo::Rd => (CollectiveKind::AllGatherRecursiveDoubling, "rd"),
-        },
-        "reduce_scatter" => match policy.reduce_scatter(elems, g) {
-            RsAlgo::Ring => (CollectiveKind::ReduceScatter, "ring"),
-            RsAlgo::Rh => (CollectiveKind::ReduceScatterRecursiveHalving, "rh"),
-        },
-        "all_reduce" => match policy.all_reduce(elems, g) {
-            ArAlgo::Ring => (CollectiveKind::AllReduce, "ring"),
-            ArAlgo::Rhd => (CollectiveKind::AllReduceRecursiveHalvingDoubling, "rhd"),
-            ArAlgo::Tree => (CollectiveKind::AllReduceTree, "tree"),
-        },
-        other => unreachable!("unknown drift op {other}"),
-    }
+/// The short name of the algorithm `kind` runs for the ring collective
+/// `ring`: its label's suffix (`all_reduce_rhd` → `rhd`), or `ring`.
+fn algo_name(ring: SchedKind, kind: SchedKind) -> &'static str {
+    kind.label()
+        .strip_prefix(ring.label())
+        .and_then(|rest| rest.strip_prefix('_'))
+        .unwrap_or("ring")
 }
-
-const OPS: [&str; 3] = ["all_gather", "reduce_scatter", "all_reduce"];
 
 /// Run the sweep and assemble the report.
 pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
@@ -197,7 +171,7 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
     let iters = cfg.iters;
     let warmup = cfg.warmup;
     // (op, elems) -> median measured seconds.
-    let mut measured: Vec<(&'static str, usize, f64)> = Vec::new();
+    let mut measured: Vec<(SchedKind, usize, f64)> = Vec::new();
     for &elems in &cfg.elems {
         // One world per size; all three ops measured in it, each
         // barrier-bracketed so ranks start together and a slow rank
@@ -211,11 +185,11 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
                     c.barrier(&group);
                     let t0 = Instant::now();
                     match op {
-                        "all_gather" => {
+                        SchedKind::AllGather => {
                             let shard = vec![1.0f32; elems];
                             let _ = c.all_gather(&group, &shard);
                         }
-                        "reduce_scatter" => {
+                        SchedKind::ReduceScatter => {
                             let buf = vec![1.0f32; elems];
                             let _ = c.reduce_scatter(&group, &buf);
                         }
@@ -237,18 +211,18 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
         // only done when its last rank is done.
         for (k, op) in OPS.iter().enumerate() {
             let worst = timings.iter().map(|r| r[k]).fold(f64::MIN, f64::max);
-            measured.push((op, elems, worst));
+            measured.push((*op, elems, worst));
         }
     }
 
     // Calibrate β̂ from the largest all-reduce: t = 2(g-1)/g · n/β.
     let (_, cal_elems, cal_t) = *measured
         .iter()
-        .filter(|(op, _, _)| *op == "all_reduce")
+        .filter(|(op, _, _)| *op == SchedKind::AllReduce)
         .max_by_key(|(_, elems, _)| *elems)
         .expect("all_reduce measured");
     let gf = g as f64;
-    let cal_bytes = model_bytes("all_reduce", cal_elems, g) as f64;
+    let cal_bytes = SchedKind::AllReduce.charged_bytes(cal_elems, g) as f64;
     // The ring and halving/doubling all-reduces move the same
     // 2(g-1)/g · n bytes, so this calibration holds whichever of the two
     // the policy selects at the largest size.
@@ -260,7 +234,7 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
         .iter()
         .map(|op| {
             (
-                format!("collective.{op}.measured_seconds_hist"),
+                format!("collective.{}.measured_seconds_hist", op.label()),
                 Histogram::new(SECONDS_BOUNDS.to_vec()),
             )
         })
@@ -268,15 +242,22 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
     let entries = measured
         .into_iter()
         .map(|(op, elems, t)| {
-            let bytes = model_bytes(op, elems, g);
-            let (kind, algo) = model_kind(op, elems, g, &policy);
-            let predicted =
-                axonn_collectives::CostModel::collective_seconds(&model, kind, g, bytes as f64);
+            // The algorithm, charged bytes and cost curve are the
+            // runtime's own: `elems` is the per-rank input (the
+            // contributed shard for all-gather), as at a live issue.
+            let kind = policy.select(op, elems, g);
+            let bytes = kind.charged_bytes(elems, g);
+            let predicted = axonn_collectives::CostModel::collective_seconds(
+                &model,
+                kind.collective_kind(),
+                g,
+                bytes as f64,
+            );
             let hist_idx = OPS.iter().position(|o| *o == op).expect("known op");
             hists[hist_idx].1.observe(t);
             DriftEntry {
-                op,
-                algo,
+                op: op.label(),
+                algo: algo_name(op, kind),
                 elems,
                 bytes,
                 group: g,
@@ -515,6 +496,24 @@ pub fn run_gemm_drift(cfg: &GemmDriftConfig) -> Option<GemmDriftReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn algo_names_follow_the_selected_kind() {
+        use SchedKind as K;
+        let names: Vec<&str> = [
+            (K::AllGather, K::AllGather),
+            (K::AllGather, K::AllGatherRd),
+            (K::ReduceScatter, K::ReduceScatter),
+            (K::ReduceScatter, K::ReduceScatterRh),
+            (K::AllReduce, K::AllReduce),
+            (K::AllReduce, K::AllReduceRhd),
+            (K::AllReduce, K::AllReduceTree),
+        ]
+        .into_iter()
+        .map(|(ring, kind)| algo_name(ring, kind))
+        .collect();
+        assert_eq!(names, ["ring", "rd", "ring", "rh", "ring", "rhd", "tree"]);
+    }
 
     #[test]
     fn drift_report_shape() {

@@ -204,7 +204,7 @@ impl AlgoPolicy {
     /// contributed elements on `g` ranks. The canonical-order linear
     /// kinds and the barrier pass through: their fixed fold order is the
     /// contract the gradient bucketizer's bit-identity rests on.
-    pub(crate) fn select(&self, op: SchedKind, elems: usize, g: usize) -> SchedKind {
+    pub fn select(&self, op: SchedKind, elems: usize, g: usize) -> SchedKind {
         match op {
             SchedKind::AllReduce => match self.all_reduce(elems, g) {
                 ArAlgo::Ring => SchedKind::AllReduce,

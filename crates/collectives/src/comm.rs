@@ -615,6 +615,13 @@ impl Comm {
         Payload::copy_pooled(self.shared.transport.pool(), src).0
     }
 
+    /// A `len`-element pooled payload that `fill` writes in place
+    /// (starting from zeros), for payloads assembled from pieces: the
+    /// slab is the only copy.
+    pub fn pooled_payload_with(&self, len: usize, fill: impl FnOnce(&mut [f32])) -> Payload {
+        Payload::fill_pooled(self.shared.transport.pool(), len, fill).0
+    }
+
     /// Allocation statistics of the world's slab pool since creation.
     pub fn pool_stats(&self) -> PoolStats {
         self.shared.transport.pool().stats()

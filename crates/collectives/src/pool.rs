@@ -202,17 +202,33 @@ impl Payload {
     pub fn copy_pooled(pool: &BufferPool, src: &[f32]) -> (Payload, bool) {
         let (mut buf, class, hit) = pool.checkout(src.len());
         buf.extend_from_slice(src);
-        (
-            Payload {
-                slab: Arc::new(Slab {
-                    data: buf,
-                    class,
-                    pool: Arc::downgrade(&pool.inner),
-                    id: next_buffer_id(),
-                }),
-            },
-            hit,
-        )
+        (Payload::pooled(pool, buf, class), hit)
+    }
+
+    /// Check a `len`-element slab out of `pool`, zero it and let `fill`
+    /// write it in place: a payload built from pieces with no staging
+    /// buffer. Returns the payload and whether the checkout was a pool
+    /// hit.
+    pub fn fill_pooled(
+        pool: &BufferPool,
+        len: usize,
+        fill: impl FnOnce(&mut [f32]),
+    ) -> (Payload, bool) {
+        let (mut buf, class, hit) = pool.checkout(len);
+        buf.resize(len, 0.0);
+        fill(&mut buf);
+        (Payload::pooled(pool, buf, class), hit)
+    }
+
+    fn pooled(pool: &BufferPool, data: Vec<f32>, class: usize) -> Payload {
+        Payload {
+            slab: Arc::new(Slab {
+                data,
+                class,
+                pool: Arc::downgrade(&pool.inner),
+                id: next_buffer_id(),
+            }),
+        }
     }
 
     pub fn as_slice(&self) -> &[f32] {
@@ -390,6 +406,19 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.alloc_bytes, (MIN_CLASS * 4) as u64);
+    }
+
+    #[test]
+    fn filled_payload_starts_zeroed_on_a_recycled_slab() {
+        let pool = BufferPool::new();
+        drop(Payload::copy_pooled(&pool, &[7.0; 8]));
+        let (p, hit) = Payload::fill_pooled(&pool, 6, |buf| {
+            assert_eq!(buf, [0.0; 6], "a recycled slab must not leak old data");
+            buf[1] = 2.0;
+        });
+        assert!(hit);
+        assert!(p.is_pooled());
+        assert_eq!(p, vec![0.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl SchedKind {
 
     /// The cost-model kind that prices this algorithm (and labels its
     /// trace events and live metrics).
-    pub(crate) fn collective_kind(&self) -> CollectiveKind {
+    pub fn collective_kind(&self) -> CollectiveKind {
         match self {
             SchedKind::AllGather => CollectiveKind::AllGather,
             SchedKind::AllGatherRd => CollectiveKind::AllGatherRecursiveDoubling,
@@ -147,7 +147,7 @@ impl SchedKind {
     /// Bytes the cost model charges for `elems` contributed elements over
     /// `g` ranks: the gathered size for all-gathers, nothing for the
     /// barrier, the whole buffer otherwise.
-    pub(crate) fn charged_bytes(&self, elems: usize, g: usize) -> u64 {
+    pub fn charged_bytes(&self, elems: usize, g: usize) -> u64 {
         let elems = match self {
             SchedKind::AllGather | SchedKind::AllGatherRd => elems * g,
             SchedKind::Barrier => 0,

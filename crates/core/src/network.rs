@@ -408,12 +408,15 @@ impl Network4d {
                     data_group,
                     self.cfg.grad_bucket_elems,
                 );
+                let mut params = MlpParams {
+                    layers: &mut self.layers,
+                };
                 if pending.is_empty() {
                     // ORS off or a one-rank Z group: gradients landed
                     // synchronously during backward; feed them in the
                     // same reverse-backward order the deferred path would.
-                    for i in (0..self.layers.len()).rev() {
-                        pipe.push(i, self.layers[i].grad_shard().as_slice());
+                    for i in (0..params.layers.len()).rev() {
+                        pipe.push(i, &mut params, lr);
                     }
                 } else {
                     // As each deferred Z reduce-scatter resolves, its
@@ -422,16 +425,11 @@ impl Network4d {
                     // remaining ORS waits are still draining.
                     for p in pending {
                         let (layer_id, grad) = p.wait();
-                        self.layers[layer_id].accumulate_grad(grad);
-                        pipe.push(layer_id, self.layers[layer_id].grad_shard().as_slice());
+                        params.layers[layer_id].accumulate_grad(grad);
+                        pipe.push(layer_id, &mut params, lr);
                     }
                 }
-                pipe.step(
-                    lr,
-                    &mut MlpParams {
-                        layers: &mut self.layers,
-                    },
-                );
+                pipe.step(lr, &mut params);
                 for layer in &mut self.layers {
                     layer.grad_shard_mut().scale(0.0);
                 }

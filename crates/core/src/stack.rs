@@ -376,10 +376,11 @@ impl TransformerStack {
                     let (id, grad) = p.wait();
                     self.fc_by_id(id).accumulate_grad(grad);
                 }
-                pipe.push(4 * nb, self.head.grad_shard().as_slice());
+                pipe.push(4 * nb, &mut self.params(), lr);
                 self.final_ln.sync_param_grads_z(comm, grid);
-                pipe.push(base + 2 * (2 * nb), self.final_ln.gain_grad.as_slice());
-                pipe.push(base + 2 * (2 * nb) + 1, self.final_ln.bias_grad.as_slice());
+                for id in [base + 2 * (2 * nb), base + 2 * (2 * nb) + 1] {
+                    pipe.push(id, &mut self.params(), lr);
+                }
                 for bi in (0..nb).rev() {
                     // The block's four deferred reduce-scatters resolve
                     // in backward order: fc2, fc1, proj, qkv.
@@ -390,28 +391,21 @@ impl TransformerStack {
                             debug_assert_eq!(pid, id, "pending order mismatch");
                             self.fc_by_id(pid).accumulate_grad(grad);
                         }
-                        pipe.push(id, self.fc_by_id(id).grad_shard().as_slice());
+                        pipe.push(id, &mut self.params(), lr);
                     }
                     let b = &mut self.blocks[bi];
                     b.ln2.sync_param_grads_z(comm, grid);
                     b.ln1.sync_param_grads_z(comm, grid);
-                    let (k1, k2) = (2 * bi, 2 * bi + 1);
-                    pipe.push(base + 2 * k2, b.ln2.gain_grad.as_slice());
-                    pipe.push(base + 2 * k2 + 1, b.ln2.bias_grad.as_slice());
-                    pipe.push(base + 2 * k1, b.ln1.gain_grad.as_slice());
-                    pipe.push(base + 2 * k1 + 1, b.ln1.bias_grad.as_slice());
+                    // ln2 (norm 2b + 1), then ln1 (norm 2b): gain, bias.
+                    for k in [2 * bi + 1, 2 * bi] {
+                        for id in [base + 2 * k, base + 2 * k + 1] {
+                            pipe.push(id, &mut self.params(), lr);
+                        }
+                    }
                 }
                 self.emb.sync_grads_z(comm, grid);
-                pipe.push(base + 4 * nb + 2, self.emb.grad.as_slice());
-                pipe.step(
-                    lr,
-                    &mut StackParams {
-                        blocks: &mut self.blocks,
-                        final_ln: &mut self.final_ln,
-                        head: &mut self.head,
-                        emb: &mut self.emb,
-                    },
-                );
+                pipe.push(base + 4 * nb + 2, &mut self.params(), lr);
+                pipe.step(lr, &mut self.params());
                 // Zero the accumulators `apply_sgd` used to clear.
                 for b in &mut self.blocks {
                     b.ln1.gain_grad.scale(0.0);
@@ -464,6 +458,16 @@ impl TransformerStack {
         let mut total = vec![ce.loss];
         comm.all_reduce(&self.world, &mut total);
         total[0] / (grid.gx * grid.gy) as f32
+    }
+
+    /// Every parameter tensor and its gradient, by [`StackParams`] id.
+    fn params(&mut self) -> StackParams<'_> {
+        StackParams {
+            blocks: &mut self.blocks,
+            final_ln: &mut self.final_ln,
+            head: &mut self.head,
+            emb: &mut self.emb,
+        }
     }
 
     fn fc_by_id(&mut self, layer_id: usize) -> &mut ParallelLinear {

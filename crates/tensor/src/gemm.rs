@@ -9,7 +9,7 @@
 //!
 //! * The **blocked tier** (default): cache-blocked mc/kc/nc loops over
 //!   register-tiled micro-kernels reading packed B panels
-//!   ([`crate::pack`], [`crate::kernel`]). NT packs `Bᵀ` panels so the
+//!   ([`crate::pack`] and the private `kernel` module). NT packs `Bᵀ` panels so the
 //!   dot-product reduction becomes the same broadcast-multiply-add loop
 //!   as NN; TN transpose-packs `A` so the stride-`m` column walk becomes
 //!   a pack cost. The dense tiles run on the best [`Isa`] the CPU has:

@@ -1,6 +1,7 @@
 //! Operand packing for the blocked GEMM engine.
 //!
-//! The micro-kernels in [`crate::kernel`] only ever read two layouts:
+//! The micro-kernels (the private `kernel` module) only ever read two
+//! layouts:
 //!
 //! * **A view** — an `m × k` row-major slice (row `i`, element `p` at
 //!   `i * k + p`). For NN/NT in f32 this is the caller's matrix verbatim;
@@ -153,7 +154,7 @@ pub(crate) fn with_packed_b<R>(
 }
 
 /// An owned, already-packed right-hand operand: the same panel layout
-/// [`with_packed_b`] builds per call, filled once by the same routine.
+/// the blocked GEMM packs per call, filled once by the same routine.
 /// Handing one to `gemm` skips the per-call pack — what a weight matrix
 /// that never changes between multiplies (inference) wants.
 #[derive(Debug, Clone)]
