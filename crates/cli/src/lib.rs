@@ -40,7 +40,8 @@ pub const USAGE: &str = "usage:
   axonnctl verify <gx> <gy> <gz> <gd> [mlp|transformer] [--inject <defect>]
   axonnctl verify --all-grids <gpus> [mlp|transformer]
   axonnctl verify --serve <tp> [<layers> <tokens>] [--inject <defect>]
-  (defects: reorder, missing-wait, count-mismatch, overlap-race, slab-reuse, early-recycle)";
+  (defects: reorder, missing-wait, count-mismatch, overlap-race, slab-reuse, early-recycle,
+   issue-past-blocking)";
 
 /// A parsed subcommand.
 #[derive(Debug, Clone, PartialEq)]

@@ -48,7 +48,8 @@ pub(crate) fn coll_op(kind: CollectiveKind) -> CollOp {
 }
 
 /// Virtual-time state of one rank, shared between its main thread and its
-/// async communication worker.
+/// async communication stream (a worker thread, or the main thread when
+/// the rank has no core to spare for one).
 #[derive(Debug, Default)]
 pub struct ClockState {
     /// Current virtual time of the rank's compute stream.
@@ -57,9 +58,9 @@ pub struct ClockState {
     /// (blocking collectives, issued from the compute thread).
     pub comm_free_sync: f64,
     /// When the rank's *asynchronous* communication stream becomes free
-    /// (non-blocking collectives on the communication worker). Separate
-    /// streams keep virtual time deterministic regardless of how the OS
-    /// interleaves the two threads — mirroring the independent
+    /// (non-blocking collectives, wherever they run). Separate streams
+    /// keep virtual time deterministic regardless of which thread runs a
+    /// program or how the OS interleaves threads — mirroring the independent
     /// communication channels of the simulator.
     pub comm_free_async: f64,
 }
@@ -88,13 +89,15 @@ pub(crate) struct CommShared {
 
 /// A rank's handle to the world: identity, transport, cost model, clock.
 ///
-/// Cloning is cheap (all state is shared); clones are how the async
-/// worker thread gets access to the same rank.
+/// Cloning is cheap (all state is shared).
 #[derive(Clone)]
 pub struct Comm {
     rank: usize,
     pub(crate) shared: Arc<CommShared>,
-    pub(crate) async_tx: Option<crossbeam::channel::Sender<crate::nonblocking::Job>>,
+    /// The rank's communication worker, when it has a core to spare for
+    /// one; without it, async collectives run at issue on the calling
+    /// thread (see [`crate::nonblocking`]).
+    pub(crate) async_tx: Option<crate::nonblocking::WorkerQueue>,
 }
 
 /// RAII marker for "this rank is inside collective `op`" — the watchdog
@@ -273,6 +276,11 @@ impl WorldBuilder {
                 None => None,
             }
         };
+        // Comm-stream placement: a rank whose core share is two or more
+        // gets a worker thread; with one core the worker could only
+        // time-slice with its own rank's compute, so async collectives
+        // run where they are issued. Dry worlds never spawn workers.
+        let worker = !dry && rayon::current_num_threads() / size >= 2;
         (0..size)
             .map(|rank| {
                 let shared = Arc::new(CommShared {
@@ -286,10 +294,8 @@ impl WorldBuilder {
                     metrics: live.clone(),
                     algo,
                 });
-                // Dry worlds never spawn workers: async issues complete
-                // eagerly with symbolic results.
                 let async_tx =
-                    (!dry).then(|| crate::nonblocking::spawn_worker(rank, shared.clone()));
+                    worker.then(|| crate::nonblocking::spawn_worker(rank, shared.clone()));
                 Comm {
                     rank,
                     shared,

@@ -7,7 +7,8 @@
 //! all-gather, reduce-scatter, all-reduce (reduce-scatter + all-gather, as
 //! in Rabenseifner) and broadcast over arbitrary *process groups* —
 //! exactly Assumption-1 of the paper's performance model. Non-blocking
-//! variants run on a per-rank communication worker thread and return
+//! variants run on a per-rank communication stream (a worker thread when
+//! the rank has a core to spare, else the issuing thread) and return
 //! handles, which is what lets `axonn-core` implement the paper's OAR /
 //! ORS / OAG overlap optimizations with real concurrency semantics.
 //!

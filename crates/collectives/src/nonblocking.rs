@@ -1,15 +1,23 @@
 //! Non-blocking collectives: the NCCL/RCCL asynchronous semantics that
 //! AxoNN's overlap optimizations (OAR, ORS, OAG — Section V-D) depend on.
 //!
-//! Each rank owns one *communication worker* thread, mirroring a GPU's
-//! communication stream: issued operations execute in issue order,
-//! concurrently with the issuing thread's compute. An issued operation
-//! returns an [`AsyncHandle`]; `wait` blocks until completion and merges
-//! the operation's virtual completion time into the rank's clock, so
-//! overlap genuinely reduces virtual batch time exactly when it reduces
-//! non-overlapped communication. The worker runs the same selection,
-//! step programs, executor and charge as the blocking calls, on the
-//! asynchronous stream.
+//! Each rank runs its issued operations in issue order on one
+//! *communication stream*, placed when the world is built from the
+//! rank's core share (`rayon::current_num_threads() / world_size`, the
+//! count `axonn-exec` sizes each rank's kernel pool by). A rank with two
+//! or more cores owns a *communication worker* thread, mirroring a GPU's
+//! communication stream: programs run concurrently with the issuing
+//! thread's compute. A rank with one core spawns no worker — it could
+//! only time-slice with its own rank's compute — and runs each program on
+//! the issuing thread at issue. Either way an issued operation returns an
+//! [`AsyncHandle`]; `wait` blocks until completion and merges the
+//! operation's virtual completion time into the rank's clock. The
+//! program is charged to the asynchronous stream from its issue clock
+//! whichever thread runs it, so virtual time, fold order and per-link
+//! message sequences do not depend on the placement, and overlap
+//! reduces virtual batch time exactly when it reduces non-overlapped
+//! communication. Both placements run the same selection, step
+//! programs, executor and charge as the blocking calls.
 
 use crate::comm::{charge, coll_op, Comm, CommShared, ReduceOp};
 use crate::fault::{unwrap_comm, CommError};
@@ -64,10 +72,14 @@ impl AsyncOp {
     }
 }
 
+/// What an asynchronous collective resolves to: its result buffer and
+/// virtual completion time, or the typed failure of its ring path.
+type JobResult = Result<(Vec<f32>, f64), CommError>;
+
 pub(crate) struct Job {
     group: ProcessGroup,
     op: AsyncOp,
-    /// Effective algorithm, resolved at issue time (the worker must
+    /// Effective algorithm, resolved at issue time (the program must
     /// execute exactly what was recorded in the schedule stream).
     kind: SchedKind,
     seq: u64,
@@ -75,12 +87,20 @@ pub(crate) struct Job {
     /// Layer scope at issue time, stamped onto the execution span so
     /// overlap reports attribute hidden time to the issuing layer.
     layer: Option<usize>,
-    reply: Sender<Result<(Vec<f32>, f64), CommError>>,
+}
+
+/// Where an issued operation's result comes from.
+enum Completion {
+    /// Ran at issue: on the issuing thread of a rank without a worker,
+    /// or synthesised symbolically in a dry world.
+    Ready(JobResult),
+    /// Queued on the rank's communication worker.
+    Worker(Receiver<JobResult>),
 }
 
 /// Handle to an in-flight asynchronous collective.
 pub struct AsyncHandle {
-    rx: Receiver<Result<(Vec<f32>, f64), CommError>>,
+    completion: Completion,
     rank: usize,
     shared: Arc<CommShared>,
     kind: SchedKind,
@@ -119,21 +139,23 @@ impl AsyncHandle {
             return Err(CommError::Poisoned(info));
         }
         let wall_start = self.shared.tracer.as_ref().map_or(0, |t| t.now_ns());
-        let recv = self.rx.recv();
-        let (result, completion) = match recv {
-            Ok(Ok(pair)) => pair,
-            Ok(Err(e)) => return Err(e),
-            Err(_) => {
-                // The worker died; if the world was poisoned, report the
-                // original failure rather than the secondary symptom.
-                return Err(match self.shared.transport.poison_info() {
-                    Some(info) => CommError::Poisoned(info),
-                    None => CommError::PeerLost {
-                        peer: self.rank,
-                        detail: "async collective worker terminated before completing".into(),
-                    },
-                });
-            }
+        let (result, completion) = match self.completion {
+            Completion::Ready(outcome) => outcome?,
+            Completion::Worker(rx) => match rx.recv() {
+                Ok(outcome) => outcome?,
+                Err(_) => {
+                    // The worker died; if the world was poisoned, report
+                    // the original failure rather than the secondary
+                    // symptom.
+                    return Err(match self.shared.transport.poison_info() {
+                        Some(info) => CommError::Poisoned(info),
+                        None => CommError::PeerLost {
+                            peer: self.rank,
+                            detail: "async collective worker terminated before completing".into(),
+                        },
+                    });
+                }
+            },
         };
         if self.shared.track_time {
             let (gap_start, gap_end) = {
@@ -196,9 +218,8 @@ impl Comm {
             Some(op.payload().buffer_id()),
             op.payload().slab_id(),
         );
-        let (reply, rx) = unbounded();
-        let handle = AsyncHandle {
-            rx,
+        let handle = |completion| AsyncHandle {
+            completion,
             rank: self.rank(),
             shared: self.shared.clone(),
             kind,
@@ -207,14 +228,14 @@ impl Comm {
             group_size: group.size(),
         };
         if self.shared.dry {
-            // No comm worker exists in dry worlds: synthesise the
-            // symbolic (zero-filled) result eagerly so the handle's
-            // `wait` completes immediately, preserving the real API's
+            // Dry worlds move no message: synthesise the symbolic
+            // (zero-filled) result at issue, preserving the real API's
             // issue/wait shape for schedule extraction.
             let program = job_program(&self.shared, self.rank(), group, kind, elems);
             let result = program.check(&self.shared);
-            let _ = reply.send(result.map(|()| (vec![0.0; program.result.len()], 0.0)));
-            return handle;
+            return handle(Completion::Ready(
+                result.map(|()| (vec![0.0; program.result.len()], 0.0)),
+            ));
         }
         let issue_clock = if self.shared.track_time {
             self.shared.clock.lock().now
@@ -244,14 +265,16 @@ impl Comm {
             seq,
             issue_clock,
             layer,
-            reply,
         };
-        self.async_tx
-            .as_ref()
-            .expect("communicator has no async worker")
-            .send(job)
-            .expect("async worker terminated");
-        handle
+        handle(match &self.async_tx {
+            Some(worker) => {
+                let (reply, rx) = unbounded();
+                worker.send((job, reply)).expect("async worker terminated");
+                Completion::Worker(rx)
+            }
+            // No core to spare for a worker: run the program here, now.
+            None => Completion::Ready(run_job(self.rank(), &self.shared, job)),
+        })
     }
 
     /// Convenience: asynchronous in-place all-reduce.
@@ -308,22 +331,30 @@ fn job_program(
     )
 }
 
+/// A rank's queue of jobs for its communication worker, each with the
+/// channel its result goes back on.
+pub(crate) type WorkerQueue = Sender<(Job, Sender<JobResult>)>;
+
 /// Spawn the communication worker for `rank`. Returns the job queue; the
 /// worker exits when every `Comm` clone for the rank has been dropped.
-pub(crate) fn spawn_worker(rank: usize, shared: Arc<CommShared>) -> Sender<Job> {
-    let (tx, rx) = unbounded::<Job>();
+pub(crate) fn spawn_worker(rank: usize, shared: Arc<CommShared>) -> WorkerQueue {
+    let (tx, rx) = unbounded::<(Job, Sender<JobResult>)>();
     std::thread::Builder::new()
         .name(format!("axonn-comm-{rank}"))
         .spawn(move || {
-            while let Ok(job) = rx.recv() {
-                run_job(rank, &shared, job);
+            while let Ok((job, reply)) = rx.recv() {
+                // Receiver may have been dropped (fire-and-forget);
+                // that's fine.
+                let _ = reply.send(run_job(rank, &shared, job));
             }
         })
         .expect("failed to spawn communication worker");
     tx
 }
 
-fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
+/// Run one issued job's program and charge it to the asynchronous
+/// stream from its issue clock — on the worker, or inline at issue.
+fn run_job(rank: usize, shared: &CommShared, job: Job) -> JobResult {
     let Job {
         group,
         op,
@@ -331,13 +362,12 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
         seq,
         issue_clock,
         layer,
-        reply,
     } = job;
     let wall_start = shared.tracer.as_ref().map(|t| t.now_ns()).unwrap_or(0);
-    // Watchdog marker: the comm worker is inside this collective until
-    // the job resolves (cleared below, error or not).
+    // Watchdog marker: the rank is inside this collective until the job
+    // resolves (cleared below, error or not).
     shared.transport.beats().set_op(rank, kind.op_name());
-    let outcome = (|| -> Result<(Vec<f32>, f64), CommError> {
+    let outcome = (|| -> JobResult {
         let elems = op.payload().len();
         let program = job_program(shared, rank, &group, kind, elems);
         let mut stats = HopStats::default();
@@ -370,8 +400,7 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
         Ok((result, completion))
     })();
     shared.transport.beats().clear_op(rank);
-    // Receiver may have been dropped (fire-and-forget); that's fine.
-    let _ = reply.send(outcome);
+    outcome
 }
 
 #[cfg(test)]
@@ -388,6 +417,27 @@ mod tests {
     {
         let comms = CommWorld::builder(n).build();
         run_world_with(comms, f)
+    }
+
+    /// Run `build` with `cores` standing in for the box's core count:
+    /// a world built inside gives each rank `cores / world_size` of
+    /// them, which picks its comm-stream placement.
+    fn with_cores<R: Send>(cores: usize, build: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(cores)
+            .build()
+            .expect("a pool with a fixed worker count")
+            .install(build)
+    }
+
+    /// An `n`-rank world under each placement: one core per rank (async
+    /// collectives run at issue), then two (a comm worker per rank).
+    fn both_placements(n: usize) -> [Vec<Comm>; 2] {
+        [1, 2].map(|per_rank| {
+            let comms = with_cores(n * per_rank, || CommWorld::builder(n).build());
+            assert_eq!(comms[0].async_tx.is_some(), per_rank == 2);
+            comms
+        })
     }
 
     fn run_world_with<F, T>(comms: Vec<Comm>, f: F) -> Vec<T>
@@ -423,41 +473,80 @@ mod tests {
 
     #[test]
     fn async_ops_execute_in_issue_order() {
-        let results = run_world(2, |c| {
-            let g = ProcessGroup::new(vec![0, 1]);
-            let h1 = c.iall_reduce(&g, vec![1.0, 2.0]);
-            let h2 = c.iall_reduce(&g, vec![10.0, 20.0]);
-            (h1.wait(), h2.wait())
-        });
-        for (r1, r2) in &results {
-            assert_eq!(r1, &vec![2.0, 4.0]);
-            assert_eq!(r2, &vec![20.0, 40.0]);
+        for comms in both_placements(2) {
+            let results = run_world_with(comms, |c| {
+                let g = ProcessGroup::new(vec![0, 1]);
+                let h1 = c.iall_reduce(&g, vec![1.0, 2.0]);
+                let h2 = c.iall_reduce(&g, vec![10.0, 20.0]);
+                (h1.wait(), h2.wait())
+            });
+            for (r1, r2) in &results {
+                assert_eq!(r1, &vec![2.0, 4.0]);
+                assert_eq!(r2, &vec![20.0, 40.0]);
+            }
         }
     }
 
     #[test]
     fn async_overlaps_with_blocking_on_other_group() {
-        // Worker runs group {0,1} op while main threads run {0,1} barrier-
-        // style blocking op on a different group layout.
-        let results = run_world(4, |c| {
-            let g01 = ProcessGroup::new(vec![0, 1]);
-            let g_all = ProcessGroup::new(vec![0, 1, 2, 3]);
-            let h = if g01.contains(c.rank()) {
-                Some(c.iall_gather(&g01, vec![c.rank() as f32]))
-            } else {
-                None
-            };
-            let mut buf = vec![1.0f32];
-            c.all_reduce(&g_all, &mut buf);
-            let gathered = h.map(|h| h.wait());
-            (buf, gathered)
-        });
-        for (i, (sum, gathered)) in results.iter().enumerate() {
-            assert_eq!(sum, &vec![4.0]);
-            if i < 2 {
-                assert_eq!(gathered.as_ref().unwrap(), &vec![0.0, 1.0]);
+        // Ranks 0 and 1 issue a group {0,1} op, then every rank runs a
+        // blocking op on the whole world before the wait: on a worker
+        // the two overlap, inline the async op completes at issue.
+        for comms in both_placements(4) {
+            let results = run_world_with(comms, |c| {
+                let g01 = ProcessGroup::new(vec![0, 1]);
+                let g_all = ProcessGroup::new(vec![0, 1, 2, 3]);
+                let h = if g01.contains(c.rank()) {
+                    Some(c.iall_gather(&g01, vec![c.rank() as f32]))
+                } else {
+                    None
+                };
+                let mut buf = vec![1.0f32];
+                c.all_reduce(&g_all, &mut buf);
+                let gathered = h.map(|h| h.wait());
+                (buf, gathered)
+            });
+            for (i, (sum, gathered)) in results.iter().enumerate() {
+                assert_eq!(sum, &vec![4.0]);
+                if i < 2 {
+                    assert_eq!(gathered.as_ref().unwrap(), &vec![0.0, 1.0]);
+                }
             }
         }
+    }
+
+    #[test]
+    fn one_core_per_rank_runs_the_program_at_issue() {
+        // Rank 1 issues 20 ms late. With one core per rank there is no
+        // worker, so rank 0's issue itself runs the all-reduce: its
+        // comm-stream span has ended by the time `iall_reduce` returns.
+        let (comms, sinks) = with_cores(2, || {
+            CommWorld::builder(2)
+                .cost(Arc::new(crate::cost::NullCost))
+                .build_traced()
+        });
+        let returned = run_world_with(comms, |c| {
+            let g = ProcessGroup::new(vec![0, 1]);
+            if c.rank() == 1 {
+                thread::sleep(std::time::Duration::from_millis(20));
+            }
+            let h = c.iall_reduce(&g, vec![1.0]);
+            let returned_ns = c.tracer().expect("traced world").now_ns();
+            assert_eq!(h.wait(), vec![2.0]);
+            returned_ns
+        });
+        let trace = sinks[0].finish();
+        let comm = trace
+            .events
+            .iter()
+            .find(|e| e.stream == Stream::Comm)
+            .expect("rank 0 records the all-reduce on its comm stream");
+        assert!(
+            comm.wall_end_ns <= returned[0],
+            "comm span ends at {} ns, issue returned at {} ns",
+            comm.wall_end_ns,
+            returned[0]
+        );
     }
 
     #[test]
@@ -498,9 +587,13 @@ mod tests {
         // Rank 1 issues 50 ms after rank 0 has, so rank 0's wait blocks
         // about that long; its OverlapWait span must carry that wall
         // time (the margin absorbs scheduling delay on a loaded host).
-        let (comms, sinks) = CommWorld::builder(2)
-            .cost(Arc::new(crate::cost::NullCost))
-            .build_traced();
+        // Rank 0 reaches the barrier only because its issue returns at
+        // once, which takes a comm worker: two cores per rank.
+        let (comms, sinks) = with_cores(4, || {
+            CommWorld::builder(2)
+                .cost(Arc::new(crate::cost::NullCost))
+                .build_traced()
+        });
         let issued = Arc::new(std::sync::Barrier::new(2));
         run_world_with(comms, move |c| {
             let g = ProcessGroup::new(vec![0, 1]);

@@ -239,7 +239,7 @@ impl fmt::Display for SchedOp {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedEvent {
     /// A collective was issued (blocking call entered, or async job
-    /// submitted to the comm worker).
+    /// submitted to the rank's communication stream).
     Issue(SchedOp),
     /// An async handle was waited on, identified by its `(group, seq)`.
     Wait { group_key: u64, seq: u64 },

@@ -2,7 +2,7 @@
 //! pending-receive tracking, and lane-key decoding.
 //!
 //! Everything here is written from the collectives hot paths (blocking
-//! calls on the main context, `run_job` on the comm worker, the
+//! calls on the main context, `run_job` on the comm stream, the
 //! transport send/recv primitives) and read by an observer thread (the
 //! exec watchdog, `axonnctl monitor`). Stamps are relaxed atomic stores
 //! of a monotonic wall offset; the only mutexes guard the rarely-read

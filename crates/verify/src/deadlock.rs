@@ -6,16 +6,23 @@
 //! rejected here relies on buffering or eager completion that the
 //! contract does not promise.
 //!
-//! The model per rank:
+//! The model per rank follows the rank's comm-stream [`Placement`]
+//! (`axonn_collectives::nonblocking` picks one per rank from its core
+//! share, so a schedule must complete under both):
 //! * a **main context** walking the event stream: a blocking `Issue`
 //!   arrives at its collective instance and blocks until the instance
-//!   completes; an async `Issue` is appended to the rank's worker queue
-//!   and the main context moves on; a `Wait` blocks until its instance
-//!   completes; `Marker`s are skipped;
-//! * a **worker context** executing async ops strictly in issue order
-//!   (the comm-stream semantics of `axonn_collectives::nonblocking`):
+//!   completes; a `Wait` blocks until its instance completes; `Marker`s
+//!   are skipped. An async `Issue` is appended to the rank's worker
+//!   queue and the main context moves on ([`Placement::Worker`]), or is
+//!   a blocking arrival at the issue point ([`Placement::Inline`]);
+//! * a **worker context** executing async ops strictly in issue order:
 //!   the front job arrives at its instance, blocks until completion,
-//!   then the next job starts.
+//!   then the next job starts. Under the inline placement its queue
+//!   stays empty.
+//!
+//! The worker model is the more concurrent one: the inline model
+//! additionally rejects an async issue that meets a blocking collective
+//! on another communicator in a different order on another rank.
 //!
 //! A collective **instance** is keyed `(group_key, seq)` and completes
 //! once every member rank has arrived (from either context). The
@@ -30,6 +37,24 @@ use axonn_collectives::{SchedEvent, SchedOp};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 type Key = (u64, u64); // (group_key, seq)
+
+/// Where a rank runs its asynchronous collectives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// On a comm-worker thread, concurrently with the issuing context.
+    Worker,
+    /// On the issuing thread, at issue.
+    Inline,
+}
+
+impl Placement {
+    pub fn label(self) -> &'static str {
+        match self {
+            Placement::Worker => "async collectives on a comm worker",
+            Placement::Inline => "async collectives inline at issue",
+        }
+    }
+}
 
 struct Instance {
     members: Vec<usize>,
@@ -71,8 +96,9 @@ fn arrive(
     inst.arrived.insert(rank)
 }
 
-/// Run the deadlock simulation over all ranks' streams.
-pub fn check(streams: &[Vec<SchedEvent>]) -> Vec<Diagnostic> {
+/// Run the deadlock simulation over all ranks' streams, every rank
+/// running its async collectives per `placement`.
+pub fn check(streams: &[Vec<SchedEvent>], placement: Placement) -> Vec<Diagnostic> {
     let mut ranks: Vec<RankState> = streams
         .iter()
         .map(|events| RankState {
@@ -118,7 +144,7 @@ pub fn check(streams: &[Vec<SchedEvent>]) -> Vec<Diagnostic> {
                         state.pc += 1;
                         progress = true;
                     }
-                    SchedEvent::Issue(op) if op.blocking => {
+                    SchedEvent::Issue(op) if op.blocking || placement == Placement::Inline => {
                         let key = key_of(op);
                         arrive(&mut instances, key, &op.ranks, rank);
                         state.blocked = Some((key, format!("blocked in {op}")));
@@ -192,7 +218,7 @@ pub fn check(streams: &[Vec<SchedEvent>]) -> Vec<Diagnostic> {
                     (rank, what)
                 })
                 .collect();
-            return vec![Diagnostic::Deadlock { stuck }];
+            return vec![Diagnostic::Deadlock { placement, stuck }];
         }
     }
 }

@@ -5,6 +5,7 @@
 //! the teardown check in `axonn_exec::run_spmd`) points at the exact
 //! first divergence rather than a generic "schedules differ".
 
+use crate::deadlock::Placement;
 use std::fmt;
 
 /// One verifier finding. Severity is uniform: any diagnostic means the
@@ -67,9 +68,12 @@ pub enum Diagnostic {
     },
     /// The schedule cannot complete under the portable blocking
     /// contract (every blocking collective may synchronise all
-    /// members): the fixpoint simulation wedged with the listed ranks
-    /// stuck at the described ops.
-    Deadlock { stuck: Vec<(usize, String)> },
+    /// members): the fixpoint simulation of `placement` wedged with the
+    /// listed ranks stuck at the described ops.
+    Deadlock {
+        placement: Placement,
+        stuck: Vec<(usize, String)>,
+    },
     /// The main context mutated a buffer while a pending nonblocking
     /// collective's overlap window may still read or write it: the
     /// write is neither ordered after the window's end nor before its
@@ -197,10 +201,11 @@ impl fmt::Display for Diagnostic {
                 event_index,
                 message,
             } => write!(f, "rank {rank} event #{event_index}: {message}"),
-            Diagnostic::Deadlock { stuck } => {
+            Diagnostic::Deadlock { placement, stuck } => {
                 write!(
                     f,
-                    "schedule cannot complete under the blocking-collective contract; stuck:"
+                    "schedule cannot complete under the blocking-collective contract ({}); stuck:",
+                    placement.label()
                 )?;
                 for (rank, what) in stuck {
                     write!(f, " [rank {rank}: {what}]")?;

@@ -11,9 +11,10 @@ pub enum DefectKind {
     /// bug. Prefers swapping two differing issues on the *same*
     /// communicator (caught by the matching checker); otherwise swaps a
     /// wait before its own issue (caught by the lints). Swaps across
-    /// independent communicators are deliberately never injected: the
-    /// transport keys every message by `(group, seq, lane)`, so such
-    /// reorders are harmless and the verifier rightly accepts them.
+    /// independent communicators are never injected here: the transport
+    /// keys every message by `(group, seq, lane)`, so such reorders are
+    /// harmless to a comm worker. An inline comm stream is not immune —
+    /// see [`IssuePastBlocking`](Self::IssuePastBlocking).
     Reorder,
     /// A wait dropped from one rank: the handle (and any pooled slab it
     /// holds) leaks.
@@ -31,6 +32,15 @@ pub enum DefectKind {
     /// before the op releases the slab (caught by the slab-lifetime
     /// analysis).
     EarlyRecycle,
+    /// An async issue moved past a later blocking collective on another
+    /// of the rank's communicators that shares a peer with it. A comm
+    /// worker still arrives while the main context blocks; an inline
+    /// comm stream blocks at the issue, so the peer, which issued in the
+    /// original order, waits for it while this rank waits for the peer
+    /// (caught by the inline deadlock model). When the op's wait precedes
+    /// that collective, the wait moves with the issue, and the peer's
+    /// earlier wait deadlocks the worker model too.
+    IssuePastBlocking,
 }
 
 /// The ISSUE-facing alias: injected defect kinds.
@@ -45,21 +55,24 @@ impl DefectKind {
             DefectKind::OverlapRace => "overlap-race",
             DefectKind::SlabReuse => "slab-reuse",
             DefectKind::EarlyRecycle => "early-recycle",
+            DefectKind::IssuePastBlocking => "issue-past-blocking",
         }
     }
 
     /// Every defect family, in label order (CLI help, exhaustive tests).
-    pub const ALL: [DefectKind; 6] = [
+    pub const ALL: [DefectKind; 7] = [
         DefectKind::Reorder,
         DefectKind::MissingWait,
         DefectKind::CountMismatch,
         DefectKind::OverlapRace,
         DefectKind::SlabReuse,
         DefectKind::EarlyRecycle,
+        DefectKind::IssuePastBlocking,
     ];
 
     /// Parse a CLI spelling (`reorder`, `missing-wait`, `count-mismatch`,
-    /// `overlap-race`, `slab-reuse`, `early-recycle`).
+    /// `overlap-race`, `slab-reuse`, `early-recycle`,
+    /// `issue-past-blocking`).
     pub fn parse(s: &str) -> Option<DefectKind> {
         DefectKind::ALL.into_iter().find(|k| k.label() == s)
     }
@@ -204,5 +217,55 @@ pub fn inject(streams: &mut [Vec<SchedEvent>], rank: usize, defect: DefectKind) 
             }
             false
         }
+        DefectKind::IssuePastBlocking => match issue_past_blocking_site(stream, rank) {
+            Some((issue, wait, blocking)) => {
+                // Re-insert right after the blocking collective, the
+                // wait (when it moves too) right after its issue.
+                let moved: Vec<SchedEvent> = wait
+                    .into_iter()
+                    .chain([issue])
+                    .map(|i| stream.remove(i))
+                    .collect();
+                let at = blocking + 1 - moved.len();
+                stream.splice(at..at, moved.into_iter().rev());
+                true
+            }
+            None => false,
+        },
     }
+}
+
+/// The first async issue with a later blocking collective on another
+/// communicator sharing a peer besides `rank`, and no op on the issue's
+/// own communicator in between (so its per-communicator order holds).
+/// Returns the issue's index, its wait's index when that precedes the
+/// blocking collective (it must move too), and the collective's index.
+fn issue_past_blocking_site(
+    stream: &[SchedEvent],
+    rank: usize,
+) -> Option<(usize, Option<usize>, usize)> {
+    stream.iter().enumerate().find_map(|(i, e)| {
+        let SchedEvent::Issue(a) = e else { return None };
+        if a.blocking {
+            return None;
+        }
+        let mut wait = None;
+        for (j, later) in stream.iter().enumerate().skip(i + 1) {
+            match later {
+                SchedEvent::Wait { group_key, seq }
+                    if (*group_key, *seq) == (a.group_key, a.seq) =>
+                {
+                    wait = Some(j);
+                }
+                SchedEvent::Issue(b) if b.group_key == a.group_key => return None,
+                SchedEvent::Issue(b)
+                    if b.blocking && b.ranks.iter().any(|r| *r != rank && a.ranks.contains(r)) =>
+                {
+                    return Some((i, wait, j));
+                }
+                _ => {}
+            }
+        }
+        None
+    })
 }

@@ -20,7 +20,9 @@
 //! 2. **Deadlock simulation** ([`deadlock`]): a conservative fixpoint
 //!    execution under the portable blocking contract (any collective
 //!    may synchronise its whole group), catching circular blocking
-//!    waits across communicator lanes.
+//!    waits across communicator lanes — once with async collectives on
+//!    a comm worker and once with them inline at issue, the two
+//!    placements a rank's comm stream can take.
 //! 3. **Local lints** ([`lints`]): wait-before-issue and double-wait,
 //!    handles issued but never waited (and the pooled slabs they keep
 //!    reachable), buckets sealed but never reduced, and the static
@@ -52,6 +54,7 @@ pub mod lints;
 pub mod matching;
 pub mod slab;
 
+pub use deadlock::Placement;
 pub use diag::{Diagnostic, Report};
 pub use hb::HbAnalysis;
 pub use inject::{inject, DefectKind, InjectKind};
@@ -73,8 +76,9 @@ fn count_issues(streams: &[Vec<SchedEvent>]) -> usize {
 }
 
 /// Full pre-launch certification: local lints, cross-rank matching, the
-/// deadlock simulation, then — on deadlock-free schedules, where the
-/// vector-clock simulation is guaranteed to complete — the
+/// deadlock simulation under both comm-stream placements, then — on
+/// schedules the worker model completes, where the vector-clock
+/// simulation (which keeps that model) is guaranteed to complete — the
 /// happens-before race detector and the slab-lifetime analysis.
 pub fn check_schedules(streams: &[Vec<SchedEvent>]) -> Report {
     let mut timings_us = Vec::new();
@@ -85,9 +89,10 @@ pub fn check_schedules(streams: &[Vec<SchedEvent>]) -> Report {
     diagnostics.extend(matching::check(streams));
     timings_us.push(("matching", elapsed_us(t)));
     let t = Instant::now();
-    let deadlocks = deadlock::check(streams);
-    let deadlock_free = deadlocks.is_empty();
-    diagnostics.extend(deadlocks);
+    let worker = deadlock::check(streams, Placement::Worker);
+    let deadlock_free = worker.is_empty();
+    diagnostics.extend(worker);
+    diagnostics.extend(deadlock::check(streams, Placement::Inline));
     timings_us.push(("deadlock", elapsed_us(t)));
     if deadlock_free {
         let t = Instant::now();
@@ -306,7 +311,7 @@ mod tests {
             .diagnostics
             .iter()
             .find_map(|d| match d {
-                Diagnostic::Deadlock { stuck } => Some(stuck.clone()),
+                Diagnostic::Deadlock { stuck, .. } => Some(stuck.clone()),
                 _ => None,
             })
             .expect("deadlock diagnostic");
@@ -441,12 +446,15 @@ mod tests {
                 true,
             );
             let (i2, w2) = tagged_async_issue(SchedKind::AllGather, &[0, 1], 4, 3, 20 + rank, true);
+            // A blocking op on another communicator inside i2's window:
+            // the site `IssuePastBlocking` moves i2 past.
             vec![
                 issue(SchedKind::AllGather, &[0, 1], 8, 0),
                 issue(SchedKind::AllReduce, &[0, 1], 16, 1),
                 i1,
                 w1,
                 i2,
+                issue(SchedKind::AllReduce, &[1, 0], 4, 0),
                 w2,
             ]
         };
@@ -457,6 +465,50 @@ mod tests {
             let report = check_schedules(&streams);
             assert!(!report.is_ok(), "{defect:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn issue_past_blocking_deadlocks_only_the_inline_model() {
+        // Each rank issues on [0,1], blocks on the distinct communicator
+        // [1,0], then waits. Rank 1 issuing after the blocking op is
+        // fine on a comm worker, but inline its peer blocks at the issue
+        // while rank 1 blocks in the other collective.
+        let mk = || {
+            let (i, w) = async_issue(SchedKind::AllGather, &[0, 1], 8, 0, false);
+            vec![i, issue(SchedKind::AllReduce, &[1, 0], 4, 0), w]
+        };
+        let mut streams = vec![mk(), mk()];
+        assert!(check_schedules(&streams).is_ok());
+        assert!(inject(&mut streams, 1, DefectKind::IssuePastBlocking));
+        assert!(matches!(streams[1][0], SchedEvent::Issue(ref o) if o.blocking));
+        assert!(deadlock::check(&streams, Placement::Worker).is_empty());
+        let inline = deadlock::check(&streams, Placement::Inline);
+        let [Diagnostic::Deadlock { placement, stuck }] = inline.as_slice() else {
+            panic!("one inline deadlock expected: {inline:?}");
+        };
+        assert_eq!(*placement, Placement::Inline);
+        assert_eq!(
+            stuck,
+            &[
+                (
+                    0,
+                    "blocked in all_gather[elems=8, async, seq=0]".to_string()
+                ),
+                (
+                    1,
+                    "blocked in all_reduce[elems=4, op=Sum, seq=0]".to_string()
+                ),
+            ]
+        );
+        let report = check_schedules(&streams);
+        assert!(
+            report.to_string().contains(
+                "(async collectives inline at issue); stuck: \
+                 [rank 0: blocked in all_gather[elems=8, async, seq=0]] \
+                 [rank 1: blocked in all_reduce[elems=4, op=Sum, seq=0]]"
+            ),
+            "{report}"
+        );
     }
 
     #[test]

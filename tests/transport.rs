@@ -3,11 +3,14 @@
 //! `WorldBuilder::algo` on a 4-rank world, checked against the serial
 //! result. The bitwise suite (each algorithm's own fold order, every
 //! legal group size) is `crates/collectives/tests/algo_equivalence.rs`.
+//! Also: a training step's bits do not depend on where a rank's async
+//! collectives run (comm worker or inline at issue).
 
 use axonn::collectives::{
     AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, Comm, CommWorld, ProcessGroup, RsAlgo, SchedEvent,
     SchedKind,
 };
+use axonn::engine::{GridTopology, OverlapConfig, TransformerStack};
 use axonn::exec::run_spmd_on;
 
 const WORLD: usize = 4;
@@ -140,5 +143,55 @@ fn every_selectable_algorithm_matches_the_serial_result() {
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got, &input(root, len), "{algo:?} broadcast rank {rank}");
         }
+    }
+}
+
+#[test]
+fn comm_stream_placement_changes_no_bit() {
+    // The benchmark's training shape: hidden 128, 4 heads, 2 layers,
+    // 8 sequences of 32 tokens over a 256-token vocabulary.
+    const VOCAB: usize = 256;
+    const SEQ: usize = 32;
+    const TOKENS: usize = 8 * SEQ;
+    // Loss bits of three steps, and an FNV-1a64 over every weight
+    // tensor, per rank. The world is built under a pool of `cores`
+    // threads, which gives each of its two ranks `cores / 2` of them:
+    // one runs async collectives at issue, two keep a comm worker.
+    let run = |grid: (usize, usize, usize, usize), cores: usize| {
+        let comms = rayon::ThreadPoolBuilder::new()
+            .num_threads(cores)
+            .build()
+            .unwrap()
+            .install(|| CommWorld::builder(2).build());
+        run_spmd_on(comms, move |comm| {
+            let topo = GridTopology::new(grid.0, grid.1, grid.2, grid.3, comm.rank());
+            let mut stack =
+                TransformerStack::new(&topo, VOCAB, 128, 4, 2, SEQ, 42, OverlapConfig::all());
+            let tokens: Vec<usize> = (0..TOKENS).map(|i| (i * 5 + 1) % VOCAB).collect();
+            let targets: Vec<usize> = (0..TOKENS).map(|i| (i * 3 + 2) % VOCAB).collect();
+            let losses: Vec<u32> = (0..3)
+                .map(|_| {
+                    stack
+                        .train_step(&comm, &topo, &tokens, &targets, 0.01)
+                        .to_bits()
+                })
+                .collect();
+            let mut tensors = vec![stack.emb.table.clone(), stack.head.weight_shard().clone()];
+            for b in &mut stack.blocks {
+                for ln in [&b.ln1, &b.ln2] {
+                    tensors.extend([ln.gain.clone(), ln.bias.clone()]);
+                }
+                tensors.extend(b.fc_layers_mut().map(|fc| fc.weight_shard().clone()));
+            }
+            tensors.extend([stack.final_ln.gain.clone(), stack.final_ln.bias.clone()]);
+            let weights = tensors.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, m| {
+                (h ^ m.fnv1a64()).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            (losses, weights)
+        })
+    };
+    for grid in [(1, 1, 2, 1), (1, 1, 1, 2)] {
+        let inline = run(grid, 2);
+        assert_eq!(run(grid, 4), inline, "grid {grid:?}: worker vs inline");
     }
 }
