@@ -49,7 +49,7 @@ pub(crate) fn coll_op(kind: CollectiveKind) -> CollOp {
 
 /// Virtual-time state of one rank, shared between its main thread and its
 /// async communication stream (a worker thread, or the main thread when
-/// the rank has no core to spare for one).
+/// the rank has one core).
 #[derive(Debug, Default)]
 pub struct ClockState {
     /// Current virtual time of the rank's compute stream.
@@ -94,8 +94,8 @@ pub(crate) struct CommShared {
 pub struct Comm {
     rank: usize,
     pub(crate) shared: Arc<CommShared>,
-    /// The rank's communication worker, when it has a core to spare for
-    /// one; without it, async collectives run at issue on the calling
+    /// The rank's communication worker, when its core share is two or
+    /// more; without it, async collectives run at issue on the calling
     /// thread (see [`crate::nonblocking`]).
     pub(crate) async_tx: Option<crate::nonblocking::WorkerQueue>,
 }
@@ -164,6 +164,31 @@ fn default_recording() -> bool {
         Ok(_) => true,
         Err(_) => cfg!(debug_assertions),
     }
+}
+
+/// The cores each rank of a `world_size`-rank world gets: the count of
+/// the pool the caller is installed in divided among the ranks, at
+/// least one. An explicit `AXONN_THREADS=n` (read once per process)
+/// wins: on first read it sizes the global pool, and every rank gets
+/// `n`. Unset or `0` keeps the default. This one count sizes each rank's
+/// kernel pool (`axonn-exec`) and places its comm stream (the world
+/// builder), so the two cannot disagree.
+pub fn rank_core_share(world_size: usize) -> usize {
+    static EXPLICIT: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    let explicit = *EXPLICIT.get_or_init(|| {
+        let n = std::env::var("AXONN_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|n| *n > 0)?;
+        if let Err(e) = rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build_global()
+        {
+            eprintln!("[axonn] AXONN_THREADS={n} ignored: {e}");
+        }
+        Some(n)
+    });
+    explicit.unwrap_or_else(|| (rayon::current_num_threads() / world_size).max(1))
 }
 
 /// Configures and creates a [`Comm`] world.
@@ -276,11 +301,14 @@ impl WorldBuilder {
                 None => None,
             }
         };
-        // Comm-stream placement: a rank whose core share is two or more
-        // gets a worker thread; with one core the worker could only
-        // time-slice with its own rank's compute, so async collectives
-        // run where they are issued. Dry worlds never spawn workers.
-        let worker = !dry && rayon::current_num_threads() / size >= 2;
+        // Comm-stream placement. With one core a worker could only
+        // time-slice with its own rank's compute (measured on 2-rank
+        // grids of a 2-core box: 16–21k involuntary context switches per
+        // 10-s run, 0.4–0.5k inline), so async collectives run where they
+        // are issued. A share of two or more keeps the worker every rank
+        // had before; whether it beats inline there is unmeasured. Dry
+        // worlds never spawn workers.
+        let worker = !dry && rank_core_share(size) >= 2;
         (0..size)
             .map(|rank| {
                 let shared = Arc::new(CommShared {
@@ -365,6 +393,12 @@ pub mod lane {
 impl Comm {
     pub fn rank(&self) -> usize {
         self.rank
+    }
+
+    /// Whether this rank's async collectives run on a comm-worker thread
+    /// (core share of two or more) rather than at issue.
+    pub fn has_comm_worker(&self) -> bool {
+        self.async_tx.is_some()
     }
 
     pub fn world_size(&self) -> usize {

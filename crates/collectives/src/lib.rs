@@ -8,7 +8,7 @@
 //! in Rabenseifner) and broadcast over arbitrary *process groups* —
 //! exactly Assumption-1 of the paper's performance model. Non-blocking
 //! variants run on a per-rank communication stream (a worker thread when
-//! the rank has a core to spare, else the issuing thread) and return
+//! the rank's core share is two or more, else the issuing thread) and return
 //! handles, which is what lets `axonn-core` implement the paper's OAR /
 //! ORS / OAG overlap optimizations with real concurrency semantics.
 //!
@@ -32,7 +32,7 @@ pub mod sched;
 pub mod telemetry;
 
 pub use algo::{AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, RsAlgo};
-pub use comm::{Comm, CommWorld, ReduceOp, WorldBuilder};
+pub use comm::{rank_core_share, Comm, CommWorld, ReduceOp, WorldBuilder};
 pub use cost::{CollectiveKind, CostModel, NullCost, RingCostModel};
 pub use fault::{
     CommError, DropRule, FailureKind, FailureRecord, FaultConfig, InjectedKill, StallRule,

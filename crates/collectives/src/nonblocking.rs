@@ -3,13 +3,13 @@
 //!
 //! Each rank runs its issued operations in issue order on one
 //! *communication stream*, placed when the world is built from the
-//! rank's core share (`rayon::current_num_threads() / world_size`, the
-//! count `axonn-exec` sizes each rank's kernel pool by). A rank with two
-//! or more cores owns a *communication worker* thread, mirroring a GPU's
-//! communication stream: programs run concurrently with the issuing
-//! thread's compute. A rank with one core spawns no worker — it could
-//! only time-slice with its own rank's compute — and runs each program on
-//! the issuing thread at issue. Either way an issued operation returns an
+//! rank's core share ([`crate::rank_core_share`], the count `axonn-exec`
+//! sizes each rank's kernel pool by). A rank with two or more cores owns
+//! a *communication worker* thread, mirroring a GPU's communication
+//! stream: programs run concurrently with the issuing thread's compute.
+//! A rank with one core spawns no worker — it could only time-slice with
+//! its own rank's compute — and runs each program on the issuing thread
+//! at issue. Either way an issued operation returns an
 //! [`AsyncHandle`]; `wait` blocks until completion and merges the
 //! operation's virtual completion time into the rank's clock. The
 //! program is charged to the asynchronous stream from its issue clock
@@ -272,7 +272,7 @@ impl Comm {
                 worker.send((job, reply)).expect("async worker terminated");
                 Completion::Worker(rx)
             }
-            // No core to spare for a worker: run the program here, now.
+            // One core, no worker: run the program here, now.
             None => Completion::Ready(run_job(self.rank(), &self.shared, job)),
         })
     }

@@ -85,39 +85,18 @@ where
 /// The kernel-thread pool one rank of a `world_size`-rank world runs in.
 /// Kernel parallelism (the blocked GEMM's row bands) takes its count
 /// from the pool the calling thread is installed in, so each rank gets
-/// `cores / world_size` threads (at least one) instead of every rank
-/// spawning one per core and fighting its peers for them — hidden 512,
-/// two ranks on two cores: 142–153 vs 161–172 ms per step on grid
-/// 2×1×1×1, 169–186 vs 201–225 ms on 1×1×1×2. The pool is per rank
+/// its core share ([`axonn_collectives::rank_core_share`]: `cores /
+/// world_size`, at least one, or an explicit `AXONN_THREADS`) instead of
+/// every rank spawning one per core and fighting its peers for them —
+/// hidden 512, two ranks on two cores: 142–153 vs 161–172 ms per step on
+/// grid 2×1×1×1, 169–186 vs 201–225 ms on 1×1×1×2. The pool is per rank
 /// thread, so worlds launched concurrently in one process do not race
-/// on a global count. An explicit `AXONN_THREADS=n` (read once per
-/// process) wins: it sizes the global pool and every rank's. Unset or
-/// `0` keeps the default.
+/// on a global count.
 pub(crate) fn rank_kernel_pool(world_size: usize) -> rayon::ThreadPool {
-    static EXPLICIT: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let explicit = *EXPLICIT.get_or_init(|| {
-        let n = threads_from_env()?;
-        if let Err(e) = rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-        {
-            eprintln!("[axonn-exec] AXONN_THREADS={n} ignored: {e}");
-        }
-        Some(n)
-    });
-    let threads = explicit.unwrap_or_else(|| (rayon::current_num_threads() / world_size).max(1));
     rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
+        .num_threads(axonn_collectives::rank_core_share(world_size))
         .build()
         .expect("a pool with a fixed worker count")
-}
-
-/// `AXONN_THREADS` as a positive count; unset, unparsable or `0` is `None`.
-fn threads_from_env() -> Option<usize> {
-    std::env::var("AXONN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| *n > 0)
 }
 
 fn launch<F, T>(comms: Vec<Comm>, body: F) -> Vec<T>
@@ -245,7 +224,10 @@ mod tests {
             assert!(seen.iter().all(|&n| n == seen[0]), "{seen:?}");
             seen[0]
         };
-        let explicit = threads_from_env();
+        let explicit = std::env::var("AXONN_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|n| *n > 0);
         for (cores, world, share) in [(8, 1, 8), (8, 2, 4), (2, 2, 1), (2, 4, 1), (6, 4, 1)] {
             assert_eq!(per_rank(cores, world), explicit.unwrap_or(share));
         }

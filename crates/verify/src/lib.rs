@@ -92,7 +92,11 @@ pub fn check_schedules(streams: &[Vec<SchedEvent>]) -> Report {
     let worker = deadlock::check(streams, Placement::Worker);
     let deadlock_free = worker.is_empty();
     diagnostics.extend(worker);
-    diagnostics.extend(deadlock::check(streams, Placement::Inline));
+    // The inline model is the stricter one: whatever deadlocks on a
+    // worker deadlocks inline too, so run it only on a clean schedule.
+    if deadlock_free {
+        diagnostics.extend(deadlock::check(streams, Placement::Inline));
+    }
     timings_us.push(("deadlock", elapsed_us(t)));
     if deadlock_free {
         let t = Instant::now();
@@ -307,15 +311,21 @@ mod tests {
         ];
         let b = vec![SchedEvent::Issue(rev), SchedEvent::Issue(fwd)];
         let report = check_schedules(&[a, b]);
-        let deadlock = report
+        let deadlocks: Vec<_> = report
             .diagnostics
             .iter()
-            .find_map(|d| match d {
-                Diagnostic::Deadlock { stuck, .. } => Some(stuck.clone()),
+            .filter_map(|d| match d {
+                Diagnostic::Deadlock { placement, stuck } => Some((*placement, stuck.len())),
                 _ => None,
             })
-            .expect("deadlock diagnostic");
-        assert_eq!(deadlock.len(), 2, "both ranks stuck: {report}");
+            .collect();
+        // Reported once, by the worker model: the stricter inline model
+        // only runs on schedules the worker model completes.
+        assert_eq!(
+            deadlocks,
+            [(Placement::Worker, 2)],
+            "both ranks stuck: {report}"
+        );
     }
 
     #[test]
