@@ -4,12 +4,13 @@
 //!    modification): per-GCD memory on Frontier across model sizes.
 //! 2. **bf16 vs fp32 communication**: predicted per-iteration
 //!    communication time if tensors moved at 4 bytes/element.
-//! 3. **Ring vs recursive-doubling all-reduce**: the latency/bandwidth
-//!    crossover that justifies Assumption-1 for the paper's (large)
-//!    messages.
+//! 3. **Ring vs binomial-tree all-reduce** (the algorithm
+//!    `AlgoPolicy` selects for small all-reduces): the
+//!    latency/bandwidth crossover that justifies Assumption-1 for the
+//!    paper's (large) messages.
 
 use axonn_bench::{emit_json, print_table, series};
-use axonn_collectives::{CollectiveKind, CostModel, RingCostModel};
+use axonn_collectives::{CostModel, RingCostModel, SchedKind};
 use axonn_perfmodel::{estimate_memory, estimate_memory_replicated_w, network_comm_time, Grid4d};
 use axonn_sim::pick_best_config;
 use axonn_sim::SimOptions;
@@ -85,29 +86,24 @@ fn main() {
         ],
     );
 
-    // --- 3. Ring vs recursive doubling ---
+    // --- 3. Ring vs binomial tree ---
     let cost = RingCostModel::new(1.0, 100.0e9).with_latency(10.0e-6);
-    let mut rd_rows = Vec::new();
+    let mut tree_rows = Vec::new();
     for bytes_exp in [10u32, 14, 18, 22, 26, 30] {
         let bytes = 2f64.powi(bytes_exp as i32);
-        let ring = cost.collective_seconds(CollectiveKind::AllReduce, 64, bytes);
-        let rd = cost.collective_seconds(CollectiveKind::AllReduceRecursiveDoubling, 64, bytes);
-        rd_rows.push(vec![
+        let ring = cost.collective_seconds(SchedKind::AllReduce, 64, bytes, 1);
+        let tree = cost.collective_seconds(SchedKind::AllReduceTree, 64, bytes, 1);
+        tree_rows.push(vec![
             format!("{:.0} KiB", bytes / 1024.0),
             format!("{:.1} µs", ring * 1e6),
-            format!("{:.1} µs", rd * 1e6),
-            if rd < ring {
-                "recursive doubling"
-            } else {
-                "ring"
-            }
-            .into(),
+            format!("{:.1} µs", tree * 1e6),
+            if tree < ring { "binomial tree" } else { "ring" }.into(),
         ]);
     }
     print_table(
         "Ablation 3 — all-reduce algorithm on 64 ranks (β=100 GB/s, α=10 µs)",
-        &["message", "ring", "recursive doubling", "winner"],
-        &rd_rows,
+        &["message", "ring", "binomial tree", "winner"],
+        &tree_rows,
     );
     println!("\nThe paper's gradient buckets are hundreds of MB: squarely in the ring regime,");
     println!("which is why Assumption-1 models every collective as a ring.");

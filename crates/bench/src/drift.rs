@@ -22,7 +22,7 @@
 //! blocked+SIMD GF/s) that documents what the blocked rewrite buys.
 
 use axonn_cluster::{CalibratedGemm, GemmMode, GemmSample};
-use axonn_collectives::{AlgoPolicy, ProcessGroup, RingCostModel, SchedKind};
+use axonn_collectives::{AlgoPolicy, CostModel, ProcessGroup, RingCostModel, SchedKind};
 use axonn_exec::run_spmd;
 use axonn_tensor::{
     gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with, BlockSizes, Isa, MatMode, Matrix,
@@ -247,12 +247,7 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
             // contributed shard for all-gather), as at a live issue.
             let kind = policy.select(op, elems, g);
             let bytes = kind.charged_bytes(elems, g);
-            let predicted = axonn_collectives::CostModel::collective_seconds(
-                &model,
-                kind.collective_kind(),
-                g,
-                bytes as f64,
-            );
+            let predicted = model.collective_seconds(kind, g, bytes as f64, 1);
             let hist_idx = OPS.iter().position(|o| *o == op).expect("known op");
             hists[hist_idx].1.observe(t);
             DriftEntry {

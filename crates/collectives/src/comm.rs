@@ -16,36 +16,17 @@
 //! fault-tolerant supervisor builds on.
 
 use crate::algo::AlgoPolicy;
-use crate::cost::{CollectiveKind, CostModel, NullCost};
+use crate::cost::{CostModel, NullCost};
 use crate::fault::{unwrap_comm, CommError, FaultConfig};
 use crate::group::ProcessGroup;
 use crate::mailbox::{MsgKey, PoisonInfo, Transport};
 use crate::pool::{Payload, PipelineConfig, PoolStats};
 use crate::program::{self, HopStats, Program};
 use crate::sched::{SchedEvent, SchedKind, SchedOp};
-use axonn_trace::{CollOp, EventDetail, Stream, TraceSink};
+use axonn_trace::{EventDetail, Stream, TraceSink};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Trace-event op label for a modelled collective kind.
-pub(crate) fn coll_op(kind: CollectiveKind) -> CollOp {
-    match kind {
-        CollectiveKind::AllGather => CollOp::AllGather,
-        CollectiveKind::AllGatherRecursiveDoubling => CollOp::AllGatherRd,
-        CollectiveKind::ReduceScatter => CollOp::ReduceScatter,
-        CollectiveKind::ReduceScatterRecursiveHalving => CollOp::ReduceScatterRh,
-        CollectiveKind::AllReduce => CollOp::AllReduce,
-        CollectiveKind::AllReduceRecursiveDoubling => CollOp::AllReduceRd,
-        CollectiveKind::AllReduceRecursiveHalvingDoubling => CollOp::AllReduceRhd,
-        CollectiveKind::AllReduceTree => CollOp::AllReduceTree,
-        CollectiveKind::Broadcast => CollOp::Broadcast,
-        CollectiveKind::BroadcastTree => CollOp::BroadcastTree,
-        // Point-to-point transfers have no dedicated trace op; the
-        // barrier label is the closest stand-in and keeps the map total.
-        CollectiveKind::Barrier | CollectiveKind::PointToPoint => CollOp::Barrier,
-    }
-}
 
 /// Virtual-time state of one rank, shared between its main thread and its
 /// async communication stream (a worker thread, or the main thread when
@@ -489,14 +470,6 @@ impl Comm {
         }
     }
 
-    /// Advance this rank's virtual clock by raw seconds (used by layers
-    /// for non-GEMM work they account explicitly).
-    pub fn advance_seconds(&self, dt: f64) {
-        if self.shared.track_time {
-            self.shared.clock.lock().now += dt;
-        }
-    }
-
     /// Claim the next collective sequence number for `group`.
     pub(crate) fn next_seq(&self, group: &ProcessGroup) -> u64 {
         let mut seqs = self.shared.seq.lock();
@@ -504,11 +477,6 @@ impl Comm {
         let out = *s;
         *s += 1;
         out
-    }
-
-    /// True when this communicator belongs to a dry (symbolic) world.
-    pub fn is_dry(&self) -> bool {
-        self.shared.dry
     }
 
     /// Record a collective issue into this rank's schedule stream.
@@ -588,19 +556,6 @@ impl Comm {
             self.shared
                 .transport
                 .record_event(self.rank, SchedEvent::BufWrite { buf, label });
-        }
-    }
-
-    /// Record an explicit recycle of pooled slab `slab` into this rank's
-    /// schedule stream. The clean runtime never calls this (slabs
-    /// recycle implicitly when the owning op's payload drops); it exists
-    /// for the verifier's defect injectors and lifetime tests. No-op
-    /// when schedule recording is off.
-    pub fn record_slab_recycle(&self, slab: u64) {
-        if self.shared.transport.recording_schedule() {
-            self.shared
-                .transport
-                .record_event(self.rank, SchedEvent::SlabRecycle { slab });
         }
     }
 
@@ -945,7 +900,7 @@ pub(crate) fn charge(
     if g <= 1 {
         return Ok(entry);
     }
-    let op = coll_op(kind.collective_kind());
+    let op = kind.coll_op();
     let bytes = kind.charged_bytes(elems, g);
     let stamp = |seconds| {
         shared.transport.beats().note_collective(rank);
@@ -963,11 +918,10 @@ pub(crate) fn charge(
     let start = clock_sync(shared, rank, group, seq, entry)?;
     let stall = shared.transport.take_stall(rank);
     let chunks = stats.chunks.max(1) as usize;
-    let cost =
-        shared
-            .cost
-            .collective_seconds_chunked(kind.collective_kind(), g, bytes as f64, chunks)
-            + stall;
+    let cost = shared
+        .cost
+        .collective_seconds(kind, g, bytes as f64, chunks)
+        + stall;
     let blocking = stream == Stream::Compute;
     let (begin, done) = {
         let mut clock = shared.clock.lock();

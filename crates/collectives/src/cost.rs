@@ -3,66 +3,31 @@
 //! Functional runs (threads moving real `f32`s) are far slower than GPUs
 //! and their wall-clock times mean nothing for the paper's figures.
 //! Instead, each rank carries a virtual clock that these models advance:
-//! compute by a flop rate, collectives by the same ring-algorithm
-//! formulas the paper's performance model uses (Thakur et al. /
-//! Rabenseifner, Section V-B). This keeps the functional plane and the
-//! analytical plane (`axonn-sim`) in agreement by construction.
+//! compute by a flop rate, collectives by the ring α–β formulas the
+//! paper's performance model uses (Thakur et al. / Rabenseifner,
+//! Section V-B), one formula per algorithm the transport actually ran
+//! ([`SchedKind`]).
 
-/// Which collective a cost is being charged for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectiveKind {
-    AllGather,
-    /// Recursive-doubling all-gather: `⌈log2 g⌉` steps at ring-equal
-    /// volume (power-of-two groups).
-    AllGatherRecursiveDoubling,
-    ReduceScatter,
-    /// Recursive-halving reduce-scatter: `⌈log2 g⌉` steps at ring-equal
-    /// volume (power-of-two groups).
-    ReduceScatterRecursiveHalving,
-    /// Ring all-reduce (bandwidth-optimal; Assumption-1 of the paper).
-    AllReduce,
-    /// Recursive-doubling all-reduce (latency-optimal, used for small
-    /// messages as in NCCL/MPICH).
-    AllReduceRecursiveDoubling,
-    /// Recursive halving/doubling all-reduce (Rabenseifner over
-    /// hypercube exchanges): `2⌈log2 g⌉` steps at the ring's
-    /// bandwidth-optimal volume (power-of-two groups).
-    AllReduceRecursiveHalvingDoubling,
-    /// Binomial-tree all-reduce (reduce to root + tree broadcast):
-    /// `2⌈log2 g⌉` whole-buffer hops on the critical path.
-    AllReduceTree,
-    Broadcast,
-    /// Binomial-tree broadcast: `⌈log2 g⌉` whole-buffer hops.
-    BroadcastTree,
-    Barrier,
-    PointToPoint,
-}
+use crate::sched::SchedKind;
 
 /// Advances virtual time for compute and communication.
 pub trait CostModel: Send + Sync {
     /// Seconds charged for `flops` floating-point operations on one rank.
     fn compute_seconds(&self, flops: f64) -> f64;
 
-    /// Seconds charged for a collective of `kind` over `group_size` ranks
-    /// moving `bytes` (the size of the *full* buffer at each rank for
-    /// all-reduce/broadcast; the gathered size for all-gather; the
-    /// pre-scatter size for reduce-scatter).
-    fn collective_seconds(&self, kind: CollectiveKind, group_size: usize, bytes: f64) -> f64;
-
-    /// Seconds charged for a collective whose payload the transport
-    /// segmented into `chunks` pipeline chunks. The default ignores the
-    /// segmentation (models without a latency term are chunk-blind);
-    /// latency-aware models charge per chunk, not per message.
-    fn collective_seconds_chunked(
+    /// Seconds charged for one run of the algorithm `kind` over
+    /// `group_size` ranks moving `bytes` (the size of the *full* buffer at
+    /// each rank for all-reduce/broadcast; the gathered size for
+    /// all-gather; the pre-scatter size for reduce-scatter — see
+    /// [`SchedKind::charged_bytes`]), whose payload the transport
+    /// segmented into `chunks` pipeline chunks.
+    fn collective_seconds(
         &self,
-        kind: CollectiveKind,
+        kind: SchedKind,
         group_size: usize,
         bytes: f64,
         chunks: usize,
-    ) -> f64 {
-        let _ = chunks;
-        self.collective_seconds(kind, group_size, bytes)
-    }
+    ) -> f64;
 }
 
 /// Charges nothing: virtual clocks stay at zero. The default for pure
@@ -74,7 +39,7 @@ impl CostModel for NullCost {
     fn compute_seconds(&self, _flops: f64) -> f64 {
         0.0
     }
-    fn collective_seconds(&self, _k: CollectiveKind, _g: usize, _b: f64) -> f64 {
+    fn collective_seconds(&self, _k: SchedKind, _g: usize, _b: f64, _s: usize) -> f64 {
         0.0
     }
 }
@@ -116,129 +81,57 @@ impl CostModel for RingCostModel {
         flops / self.flops_per_second
     }
 
-    fn collective_seconds(&self, kind: CollectiveKind, group_size: usize, bytes: f64) -> f64 {
-        let g = group_size as f64;
-        if group_size <= 1 {
-            return 0.0;
-        }
-        let steps;
-        let volume;
-        match kind {
-            // All-gather of a total of `bytes`: each rank sends its
-            // bytes/g shard g-1 times.
-            CollectiveKind::AllGather => {
-                steps = g - 1.0;
-                volume = (g - 1.0) / g * bytes;
-            }
-            // Recursive doubling halves the step count to log2(g) while
-            // moving the same (g-1)/g · n bytes (doubling block sizes).
-            CollectiveKind::AllGatherRecursiveDoubling => {
-                steps = g.log2().ceil();
-                volume = (g - 1.0) / g * bytes;
-            }
-            // Reduce-scatter of `bytes`: same traffic as all-gather.
-            CollectiveKind::ReduceScatter => {
-                steps = g - 1.0;
-                volume = (g - 1.0) / g * bytes;
-            }
-            // Recursive halving: log2(g) steps, ring-equal volume
-            // (halving block sizes: n/2 + n/4 + … = (g-1)/g · n).
-            CollectiveKind::ReduceScatterRecursiveHalving => {
-                steps = g.log2().ceil();
-                volume = (g - 1.0) / g * bytes;
-            }
-            // All-reduce = reduce-scatter + all-gather.
-            CollectiveKind::AllReduce => {
-                steps = 2.0 * (g - 1.0);
-                volume = 2.0 * (g - 1.0) / g * bytes;
-            }
-            // log2(g) exchanges of the whole buffer.
-            CollectiveKind::AllReduceRecursiveDoubling => {
-                steps = g.log2().ceil();
-                volume = g.log2().ceil() * bytes;
-            }
-            // Halving reduce-scatter + doubling all-gather: 2·log2(g)
-            // steps at the ring all-reduce's bandwidth-optimal volume —
-            // so switching ring → rhd never changes modelled β time,
-            // only the α term.
-            CollectiveKind::AllReduceRecursiveHalvingDoubling => {
-                steps = 2.0 * g.log2().ceil();
-                volume = 2.0 * (g - 1.0) / g * bytes;
-            }
-            // Reduce to root then tree broadcast: the critical path
-            // crosses 2·log2(g) hops, each carrying the whole buffer.
-            CollectiveKind::AllReduceTree => {
-                steps = 2.0 * g.log2().ceil();
-                volume = 2.0 * g.log2().ceil() * bytes;
-            }
-            CollectiveKind::Broadcast => {
-                steps = g - 1.0;
-                volume = bytes;
-            }
-            // Tree depth log2(g), whole buffer per hop on the critical
-            // path.
-            CollectiveKind::BroadcastTree => {
-                steps = g.log2().ceil();
-                volume = g.log2().ceil() * bytes;
-            }
-            CollectiveKind::Barrier => {
-                steps = 2.0 * (g - 1.0);
-                volume = 0.0;
-            }
-            CollectiveKind::PointToPoint => {
-                steps = 1.0;
-                volume = bytes;
-            }
-        }
-        steps * self.alpha + volume / self.bandwidth
-    }
-
-    /// Per-chunk charging. Ring all-gather / reduce-scatter / all-reduce
-    /// are already bandwidth-optimal, so segmentation leaves the volume
-    /// term untouched and only multiplies the per-step latency (each
-    /// step now sends `chunks` messages, each paying α). A pipelined
-    /// ring *broadcast* genuinely benefits: the chain drains in
-    /// `g + S - 2` slots of `α + n/(S·β)` instead of `g - 1` full-buffer
-    /// hops, approaching `n/β` as S grows — which is what the flat model
-    /// above already assumed. With `alpha == 0` (the paper's
-    /// Assumption-3 and this model's default) every chunked cost equals
-    /// its unchunked counterpart, so segmentation never perturbs
-    /// existing virtual timelines.
-    fn collective_seconds_chunked(
+    /// `steps · α + volume / β` on the critical path. The ring
+    /// all-gather / reduce-scatter / all-reduce are bandwidth-optimal, so
+    /// segmentation leaves their volume untouched and only multiplies the
+    /// per-step latency (each step sends `chunks` messages, each paying
+    /// α). The pipelined chain broadcast genuinely benefits: it drains in
+    /// `g + S - 2` slots of `α + n/(S·β)`, approaching `n/β` as S grows.
+    /// The log-step algorithms serve the latency-bound regime and send
+    /// whole blocks — the transport never segments them, so they are
+    /// chunk-blind. With `alpha == 0` (the paper's Assumption-3 and this
+    /// model's default) segmentation changes no charge but the chain
+    /// broadcast's.
+    fn collective_seconds(
         &self,
-        kind: CollectiveKind,
+        kind: SchedKind,
         group_size: usize,
         bytes: f64,
         chunks: usize,
     ) -> f64 {
-        let g = group_size as f64;
-        let s = chunks.max(1) as f64;
         if group_size <= 1 {
             return 0.0;
         }
-        match kind {
-            CollectiveKind::AllGather | CollectiveKind::ReduceScatter => {
-                (g - 1.0) * s * self.alpha + (g - 1.0) / g * bytes / self.bandwidth
+        let g = group_size as f64;
+        let s = chunks.max(1) as f64;
+        let log_g = g.log2().ceil();
+        let (steps, volume) = match kind {
+            // Each rank sends its bytes/g shard g-1 times; reduce-scatter
+            // moves the same traffic, whichever order it folds in.
+            SchedKind::AllGather | SchedKind::ReduceScatter | SchedKind::ReduceScatterLinear => {
+                ((g - 1.0) * s, (g - 1.0) / g * bytes)
             }
-            CollectiveKind::AllReduce => {
-                2.0 * (g - 1.0) * s * self.alpha + 2.0 * (g - 1.0) / g * bytes / self.bandwidth
+            // All-reduce = reduce-scatter + all-gather.
+            SchedKind::AllReduce | SchedKind::AllReduceLinear => {
+                (2.0 * (g - 1.0) * s, 2.0 * (g - 1.0) / g * bytes)
             }
-            CollectiveKind::Broadcast => {
-                let slots = g + s - 2.0;
-                slots * (self.alpha + bytes / (s * self.bandwidth))
+            // Recursive doubling / halving: log2(g) steps moving the ring's
+            // (g-1)/g · n bytes (block sizes n/2 + n/4 + …), so switching
+            // from the ring changes only the α term.
+            SchedKind::AllGatherRd | SchedKind::ReduceScatterRh => (log_g, (g - 1.0) / g * bytes),
+            // Halving reduce-scatter + doubling all-gather.
+            SchedKind::AllReduceRhd => (2.0 * log_g, 2.0 * (g - 1.0) / g * bytes),
+            // Reduce to root then tree broadcast: the critical path
+            // crosses 2·log2(g) hops, each carrying the whole buffer.
+            SchedKind::AllReduceTree => (2.0 * log_g, 2.0 * log_g * bytes),
+            // Tree depth log2(g), whole buffer per hop.
+            SchedKind::BroadcastTree => (log_g, log_g * bytes),
+            SchedKind::Broadcast => {
+                return (g + s - 2.0) * (self.alpha + bytes / (s * self.bandwidth));
             }
-            CollectiveKind::Barrier => 2.0 * (g - 1.0) * s * self.alpha,
-            // The log-step algorithms serve the latency-bound regime and
-            // send whole blocks — the transport never segments them, so
-            // chunked cost is the flat cost.
-            CollectiveKind::AllReduceRecursiveDoubling
-            | CollectiveKind::AllGatherRecursiveDoubling
-            | CollectiveKind::ReduceScatterRecursiveHalving
-            | CollectiveKind::AllReduceRecursiveHalvingDoubling
-            | CollectiveKind::AllReduceTree
-            | CollectiveKind::BroadcastTree
-            | CollectiveKind::PointToPoint => self.collective_seconds(kind, group_size, bytes),
-        }
+            SchedKind::Barrier => return 2.0 * (g - 1.0) * s * self.alpha,
+        };
+        steps * self.alpha + volume / self.bandwidth
     }
 }
 
@@ -250,14 +143,14 @@ mod tests {
     fn null_cost_is_free() {
         let c = NullCost;
         assert_eq!(c.compute_seconds(1e12), 0.0);
-        assert_eq!(c.collective_seconds(CollectiveKind::AllReduce, 8, 1e9), 0.0);
+        assert_eq!(c.collective_seconds(SchedKind::AllReduce, 8, 1e9, 1), 0.0);
     }
 
     #[test]
     fn ring_allreduce_matches_2_gm1_over_g() {
         // Paper Eqs 3-5: all-reduce time = 2/β · (g-1)/g · n.
         let m = RingCostModel::new(1.0, 100.0);
-        let t = m.collective_seconds(CollectiveKind::AllReduce, 4, 400.0);
+        let t = m.collective_seconds(SchedKind::AllReduce, 4, 400.0, 1);
         assert!((t - 2.0 * (3.0 / 4.0) * 400.0 / 100.0).abs() < 1e-12);
     }
 
@@ -265,7 +158,7 @@ mod tests {
     fn ring_allgather_matches_gm1_over_g() {
         // Paper Eq 1 shape: (g-1) · shard / β with shard = n/g.
         let m = RingCostModel::new(1.0, 100.0);
-        let t = m.collective_seconds(CollectiveKind::AllGather, 8, 800.0);
+        let t = m.collective_seconds(SchedKind::AllGather, 8, 800.0, 1);
         assert!((t - (7.0 / 8.0) * 800.0 / 100.0).abs() < 1e-12);
     }
 
@@ -273,39 +166,19 @@ mod tests {
     fn solo_group_is_free() {
         let m = RingCostModel::new(1.0, 1.0);
         for kind in [
-            CollectiveKind::AllGather,
-            CollectiveKind::ReduceScatter,
-            CollectiveKind::AllReduce,
+            SchedKind::AllGather,
+            SchedKind::ReduceScatter,
+            SchedKind::AllReduce,
+            SchedKind::Broadcast,
         ] {
-            assert_eq!(m.collective_seconds(kind, 1, 1e6), 0.0);
+            assert_eq!(m.collective_seconds(kind, 1, 1e6, 4), 0.0);
         }
-    }
-
-    #[test]
-    fn recursive_doubling_is_latency_optimal_for_small_messages() {
-        // alpha-dominated regime: log2(g) steps beat 2(g-1).
-        let m = RingCostModel::new(1.0, 1e12).with_latency(1e-5);
-        let small = 64.0;
-        let ring = m.collective_seconds(CollectiveKind::AllReduce, 16, small);
-        let rd = m.collective_seconds(CollectiveKind::AllReduceRecursiveDoubling, 16, small);
-        assert!(
-            rd < ring,
-            "rd {rd} should beat ring {ring} for tiny buffers"
-        );
-        // Bandwidth-dominated regime: ring wins.
-        let big = 1e9;
-        let ring_b = m.collective_seconds(CollectiveKind::AllReduce, 16, big);
-        let rd_b = m.collective_seconds(CollectiveKind::AllReduceRecursiveDoubling, 16, big);
-        assert!(
-            ring_b < rd_b,
-            "ring {ring_b} should beat rd {rd_b} for big buffers"
-        );
     }
 
     #[test]
     fn latency_term_scales_with_steps() {
         let m = RingCostModel::new(1.0, f64::INFINITY).with_latency(1e-6);
-        let t = m.collective_seconds(CollectiveKind::AllReduce, 5, 1000.0);
+        let t = m.collective_seconds(SchedKind::AllReduce, 5, 1000.0, 1);
         assert!((t - 8.0e-6).abs() < 1e-12);
     }
 
@@ -317,18 +190,20 @@ mod tests {
 
     #[test]
     fn chunked_equals_unchunked_when_alpha_is_zero() {
-        // Assumption-3 (zero per-step latency): segmentation must not
-        // perturb any modelled time, whatever the chunk count.
+        // Assumption-3 (zero per-step latency): segmenting a ring must
+        // not perturb its modelled time, whatever the chunk count.
         let m = RingCostModel::new(1e9, 1e9);
         for kind in [
-            CollectiveKind::AllGather,
-            CollectiveKind::ReduceScatter,
-            CollectiveKind::AllReduce,
-            CollectiveKind::Barrier,
+            SchedKind::AllGather,
+            SchedKind::ReduceScatter,
+            SchedKind::ReduceScatterLinear,
+            SchedKind::AllReduce,
+            SchedKind::AllReduceLinear,
+            SchedKind::Barrier,
         ] {
             for chunks in [1usize, 2, 4, 8] {
-                let base = m.collective_seconds(kind, 4, 4e6);
-                let chunked = m.collective_seconds_chunked(kind, 4, 4e6, chunks);
+                let base = m.collective_seconds(kind, 4, 4e6, 1);
+                let chunked = m.collective_seconds(kind, 4, 4e6, chunks);
                 assert!(
                     (base - chunked).abs() < 1e-15,
                     "{kind:?} S={chunks}: {base} vs {chunked}"
@@ -341,7 +216,7 @@ mod tests {
     fn chunked_latency_term_charges_per_chunk() {
         let m = RingCostModel::new(1.0, f64::INFINITY).with_latency(1e-6);
         // All-reduce on g=5: 2(g-1)·S steps of alpha.
-        let t = m.collective_seconds_chunked(CollectiveKind::AllReduce, 5, 1000.0, 3);
+        let t = m.collective_seconds(SchedKind::AllReduce, 5, 1000.0, 3);
         assert!((t - 24.0e-6).abs() < 1e-12);
     }
 
@@ -351,35 +226,34 @@ mod tests {
         // (bandwidth) term untouched and shrink only the α term:
         // 2(g-1) steps → 2·log2(g).
         let m = RingCostModel::new(1.0, 100.0);
-        let ring = m.collective_seconds(CollectiveKind::AllReduce, 8, 800.0);
-        let rhd = m.collective_seconds(CollectiveKind::AllReduceRecursiveHalvingDoubling, 8, 800.0);
+        let ring = m.collective_seconds(SchedKind::AllReduce, 8, 800.0, 1);
+        let rhd = m.collective_seconds(SchedKind::AllReduceRhd, 8, 800.0, 1);
         assert!((ring - rhd).abs() < 1e-12, "alpha=0: {ring} vs {rhd}");
         let lat = RingCostModel::new(1.0, f64::INFINITY).with_latency(1e-6);
-        let ring_a = lat.collective_seconds(CollectiveKind::AllReduce, 8, 800.0);
-        let rhd_a =
-            lat.collective_seconds(CollectiveKind::AllReduceRecursiveHalvingDoubling, 8, 800.0);
+        let ring_a = lat.collective_seconds(SchedKind::AllReduce, 8, 800.0, 1);
+        let rhd_a = lat.collective_seconds(SchedKind::AllReduceRhd, 8, 800.0, 1);
         assert!((ring_a - 14.0e-6).abs() < 1e-12);
         assert!((rhd_a - 6.0e-6).abs() < 1e-12);
         // Same shape for the phase algorithms.
-        let rs = m.collective_seconds(CollectiveKind::ReduceScatter, 8, 800.0);
-        let rh = m.collective_seconds(CollectiveKind::ReduceScatterRecursiveHalving, 8, 800.0);
+        let rs = m.collective_seconds(SchedKind::ReduceScatter, 8, 800.0, 1);
+        let rh = m.collective_seconds(SchedKind::ReduceScatterRh, 8, 800.0, 1);
         assert!((rs - rh).abs() < 1e-12);
-        let ag = m.collective_seconds(CollectiveKind::AllGather, 8, 800.0);
-        let rd = m.collective_seconds(CollectiveKind::AllGatherRecursiveDoubling, 8, 800.0);
+        let ag = m.collective_seconds(SchedKind::AllGather, 8, 800.0, 1);
+        let rd = m.collective_seconds(SchedKind::AllGatherRd, 8, 800.0, 1);
         assert!((ag - rd).abs() < 1e-12);
     }
 
     #[test]
     fn tree_allreduce_trades_bandwidth_for_latency() {
-        // α-dominated: tree's 2·log2(g) hops beat the ring's 4(g-1)
-        // chunked steps. β-dominated: the ring's (g-1)/g volume wins.
+        // α-dominated: tree's 2·log2(g) hops beat the ring's 2(g-1)
+        // steps. β-dominated: the ring's (g-1)/g volume wins.
         let lat = RingCostModel::new(1.0, 1e12).with_latency(1e-5);
-        let tree = lat.collective_seconds(CollectiveKind::AllReduceTree, 16, 64.0);
-        let ring = lat.collective_seconds(CollectiveKind::AllReduce, 16, 64.0);
+        let tree = lat.collective_seconds(SchedKind::AllReduceTree, 16, 64.0, 1);
+        let ring = lat.collective_seconds(SchedKind::AllReduce, 16, 64.0, 1);
         assert!(tree < ring, "small: tree {tree} vs ring {ring}");
         let bw = RingCostModel::new(1.0, 100.0);
-        let tree_b = bw.collective_seconds(CollectiveKind::AllReduceTree, 16, 1e9);
-        let ring_b = bw.collective_seconds(CollectiveKind::AllReduce, 16, 1e9);
+        let tree_b = bw.collective_seconds(SchedKind::AllReduceTree, 16, 1e9, 1);
+        let ring_b = bw.collective_seconds(SchedKind::AllReduce, 16, 1e9, 1);
         assert!(ring_b < tree_b, "large: ring {ring_b} vs tree {tree_b}");
     }
 
@@ -387,15 +261,15 @@ mod tests {
     fn log_step_kinds_are_chunk_blind() {
         let m = RingCostModel::new(1.0, 100.0).with_latency(1e-6);
         for kind in [
-            CollectiveKind::AllGatherRecursiveDoubling,
-            CollectiveKind::ReduceScatterRecursiveHalving,
-            CollectiveKind::AllReduceRecursiveHalvingDoubling,
-            CollectiveKind::AllReduceTree,
-            CollectiveKind::BroadcastTree,
+            SchedKind::AllGatherRd,
+            SchedKind::ReduceScatterRh,
+            SchedKind::AllReduceRhd,
+            SchedKind::AllReduceTree,
+            SchedKind::BroadcastTree,
         ] {
-            let flat = m.collective_seconds(kind, 8, 4e6);
-            let chunked = m.collective_seconds_chunked(kind, 8, 4e6, 4);
-            assert!((flat - chunked).abs() < 1e-15, "{kind:?}");
+            let flat = m.collective_seconds(kind, 8, 4e6, 1);
+            let chunked = m.collective_seconds(kind, 8, 4e6, 4);
+            assert_eq!(flat, chunked, "{kind:?}");
         }
     }
 
@@ -405,9 +279,9 @@ mod tests {
         let m = RingCostModel::new(1.0, 100.0);
         let n = 1000.0;
         let g = 8;
-        let t1 = m.collective_seconds_chunked(CollectiveKind::Broadcast, g, n, 1);
-        let t4 = m.collective_seconds_chunked(CollectiveKind::Broadcast, g, n, 4);
-        let t64 = m.collective_seconds_chunked(CollectiveKind::Broadcast, g, n, 64);
+        let t1 = m.collective_seconds(SchedKind::Broadcast, g, n, 1);
+        let t4 = m.collective_seconds(SchedKind::Broadcast, g, n, 4);
+        let t64 = m.collective_seconds(SchedKind::Broadcast, g, n, 64);
         assert!(t4 < t1, "pipelining must help: S=4 {t4} vs S=1 {t1}");
         assert!(t64 < t4);
         let bound = n / 100.0;

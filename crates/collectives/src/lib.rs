@@ -33,7 +33,7 @@ pub mod telemetry;
 
 pub use algo::{AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, RsAlgo};
 pub use comm::{rank_core_share, Comm, CommWorld, ReduceOp, WorldBuilder};
-pub use cost::{CollectiveKind, CostModel, NullCost, RingCostModel};
+pub use cost::{CostModel, NullCost, RingCostModel};
 pub use fault::{
     CommError, DropRule, FailureKind, FailureRecord, FaultConfig, InjectedKill, StallRule,
     WallStallRule, DEFAULT_RECV_TIMEOUT,

@@ -19,7 +19,7 @@
 //! communication. Both placements run the same selection, step
 //! programs, executor and charge as the blocking calls.
 
-use crate::comm::{charge, coll_op, Comm, CommShared, ReduceOp};
+use crate::comm::{charge, Comm, CommShared, ReduceOp};
 use crate::fault::{unwrap_comm, CommError};
 use crate::group::ProcessGroup;
 use crate::pool::Payload;
@@ -178,7 +178,7 @@ impl AsyncHandle {
                     tracer.now_ns(),
                     tracer.layer(),
                     EventDetail::OverlapWait {
-                        op: coll_op(self.kind.collective_kind()),
+                        op: self.kind.coll_op(),
                         seq: self.seq,
                     },
                 );
@@ -251,7 +251,7 @@ impl Comm {
                 Stream::Compute,
                 issue_clock,
                 EventDetail::Issue {
-                    op: coll_op(kind.collective_kind()),
+                    op: kind.coll_op(),
                     group_size: group.size(),
                     bytes: kind.charged_bytes(elems, group.size()),
                     seq,

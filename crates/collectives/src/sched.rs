@@ -38,15 +38,15 @@
 //! per-lane schedule equality is the property that rules out cross-rank
 //! deadlock and misdelivery.
 
-use crate::cost::CollectiveKind;
 use crate::group::ProcessGroup;
 use crate::ReduceOp;
+use axonn_trace::CollOp;
 use std::fmt;
 
-/// The verifier-visible kind of a scheduled collective. Finer-grained than
-/// [`crate::CollectiveKind`]: algorithms that use disjoint wire lanes (ring
-/// vs. linear reduce-scatter, ring vs. recursive-halving/doubling all-reduce) must
-/// not be considered matching, so each gets its own kind.
+/// The algorithm a scheduled collective runs: what the verifier matches
+/// and what the cost model prices. Finer-grained than [`CollOp`]:
+/// algorithms that use disjoint wire lanes (ring vs. linear reduce-scatter)
+/// must not be considered matching, so each gets its own kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedKind {
     /// Ring all-gather (`lane::AG`).
@@ -118,30 +118,27 @@ impl SchedKind {
         }
     }
 
-    /// The cost-model kind that prices this algorithm (and labels its
-    /// trace events and live metrics).
-    pub fn collective_kind(&self) -> CollectiveKind {
+    /// The trace-event and live-metric op this algorithm reports as (the
+    /// canonical-order kinds report as the collective they compute).
+    pub(crate) fn coll_op(&self) -> CollOp {
         match self {
-            SchedKind::AllGather => CollectiveKind::AllGather,
-            SchedKind::AllGatherRd => CollectiveKind::AllGatherRecursiveDoubling,
-            SchedKind::ReduceScatter | SchedKind::ReduceScatterLinear => {
-                CollectiveKind::ReduceScatter
-            }
-            SchedKind::ReduceScatterRh => CollectiveKind::ReduceScatterRecursiveHalving,
-            SchedKind::AllReduce | SchedKind::AllReduceLinear => CollectiveKind::AllReduce,
-            SchedKind::AllReduceRhd => CollectiveKind::AllReduceRecursiveHalvingDoubling,
-            SchedKind::AllReduceTree => CollectiveKind::AllReduceTree,
-            SchedKind::Broadcast => CollectiveKind::Broadcast,
-            SchedKind::BroadcastTree => CollectiveKind::BroadcastTree,
-            SchedKind::Barrier => CollectiveKind::Barrier,
+            SchedKind::AllGather => CollOp::AllGather,
+            SchedKind::AllGatherRd => CollOp::AllGatherRd,
+            SchedKind::ReduceScatter | SchedKind::ReduceScatterLinear => CollOp::ReduceScatter,
+            SchedKind::ReduceScatterRh => CollOp::ReduceScatterRh,
+            SchedKind::AllReduce | SchedKind::AllReduceLinear => CollOp::AllReduce,
+            SchedKind::AllReduceRhd => CollOp::AllReduceRhd,
+            SchedKind::AllReduceTree => CollOp::AllReduceTree,
+            SchedKind::Broadcast => CollOp::Broadcast,
+            SchedKind::BroadcastTree => CollOp::BroadcastTree,
+            SchedKind::Barrier => CollOp::Barrier,
         }
     }
 
     /// The op name a rank inside this collective reports to the watchdog
-    /// and the flight recorder (the canonical-order kinds report as the
-    /// collective they compute).
+    /// and the flight recorder.
     pub(crate) fn op_name(&self) -> &'static str {
-        crate::comm::coll_op(self.collective_kind()).name()
+        self.coll_op().name()
     }
 
     /// Bytes the cost model charges for `elems` contributed elements over

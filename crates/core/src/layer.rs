@@ -195,12 +195,6 @@ impl ParallelLinear {
         &self.grad_shard
     }
 
-    /// Mutable weight access for the ZeRO-1 sharded optimizer step,
-    /// which writes updated slices back instead of calling `apply_sgd`.
-    pub fn weight_shard_mut(&mut self) -> &mut Matrix {
-        &mut self.w_shard
-    }
-
     /// OAG: issue the asynchronous weight all-gather for this layer now
     /// (line 2 of Algorithm 1, prefetched in topological order). A no-op
     /// on a one-rank Z group, where forward multiplies by the shard itself.

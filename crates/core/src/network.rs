@@ -203,7 +203,6 @@ pub struct Network4d {
     cfg: NetConfig,
     tuner: KernelTuner,
     world: ProcessGroup,
-    last_grad_sync: f64,
 }
 
 /// [`ParamStore`] over the MLP's weight shards: tensor id = layer id.
@@ -272,15 +271,7 @@ impl Network4d {
             cfg,
             tuner,
             world,
-            last_grad_sync: 0.0,
         }
-    }
-
-    /// Wall-clock seconds the last `train_step` spent in the ORS drain +
-    /// data-parallel gradient phase (bucketed pipeline or per-tensor
-    /// oracle). Bench probes read this to report the `grad_sync` phase.
-    pub fn last_grad_sync_seconds(&self) -> f64 {
-        self.last_grad_sync
     }
 
     pub fn comm(&self) -> &Comm {
@@ -396,10 +387,9 @@ impl Network4d {
             }
             d = d_in;
         }
-        // ORS drain + data-parallel gradient phase, timed as one unit —
+        // ORS drain + data-parallel gradient phase, run as one unit —
         // the bucketed pipeline interleaves the drain with its own
-        // collectives, so the two are not separable from outside.
-        let t_sync = std::time::Instant::now();
+        // collectives.
         let data_group = self.grid.data_group().clone();
         match self.cfg.grad_sync {
             GradSyncMode::Bucketed => {
@@ -447,7 +437,6 @@ impl Network4d {
                 }
             }
         }
-        self.last_grad_sync = t_sync.elapsed().as_secs_f64();
         loss
     }
 

@@ -39,10 +39,6 @@ impl Param {
         &mut self.grad
     }
 
-    pub fn zero_grad(&mut self) {
-        self.grad.scale(0.0);
-    }
-
     pub fn numel(&self) -> usize {
         self.value.len()
     }

@@ -70,16 +70,6 @@ impl DecodeSession {
     pub fn prompt_len(&self) -> usize {
         self.prompt_len
     }
-
-    /// The most recent logits row — exposed for tests and rerankers.
-    pub fn last_logits(&self) -> &[f32] {
-        &self.last_row
-    }
-
-    /// Cache slab footprint of this stream.
-    pub fn cache_bytes(&self) -> usize {
-        self.cache.approx_bytes()
-    }
 }
 
 /// Load a model from a single `lm::Checkpoint` JSON file, verifying the

@@ -51,8 +51,6 @@ pub enum CollOp {
     AllGather,
     ReduceScatter,
     AllReduce,
-    /// The small-message recursive-doubling all-reduce specialization.
-    AllReduceRd,
     Broadcast,
     Barrier,
     /// Recursive-doubling all-gather (medium messages on pow2 groups).
@@ -70,11 +68,10 @@ pub enum CollOp {
 impl CollOp {
     /// Every collective op, in [`CollOp::index`] order. Lets callers
     /// pre-register one metric handle per op without allocation.
-    pub const ALL: [CollOp; 11] = [
+    pub const ALL: [CollOp; 10] = [
         CollOp::AllGather,
         CollOp::ReduceScatter,
         CollOp::AllReduce,
-        CollOp::AllReduceRd,
         CollOp::Broadcast,
         CollOp::Barrier,
         CollOp::AllGatherRd,
@@ -89,7 +86,6 @@ impl CollOp {
             CollOp::AllGather => "all_gather",
             CollOp::ReduceScatter => "reduce_scatter",
             CollOp::AllReduce => "all_reduce",
-            CollOp::AllReduceRd => "all_reduce_rd",
             CollOp::Broadcast => "broadcast",
             CollOp::Barrier => "barrier",
             CollOp::AllGatherRd => "all_gather_rd",
@@ -100,21 +96,9 @@ impl CollOp {
         }
     }
 
-    /// Dense index into [`CollOp::ALL`].
+    /// Dense index into [`CollOp::ALL`] (declaration order).
     pub fn index(self) -> usize {
-        match self {
-            CollOp::AllGather => 0,
-            CollOp::ReduceScatter => 1,
-            CollOp::AllReduce => 2,
-            CollOp::AllReduceRd => 3,
-            CollOp::Broadcast => 4,
-            CollOp::Barrier => 5,
-            CollOp::AllGatherRd => 6,
-            CollOp::ReduceScatterRh => 7,
-            CollOp::AllReduceRhd => 8,
-            CollOp::AllReduceTree => 9,
-            CollOp::BroadcastTree => 10,
-        }
+        self as usize
     }
 }
 
@@ -413,6 +397,13 @@ impl Serialize for TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn op_index_is_its_position_in_all() {
+        for (i, op) in CollOp::ALL.into_iter().enumerate() {
+            assert_eq!(op.index(), i, "{}", op.name());
+        }
+    }
 
     #[test]
     fn kinds_distinguish_blocking_from_async() {

@@ -1,17 +1,20 @@
 //! Workspace-level sentinel for the collective transport: every
 //! algorithm `AlgoPolicy` can select, forced through
 //! `WorldBuilder::algo` on a 4-rank world, checked against the serial
-//! result. The bitwise suite (each algorithm's own fold order, every
+//! result, and charged exactly what the one cost function prices for
+//! the algorithm that ran. The bitwise suite (each algorithm's own fold order, every
 //! legal group size) is `crates/collectives/tests/algo_equivalence.rs`.
 //! Also: a training step's bits do not depend on where a rank's async
 //! collectives run (comm worker or inline at issue).
 
 use axonn::collectives::{
-    AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, Comm, CommWorld, ProcessGroup, RsAlgo, SchedEvent,
-    SchedKind,
+    AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, Comm, CommWorld, CostModel, PipelineConfig,
+    ProcessGroup, RingCostModel, RsAlgo, SchedEvent, SchedKind,
 };
 use axonn::engine::{GridTopology, OverlapConfig, TransformerStack};
 use axonn::exec::run_spmd_on;
+use axonn::trace::{CollOp, EventDetail};
+use std::sync::Arc;
 
 const WORLD: usize = 4;
 
@@ -23,16 +26,31 @@ fn input(rank: usize, len: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Run `body` over the whole world on ranks pinned to `policy`. Returns
-/// the per-rank results and the collective kinds rank 0 recorded.
+/// The timed worlds' cost model: a nonzero α, so every step and chunk
+/// count shows in the charge.
+fn cost() -> RingCostModel {
+    RingCostModel::new(1e9, 1e9).with_latency(1e-6)
+}
+
+/// Run `body` over the whole world on ranks pinned to `policy`, on a
+/// traced world timed by [`cost`] whose pipeline segments even these
+/// short ring payloads. Returns the per-rank results, the collective
+/// kinds rank 0 recorded, and rank 0's collective events as
+/// `(op, op_seconds, chunks)`.
+#[allow(clippy::type_complexity)]
 fn forced<T: Send + 'static>(
     policy: AlgoPolicy,
     body: impl Fn(&Comm, &ProcessGroup) -> T + Send + Sync + 'static,
-) -> (Vec<T>, Vec<SchedKind>) {
-    let comms = CommWorld::builder(WORLD)
+) -> (Vec<T>, Vec<SchedKind>, Vec<(CollOp, f64, usize)>) {
+    let (comms, sinks) = CommWorld::builder(WORLD)
         .algo(policy)
         .record_schedule(true)
-        .build();
+        .cost(Arc::new(cost()))
+        .pipeline(PipelineConfig {
+            min_chunk_elems: 2,
+            max_chunks: 3,
+        })
+        .build_traced();
     let probe = comms[0].clone();
     let results = run_spmd_on(comms, move |comm| {
         body(&comm, &ProcessGroup::new((0..WORLD).collect()))
@@ -44,7 +62,55 @@ fn forced<T: Send + 'static>(
             _ => None,
         })
         .collect();
-    (results, kinds)
+    let charged = sinks[0]
+        .finish()
+        .events
+        .iter()
+        .filter_map(|e| match e.detail {
+            EventDetail::Collective { op, op_seconds, .. } => {
+                Some((op, op_seconds, e.xfer.chunks.max(1) as usize))
+            }
+            _ => None,
+        })
+        .collect();
+    (results, kinds, charged)
+}
+
+/// Assert every charge in `charged` is bit for bit what [`cost`] prices
+/// for `kind` over the whole world with `elems` contributed elements at
+/// the recorded chunk count, under `kind`'s own trace op.
+fn assert_charged(kind: SchedKind, elems: usize, charged: &[(CollOp, f64, usize)]) {
+    assert!(!charged.is_empty(), "{kind}: no collective event");
+    let bytes = kind.charged_bytes(elems, WORLD) as f64;
+    for &(op, seconds, chunks) in charged {
+        let ring = matches!(
+            kind,
+            SchedKind::AllReduce
+                | SchedKind::ReduceScatter
+                | SchedKind::AllGather
+                | SchedKind::Broadcast
+        );
+        assert!(!ring || chunks > 1, "{kind} ran unsegmented");
+        let want = cost().collective_seconds(kind, WORLD, bytes, chunks);
+        assert_eq!(
+            seconds.to_bits(),
+            want.to_bits(),
+            "{kind} at {chunks} chunks: charged {seconds}, priced {want}"
+        );
+        let want_op = match kind {
+            SchedKind::AllReduce => CollOp::AllReduce,
+            SchedKind::AllReduceRhd => CollOp::AllReduceRhd,
+            SchedKind::AllReduceTree => CollOp::AllReduceTree,
+            SchedKind::ReduceScatter => CollOp::ReduceScatter,
+            SchedKind::ReduceScatterRh => CollOp::ReduceScatterRh,
+            SchedKind::AllGather => CollOp::AllGather,
+            SchedKind::AllGatherRd => CollOp::AllGatherRd,
+            SchedKind::Broadcast => CollOp::Broadcast,
+            SchedKind::BroadcastTree => CollOp::BroadcastTree,
+            other => panic!("{other} is not forced here"),
+        };
+        assert_eq!(op, want_op, "{kind} traced as {}", op.name());
+    }
 }
 
 /// Assert `got` equals the rank-order fold `((x0 + x1) + x2) + x3` of
@@ -77,12 +143,13 @@ fn every_selectable_algorithm_matches_the_serial_result() {
             force_ar: Some(algo),
             ..base
         };
-        let (out, kinds) = forced(policy, move |c, g| {
+        let (out, kinds, charged) = forced(policy, move |c, g| {
             let mut buf = input(c.rank(), len);
             c.all_reduce(g, &mut buf);
             buf
         });
         assert_eq!(kinds, [kind], "{algo:?} all-reduce ran as {kinds:?}");
+        assert_charged(kind, len, &charged);
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got.len(), len);
             assert_rank_order_sum(got, len, 0, &format!("{algo:?} all-reduce rank {rank}"));
@@ -98,10 +165,11 @@ fn every_selectable_algorithm_matches_the_serial_result() {
             force_rs: Some(algo),
             ..base
         };
-        let (out, kinds) = forced(policy, move |c, g| {
+        let (out, kinds, charged) = forced(policy, move |c, g| {
             c.reduce_scatter(g, &input(c.rank(), per * WORLD))
         });
         assert_eq!(kinds, [kind], "{algo:?} reduce-scatter ran as {kinds:?}");
+        assert_charged(kind, per * WORLD, &charged);
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got.len(), per);
             let what = format!("{algo:?} reduce-scatter rank {rank}");
@@ -118,8 +186,10 @@ fn every_selectable_algorithm_matches_the_serial_result() {
             force_ag: Some(algo),
             ..base
         };
-        let (out, kinds) = forced(policy, move |c, g| c.all_gather(g, &input(c.rank(), per)));
+        let (out, kinds, charged) =
+            forced(policy, move |c, g| c.all_gather(g, &input(c.rank(), per)));
         assert_eq!(kinds, [kind], "{algo:?} all-gather ran as {kinds:?}");
+        assert_charged(kind, per, &charged);
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got, &gathered, "{algo:?} all-gather rank {rank}");
         }
@@ -134,12 +204,13 @@ fn every_selectable_algorithm_matches_the_serial_result() {
             force_bcast: Some(algo),
             ..base
         };
-        let (out, kinds) = forced(policy, move |c, g| {
+        let (out, kinds, charged) = forced(policy, move |c, g| {
             let mut buf = input(c.rank(), len);
             c.broadcast(g, root, &mut buf);
             buf
         });
         assert_eq!(kinds, [kind], "{algo:?} broadcast ran as {kinds:?}");
+        assert_charged(kind, len, &charged);
         for (rank, got) in out.iter().enumerate() {
             assert_eq!(got, &input(root, len), "{algo:?} broadcast rank {rank}");
         }
