@@ -386,15 +386,15 @@ impl ParallelLinear {
         let d_w = tuner.dw_gemm(self.layer_id, &i_local, d_o);
         let flops = 2.0 * i_local.rows() as f64 * i_local.cols() as f64 * d_o.cols() as f64;
         comm.advance_compute(flops);
-        // Pack traffic of the strategy the tuner executed: the packed TN
-        // kernel transpose-packs A, the NN reroute packs B panels only,
-        // and the naive walk packs nothing.
+        // Pack traffic of the strategy the tuner executed: the blocked TN
+        // kernel and the NN reroute pack B panels only, and the naive
+        // walk packs nothing.
         let strategy = tuner.choice(self.layer_id).unwrap_or(DwStrategy::PackedTn);
-        let (dw_m, dw_k, dw_n) = (i_local.cols(), i_local.rows(), d_o.cols());
         let (panels, packed_bytes) = match strategy {
-            DwStrategy::PackedTn => pack_geometry(MatMode::TN, dw_m, dw_k, dw_n),
             DwStrategy::NaiveTn => (0, 0),
-            DwStrategy::TransposeNn => pack_geometry(MatMode::NN, dw_m, dw_k, dw_n),
+            DwStrategy::PackedTn | DwStrategy::TransposeNn => {
+                pack_geometry(i_local.cols(), i_local.rows(), d_o.cols())
+            }
         };
         record_gemm(
             comm,

@@ -1,15 +1,14 @@
 //! Automated BLAS kernel tuning (Section V-C).
 //!
-//! The weight-gradient product `Iᵀ·dO` defaults to the TN kernel. Before
-//! the blocked rewrite of `axonn-tensor` that kernel was always a
-//! stride-`m` column walk; now the packed TN kernel turns the walk into
-//! a transpose-pack, and the naive walk survives as a selectable tier —
-//! so the tuner faces a genuine three-way decision (packed TN vs naive
-//! TN vs explicit-transpose + NN), just as the paper's tuner did against
-//! rocBLAS on Frontier. During the first batch the tuner times every
-//! strategy for each layer's product with real wall-clock measurements —
-//! exactly the paper's procedure — and locks in the fastest for the
-//! remaining iterations.
+//! The weight-gradient product `Iᵀ·dO` defaults to the blocked TN
+//! kernel, which reads `I` in place and runs at about NN speed. Paper
+//! §V-C tuned around a TN kernel that did not (6 % vs 55 % of peak on
+//! Frontier); here the live alternatives to the default are the naive
+//! stride-`m` column walk and the paper's explicit transpose + NN
+//! reroute. During the first batch the tuner times every strategy for
+//! each layer's product with real wall-clock measurements — exactly the
+//! paper's procedure — and locks in the fastest for the remaining
+//! iterations.
 
 use axonn_tensor::{gemm, gemm_tn_naive, MatMode, Matrix};
 use std::collections::HashMap;
@@ -18,8 +17,8 @@ use std::time::Instant;
 /// How to compute `Iᵀ·dO` for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DwStrategy {
-    /// Call the blocked TN kernel (transpose-packs `I` into the reused
-    /// thread-local pack buffer).
+    /// Call the blocked TN kernel, which reads `I` in place through its
+    /// strides and packs only `dO`'s panels.
     PackedTn,
     /// Call the naive TN kernel: the unblocked stride-`m` column walk —
     /// the "bad kernel" the paper's tuner learned to avoid.

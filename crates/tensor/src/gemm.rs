@@ -11,15 +11,15 @@
 //!   register-tiled micro-kernels reading packed B panels
 //!   ([`crate::pack`] and the private `kernel` module). NT packs `Bᵀ` panels so the
 //!   dot-product reduction becomes the same broadcast-multiply-add loop
-//!   as NN; TN transpose-packs `A` so the stride-`m` column walk becomes
-//!   a pack cost. The dense tiles run on the best [`Isa`] the CPU has:
-//!   AVX-512 FMA intrinsics with the `simd` feature, the portable kernel
-//!   otherwise.
+//!   as NN; TN reads its `k × m` A in place through two strides, so the
+//!   rows of one contraction step are one contiguous run. The dense
+//!   tiles run on the best [`Isa`] the CPU has: AVX-512 FMA intrinsics
+//!   with the `simd` feature, the portable kernel otherwise.
 //! * The **naive tier** ([`gemm_into_naive`], [`gemm_tn_naive`]): the
-//!   pre-blocking loops, kept as a genuine alternative the `axonn-core`
-//!   tuner times against the packed tier (TN-via-pack vs TN-naive is now
-//!   a real decision, mirroring the rocBLAS gap the paper tuned around)
-//!   and as the "scalar" column of the bench drift tables.
+//!   pre-blocking loops, kept as the alternative the `axonn-core` tuner
+//!   times against the blocked tier (TN-naive is the stride-`m` column
+//!   walk, the kind of kernel the paper tuned around) and as the
+//!   "scalar" column of the bench drift tables.
 //!
 //! **Arithmetic contract.** Every tier is bitwise identical to
 //! [`gemm_reference`]: each `C[i][j]` is one correctly rounded fused
@@ -36,7 +36,7 @@
 use crate::fused;
 use crate::kernel::{self, Isa};
 use crate::matrix::Matrix;
-use crate::pack::{self, APack, BLayout, BlockSizes, PackedB};
+use crate::pack::{self, BLayout, BlockSizes, PackedB};
 use rayon::prelude::*;
 use std::cell::Cell;
 
@@ -135,7 +135,7 @@ impl Rhs<'_> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GemmStats {
     /// Bytes written into the thread-local pack buffers (B panels, plus
-    /// the A copy for TN and bf16). A pre-packed B contributes none.
+    /// the A copy of a bf16 product). A pre-packed B contributes none.
     pub packed_bytes: u64,
     /// Number of NR-wide B panels packed by this call.
     pub panels: u32,
@@ -272,10 +272,11 @@ pub fn gemm_bf16_into(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) -> 
 }
 
 /// The blocked tier: pack B into panels (quantizing if asked) unless the
-/// caller already did, build the A view (borrow / quantize-copy /
-/// transpose-pack), then run the register-tiled engine. Zero-skip row
-/// flags are computed on the A view actually fed to the kernels, so f32
-/// and bf16 agree on what "zero" means.
+/// caller already did, take the A view (the caller's slice, or a
+/// quantized copy in the same layout) with its two strides, then run the
+/// register-tiled engine. Zero-skip row flags are computed on the A view
+/// actually fed to the kernels, so f32 and bf16 agree on what "zero"
+/// means.
 fn gemm_blocked(
     mode: MatMode,
     a: &Matrix,
@@ -301,18 +302,21 @@ fn gemm_blocked(
     let blocks = blocks.normalized();
     let isa = Isa::best_up_to(cap);
     let workers = kernel::split_workers(m * n * k);
-    let a_pack = match (mode, quantize) {
-        (MatMode::TN, q) => APack::Transpose { quantize: q },
-        (_, true) => APack::Copy { quantize: true },
-        (_, false) => APack::Borrow,
+    // Element `(i, p)` of A at `i·rs + p·ps`: TN reads its `k × m`
+    // operand in place, one contiguous run of rows per contraction step.
+    let (rs, ps) = match mode {
+        MatMode::NN | MatMode::NT => (k, 1),
+        MatMode::TN => (1, m),
     };
     let c_slice = c.as_mut_slice();
     // Everything downstream of the packed panels: the A bytes it packed.
     let mut kernels = |bp: &[f32]| {
-        pack::with_a_view(a.as_slice(), m, k, a_pack, |av| {
+        pack::with_a_view(a.as_slice(), quantize, |av| {
             let mut run = |flags: Option<&[u8]>| {
                 let g = kernel::Gemm {
                     a: av,
+                    rs,
+                    ps,
                     bp,
                     flags,
                     m,
@@ -657,34 +661,36 @@ mod tests {
         // band (m is not a multiple of MR × workers), and one just below
         // it, which must stay serial whatever the thread count. An
         // installed pool is per thread, so sibling tests are not disturbed.
+        // TN bands start at column `row0` of the strided `k × m` operand.
         let (k, n) = (512, 512);
-        for (m, splits) in [(258, true), (255, false)] {
-            let macs = m * k * n;
-            assert_eq!(macs >= kernel::PAR_THRESHOLD, splits);
-            let a = Matrix::random(m, k, 1.0, 10);
-            let b = Matrix::random(k, n, 1.0, 11);
-            let packed = PackedB::pack(MatMode::NN, &b);
-            let oracle = gemm_reference(MatMode::NN, &a, &b).to_bits();
-            for threads in [1, 2, 4] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                pool.install(|| {
-                    let expect = if splits { threads } else { 1 };
-                    assert_eq!(kernel::split_workers(macs), expect);
-                    for isa in Isa::ALL.into_iter().filter(|isa| isa.runs_here()) {
+        for mode in [MatMode::NN, MatMode::TN] {
+            for (m, splits) in [(258, true), (255, false)] {
+                let macs = m * k * n;
+                assert_eq!(macs >= kernel::PAR_THRESHOLD, splits);
+                let (a, b) = operands(mode, m, k, n, 10);
+                let packed = PackedB::pack(mode, &b);
+                let oracle = gemm_reference(mode, &a, &b).to_bits();
+                for threads in [1, 2, 4] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    pool.install(|| {
+                        let expect = if splits { threads } else { 1 };
+                        assert_eq!(kernel::split_workers(macs), expect);
+                        for isa in Isa::ALL.into_iter().filter(|isa| isa.runs_here()) {
+                            let mut c = Matrix::zeros(m, n);
+                            let blocks = BlockSizes::default();
+                            let _ = gemm_into_with(mode, &a, &b, &mut c, blocks, isa);
+                            assert_eq!(c.to_bits(), oracle, "{mode}, {threads} threads, {isa:?}");
+                        }
+                        let packed_c = gemm(mode, &a, &packed);
+                        assert_eq!(packed_c.to_bits(), oracle, "{mode} packed, {threads}");
                         let mut c = Matrix::zeros(m, n);
-                        let blocks = BlockSizes::default();
-                        let _ = gemm_into_with(MatMode::NN, &a, &b, &mut c, blocks, isa);
-                        assert_eq!(c.to_bits(), oracle, "{threads} threads, {isa:?}");
-                    }
-                    let packed_c = gemm(MatMode::NN, &a, &packed);
-                    assert_eq!(packed_c.to_bits(), oracle, "packed, {threads}");
-                    let mut c = Matrix::zeros(m, n);
-                    gemm_into_naive(MatMode::NN, &a, &b, &mut c);
-                    assert_eq!(c.to_bits(), oracle, "naive, {threads} threads");
-                });
+                        gemm_into_naive(mode, &a, &b, &mut c);
+                        assert_eq!(c.to_bits(), oracle, "{mode} naive, {threads} threads");
+                    });
+                }
             }
         }
     }
@@ -769,21 +775,17 @@ mod tests {
     }
 
     #[test]
-    fn prepacked_call_counts_as_a_call_that_packed_only_a() {
+    fn prepacked_f32_call_counts_as_a_call_that_packs_nothing() {
         let _ = take_gemm_phase();
-        for (mode, a_bytes) in [
-            (MatMode::NN, 0),
-            (MatMode::NT, 0),
-            (MatMode::TN, 10 * 7 * 4),
-        ] {
+        for mode in MatMode::ALL {
             let (a, b) = operands(mode, 10, 7, 33, 20);
             let packed = PackedB::pack(mode, &b);
             let mut c = Matrix::zeros(10, 33);
             let stats = gemm_into_stats(mode, &a, &packed, &mut c);
             assert_eq!(c, gemm_reference(mode, &a, &b), "{mode}");
-            assert_eq!((stats.panels, stats.packed_bytes), (0, a_bytes), "{mode}");
+            assert_eq!((stats.panels, stats.packed_bytes), (0, 0), "{mode}");
             let phase = take_gemm_phase();
-            assert_eq!((phase.calls, phase.packed_bytes), (1, a_bytes), "{mode}");
+            assert_eq!((phase.calls, phase.packed_bytes), (1, 0), "{mode}");
             assert!(phase.mode_seconds(mode) > 0.0);
         }
     }
@@ -809,7 +811,7 @@ mod tests {
             let (a, b) = operands(mode, 10, 7, 33, 20);
             let mut c = Matrix::zeros(10, 33);
             let stats = gemm_into_stats(mode, &a, &b, &mut c);
-            let (panels, bytes) = crate::pack::pack_geometry(mode, 10, 7, 33);
+            let (panels, bytes) = crate::pack::pack_geometry(10, 7, 33);
             assert_eq!(stats.panels, panels, "{mode}");
             assert_eq!(stats.packed_bytes, bytes, "{mode}");
         }

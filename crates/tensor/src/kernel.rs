@@ -116,10 +116,13 @@ impl Isa {
     }
 }
 
-/// One fully-packed multiply: `C[m×n] = Aview[m×k] · Bpacked`.
+/// One multiply over packed B: `C[m×n] = A[m×k] · Bpacked`.
 pub(crate) struct Gemm<'a> {
-    /// `m × k` row-major A view (borrowed or packed).
+    /// The A view (see [`crate::pack`]): element `(i, p)` at
+    /// `a[i·rs + p·ps]`.
     pub a: &'a [f32],
+    pub rs: usize,
+    pub ps: usize,
     /// Panel-major packed B (see [`crate::pack`]).
     pub bp: &'a [f32],
     /// Per-row "has a zero" flags (NN zero-skip); `None` disables skip.
@@ -232,14 +235,16 @@ fn tile<const R: usize>(
     ci: usize,
     at: Spot,
 ) {
-    let (k, n) = (g.k, g.n);
-    let a = &g.a[row * k + at.p0..];
+    let n = g.n;
+    let a = &g.a[row * g.rs + at.p0 * g.ps..];
     let lanes = (n - at.j0).min(NR);
     let kernel = |c: &mut [f32], ldc: usize| {
         if skip {
+            // Only NN flags rows, and NN reads A rows in unit steps.
+            debug_assert_eq!(g.ps, 1);
             fused::skip_row(a, panel, c, at.first);
         } else {
-            micro::<R>(g.isa, a, k, panel, c, ldc, at.first);
+            micro::<R>(g, a, panel, c, ldc, at.first);
         }
     };
     if lanes == NR {
@@ -258,25 +263,25 @@ fn tile<const R: usize>(
     }
 }
 
-/// The dense `R × NR` micro-kernel of `isa`, with [`fused::tile`]'s
-/// arguments and contract.
+/// The dense `R × NR` micro-kernel of `g.isa`, with [`fused::tile`]'s
+/// arguments and contract and `g`'s A strides.
 fn micro<const R: usize>(
-    isa: Isa,
+    g: &Gemm<'_>,
     a: &[f32],
-    k: usize,
     b: &[f32],
     c: &mut [f32],
     ldc: usize,
     first: bool,
 ) {
-    match isa {
-        Isa::Scalar => fused::tile::<R>(a, k, b, c, ldc, first),
+    let (rs, ps) = (g.rs, g.ps);
+    match g.isa {
+        Isa::Scalar => fused::tile::<R>(a, rs, ps, b, c, ldc, first),
         // SAFETY: `Isa::best_up_to` picks a vector ISA only when
         // `runs_here` found its CPU features.
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Avx512 => unsafe { x86::tile_avx512::<R>(a, k, b, c, ldc, first) },
+        Isa::Avx512 => unsafe { x86::tile_avx512::<R>(a, rs, ps, b, c, ldc, first) },
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        Isa::Avx512 => unreachable!("{isa:?} does not run in this build"),
+        isa @ Isa::Avx512 => unreachable!("{isa:?} does not run in this build"),
     }
 }
 
@@ -290,18 +295,22 @@ mod x86 {
     #[target_feature(enable = "avx512f,fma")]
     pub(super) fn tile_avx512<const R: usize>(
         a: &[f32],
-        k: usize,
+        rs: usize,
+        ps: usize,
         b: &[f32],
         c: &mut [f32],
         ldc: usize,
         first: bool,
     ) {
         // The bounds of every raw access below: A element `(r, p)` at
-        // `r·k + p`, B row `p` at `p·NR..`, C row `r` at `r·ldc..`, for
-        // `r < R` and `p < len`.
+        // `r·rs + p·ps`, B row `p` at `p·NR..`, C row `r` at `r·ldc..`,
+        // for `r < R` and `p < len`, with `len ≥ 1`.
         let len = b.len() / NR;
         assert_eq!(b.len(), len * NR, "B slice is not whole panel rows");
-        assert!(a.len() >= (R - 1) * k + len, "A tile out of bounds");
+        assert!(
+            len > 0 && a.len() > (R - 1) * rs + (len - 1) * ps,
+            "A tile out of bounds"
+        );
         assert!(c.len() >= (R - 1) * ldc + NR, "C tile out of bounds");
         let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
         // SAFETY: every offset below is one asserted above.
@@ -315,12 +324,55 @@ mod x86 {
             for p in 0..len {
                 let bv = _mm512_loadu_ps(b.add(p * NR));
                 for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let av = _mm512_set1_ps(*a.add(r * k + p));
+                    let av = _mm512_set1_ps(*a.add(r * rs + p * ps));
                     *acc_r = _mm512_fmadd_ps(av, bv, *acc_r);
                 }
             }
             for (r, acc_r) in acc.iter().enumerate() {
                 _mm512_storeu_ps(c.add(r * ldc), *acc_r);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn every_kernel_panics_on_an_a_tile_one_element_short() {
+        // A 3-row tile over 4 contraction steps reads up to element
+        // `2·rs + 3·ps`: the bound is `2·rs + 3·ps + 1`, for the NN
+        // strides `(k, 1)` and the TN strides `(1, m)` alike.
+        const R: usize = 3;
+        let b = [1.0f32; 4 * NR];
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.runs_here()) {
+            for (rs, ps) in [(7, 1), (1, 5)] {
+                let need = (R - 1) * rs + 3 * ps + 1;
+                let a = vec![1.0f32; need];
+                let run = |len: usize| {
+                    let g = Gemm {
+                        a: &a[..len],
+                        rs,
+                        ps,
+                        bp: &b,
+                        flags: None,
+                        m: R,
+                        k: 4,
+                        n: NR,
+                        blocks: BlockSizes::default(),
+                        isa,
+                    };
+                    let mut c = [0.0f32; R * NR];
+                    catch_unwind(AssertUnwindSafe(|| {
+                        micro::<R>(&g, g.a, &b, &mut c, NR, true);
+                    }))
+                    .map(|()| c)
+                };
+                let c = run(need).expect("an exact A tile is in bounds");
+                assert!(c.iter().all(|&v| v == 4.0), "{isa:?} ({rs}, {ps})");
+                assert!(run(need - 1).is_err(), "{isa:?} ({rs}, {ps}) read past A");
             }
         }
     }

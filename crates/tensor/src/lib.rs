@@ -5,11 +5,11 @@
 //! to emulate the paper's mixed-precision (bf16 compute / f32 master
 //! weights) regime, and a blocked/packed GEMM kernel hierarchy (cache
 //! blocking, register-tiled micro-kernels over packed panels, an AVX-512
-//! FMA kernel behind the `simd` feature) with a retained naive
-//! tier so the NN / NT / TN operand modes have *genuinely different* cost
-//! profiles (Section V-C of the paper). The mode-dependent performance difference is
-//! what makes the automated kernel tuner in `axonn-core` meaningful on CPU,
-//! just as the rocBLAS TN/NN gap made it meaningful on Frontier. Every
+//! FMA kernel behind the `simd` feature) with a retained naive tier. The
+//! naive TN product walks its operand at stride `m` and runs far below
+//! the blocked kernels, which is what makes the automated kernel tuner in
+//! `axonn-core` meaningful on CPU, just as the rocBLAS TN/NN gap made it
+//! meaningful on Frontier (Section V-C of the paper). Every
 //! kernel tier is bitwise identical to [`gemm::gemm_reference`], whose
 //! arithmetic is one fused multiply-add per term ([`fused`]).
 

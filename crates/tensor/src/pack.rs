@@ -3,12 +3,12 @@
 //! The micro-kernels (the private `kernel` module) only ever read two
 //! layouts:
 //!
-//! * **A view** — an `m × k` row-major slice (row `i`, element `p` at
-//!   `i * k + p`). For NN/NT in f32 this is the caller's matrix verbatim;
-//!   for TN the `k × m` operand is transpose-packed once so the micro-
-//!   kernel never takes the stride-`m` column walk; for bf16 the copy is
-//!   fused with quantization (the old `gemm_bf16` cloned both operands
-//!   first — the pack pass now rounds while it copies).
+//! * **A view** — the left operand read in place through two strides:
+//!   element `(i, p)` at `i·rs + p·ps`. NN/NT borrow the caller's
+//!   `m × k` matrix (`rs = k, ps = 1`); TN borrows its `k × m` matrix
+//!   (`rs = 1, ps = m`), so the rows of one contraction step are one
+//!   contiguous run. bf16 copies the operand in its own layout, rounding
+//!   while it copies.
 //! * **Packed B** — `⌈n/NR⌉` panels, each `k × NR`, laid out panel-major:
 //!   element `(p, lane)` of panel `jp` lives at `jp·k·NR + p·NR + lane`.
 //!   Tail-panel lanes beyond `n` are zero so the kernels always run full
@@ -182,62 +182,20 @@ impl PackedB {
     }
 }
 
-/// What the engine needs as its A view, and how to build it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum APack {
-    /// Use the caller's slice directly (already `m × k` row-major, f32).
-    Borrow,
-    /// Copy (NN/NT bf16: quantize-on-copy keeps the layout).
-    Copy { quantize: bool },
-    /// Transpose-pack a `k × m` source into `m × k` (TN); optionally
-    /// quantize while packing.
-    Transpose { quantize: bool },
-}
-
-/// Run `f` with the A view for `src` (logical `m` rows × `k` contracted),
-/// packing into the thread-local A buffer when needed. Returns
-/// `(packed_bytes, f-result)`.
-pub(crate) fn with_a_view<R>(
-    src: &[f32],
-    m: usize,
-    k: usize,
-    pack: APack,
-    f: impl FnOnce(&[f32]) -> R,
-) -> (u64, R) {
-    match pack {
-        APack::Borrow => (0, f(src)),
-        APack::Copy { quantize } => PACK_A.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            buf.clear();
-            buf.extend_from_slice(&src[..m * k]);
-            if quantize {
-                bf16::round_slice(&mut buf);
-            }
-            ((m * k * std::mem::size_of::<f32>()) as u64, f(&buf))
-        }),
-        APack::Transpose { quantize } => PACK_A.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            buf.clear();
-            buf.resize(m * k, 0.0);
-            // Blocked transpose: src is k × m, dst is m × k.
-            const BLK: usize = 32;
-            for p0 in (0..k).step_by(BLK) {
-                let p1 = (p0 + BLK).min(k);
-                for i0 in (0..m).step_by(BLK) {
-                    let i1 = (i0 + BLK).min(m);
-                    for p in p0..p1 {
-                        for i in i0..i1 {
-                            buf[i * k + p] = src[p * m + i];
-                        }
-                    }
-                }
-            }
-            if quantize {
-                bf16::round_slice(&mut buf);
-            }
-            ((m * k * std::mem::size_of::<f32>()) as u64, f(&buf))
-        }),
+/// Run `f` with the A view for `src`: the slice itself, or, when
+/// `quantize`, a bf16-rounded copy in the same layout in the thread-local
+/// A buffer. Returns `(packed_bytes, f-result)`.
+pub(crate) fn with_a_view<R>(src: &[f32], quantize: bool, f: impl FnOnce(&[f32]) -> R) -> (u64, R) {
+    if !quantize {
+        return (0, f(src));
     }
+    PACK_A.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        buf.clear();
+        buf.extend_from_slice(src);
+        bf16::round_slice(&mut buf);
+        (std::mem::size_of_val(src) as u64, f(&buf))
+    })
 }
 
 /// Run `f` with per-row "contains a zero" flags for the `m × k` A view
@@ -262,19 +220,17 @@ pub(crate) fn with_row_flags<R>(
 }
 
 /// Pack traffic the blocked engine generates for an f32 multiply of the
-/// given mode and shape: `(B panels, packed bytes)`. Pure geometry — a
-/// caller that knows which strategy ran (the tuned weight-gradient
-/// product) records its pack traffic without the kernel's own stats.
-pub fn pack_geometry(mode: MatMode, m: usize, k: usize, n: usize) -> (u32, u64) {
+/// given shape, in any mode: `(B panels, packed bytes)`. Only B is
+/// packed; A is read in place. Pure geometry — a caller that knows which
+/// strategy ran (the tuned weight-gradient product) records its pack
+/// traffic without the kernel's own stats.
+pub fn pack_geometry(m: usize, k: usize, n: usize) -> (u32, u64) {
     if m == 0 || n == 0 || k == 0 {
         return (0, 0);
     }
     let panels = n.div_ceil(NR);
-    let mut bytes = (panels * k * NR * std::mem::size_of::<f32>()) as u64;
-    if mode == MatMode::TN {
-        bytes += (m * k * std::mem::size_of::<f32>()) as u64;
-    }
-    (panels as u32, bytes)
+    let bytes = panels * k * NR * std::mem::size_of::<f32>();
+    (panels as u32, bytes as u64)
 }
 
 #[cfg(test)]
@@ -359,16 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_pack_matches_manual() {
-        // src is k × m = 2 × 3; view must be m × k = 3 × 2.
-        let src = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let (bytes, ()) = with_a_view(&src, 3, 2, APack::Transpose { quantize: false }, |av| {
-            assert_eq!(av, &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-        });
-        assert_eq!(bytes, 24);
-    }
-
-    #[test]
     fn row_flags_mark_zero_rows() {
         let a = [1.0f32, 2.0, 0.0, 3.0, 4.0, 5.0];
         with_row_flags(&a, 3, 2, |flags| {
@@ -381,10 +327,7 @@ mod tests {
         let (m, k, n) = (10, 7, 33);
         let b = vec![1.0f32; k * n];
         let (panels, bytes, ()) = with_packed_b(&b, BLayout::KxN, k, n, false, |_| ());
-        assert_eq!(pack_geometry(MatMode::NN, m, k, n), (panels as u32, bytes));
-        let (tn_panels, tn_bytes) = pack_geometry(MatMode::TN, m, k, n);
-        assert_eq!(tn_panels as usize, panels);
-        assert_eq!(tn_bytes, bytes + (m * k * 4) as u64);
-        assert_eq!(pack_geometry(MatMode::NN, 0, k, n), (0, 0));
+        assert_eq!(pack_geometry(m, k, n), (panels as u32, bytes));
+        assert_eq!(pack_geometry(0, k, n), (0, 0));
     }
 }

@@ -143,8 +143,9 @@ pub enum EventDetail {
     /// transposition actually executed (`"NN"`, `"NT"`, `"TN"`,
     /// `"TN(naive)"` when the tuner kept the unpacked kernel, or
     /// `"TN->NN"` when it rerouted through a transpose). `packed_bytes`
-    /// and `panels` count the blocked engine's pack traffic (zero for
-    /// the naive tier).
+    /// and `panels` count the blocked engine's pack traffic: the B
+    /// panels, plus the A copy of a bf16 product (A is otherwise read in
+    /// place, in every mode); zero for the naive tier.
     Gemm {
         mode: &'static str,
         flops: f64,
