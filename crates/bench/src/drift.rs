@@ -1,7 +1,7 @@
 //! Perfmodel drift report: measured collective latencies vs. the ring
 //! model's Eq. 1–5 predictions, bucketed by message size.
 //!
-//! ROADMAP item 3 asks for the estimator to be validated against real
+//! ROADMAP item 5 asks for the estimator to be validated against real
 //! counters. This module produces the falsifiable artifact: it runs the
 //! actual thread-backed collectives at several message sizes, takes
 //! wall-clock medians, calibrates an effective bandwidth `β̂` from the

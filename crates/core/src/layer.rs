@@ -57,6 +57,27 @@ fn gemm_with_stats(mode: MatMode, a: &Matrix, b: &Matrix) -> (Matrix, GemmStats)
     (c, stats)
 }
 
+/// Give a buffer kept across steps the shape `rows × cols`, reusing its
+/// allocation (a step at or below the largest shape seen allocates
+/// nothing). The contents are stale; the caller overwrites every element.
+pub(crate) fn reshape(buf: &mut Matrix, rows: usize, cols: usize) -> &mut Matrix {
+    if buf.shape() != (rows, cols) {
+        let mut data = std::mem::replace(buf, Matrix::zeros(0, 0)).into_vec();
+        data.resize(rows * cols, 0.0);
+        *buf = Matrix::from_vec(rows, cols, data);
+    }
+    buf
+}
+
+/// Overwrite `dst` with `src`, element for element.
+///
+/// # Panics
+/// If the shapes differ.
+pub(crate) fn copy_into(dst: &mut Matrix, src: &Matrix) {
+    assert_eq!(dst.shape(), src.shape(), "copy between different shapes");
+    dst.as_mut_slice().copy_from_slice(src.as_slice());
+}
+
 /// Which of the Section V-D overlap optimizations are active.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OverlapConfig {
@@ -117,7 +138,13 @@ pub struct ParallelLinear {
     pub transposed: bool,
     w_shard: Matrix,
     grad_shard: Matrix,
-    cached_i: Option<Matrix>,
+    /// The input block `I`, kept for the rank's lifetime: the producer
+    /// writes it through [`Self::input_mut`], forward multiplies it and
+    /// backward reads it for `dŴ`.
+    input: Matrix,
+    /// Whether `input` holds this step's forward, not yet consumed by a
+    /// backward: set by forward, cleared by backward.
+    forward_pending: bool,
     cached_w: Option<Matrix>,
     prefetch: Option<AsyncHandle>,
 }
@@ -171,7 +198,8 @@ impl ParallelLinear {
             transposed,
             w_shard,
             grad_shard,
-            cached_i: None,
+            input: Matrix::zeros(0, 0),
+            forward_pending: false,
             cached_w: None,
             prefetch: None,
         }
@@ -230,20 +258,34 @@ impl ParallelLinear {
         self.cached_w.as_ref().unwrap_or(&self.w_shard)
     }
 
-    /// Forward pass (Algorithm 1 lines 1–7). `i_local` is the
-    /// `(m/G_z) × (k/g_in)` input block; returns the `(m/G_z) × (n/g_out)`
-    /// output block. Caches `I`, and the gathered `W` only when Z has more
-    /// than one rank (or under bf16, which rounds its own copy), for
-    /// backward.
-    pub fn forward(
+    /// The kept input block, shaped `rows × (k/g_in)`, for the caller to
+    /// overwrite before [`Self::forward`]. Its old contents are stale.
+    pub fn input_mut(&mut self, grid: &GridTopology, rows: usize) -> &mut Matrix {
+        let cols = self.local_input_cols(grid);
+        reshape(&mut self.input, rows, cols)
+    }
+
+    /// Forward pass (Algorithm 1 lines 1–7) on the input block written
+    /// through [`Self::input_mut`], the `(m/G_z) × (k/g_in)` block `I`;
+    /// returns the `(m/G_z) × (n/g_out)` output block. `I` stays in the
+    /// layer for backward, and so does the gathered `W` when Z has more
+    /// than one rank (or under bf16, which rounds its own copy).
+    pub fn forward(&mut self, comm: &Comm, grid: &GridTopology, precision: Precision) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(comm, grid, precision, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`, reshaped and overwritten in place.
+    pub fn forward_into(
         &mut self,
         comm: &Comm,
         grid: &GridTopology,
-        i_local: Matrix,
         precision: Precision,
-    ) -> Matrix {
+        out: &mut Matrix,
+    ) {
         assert_eq!(
-            i_local.cols(),
+            self.input.cols(),
             self.local_input_cols(grid),
             "layer {}: input block has wrong width",
             self.layer_id
@@ -258,72 +300,71 @@ impl ParallelLinear {
                 },
             )
         });
-        let (cached_w, i_local) = match precision {
+        self.cached_w = match precision {
             // A one-rank Z group has nothing to gather: no copy.
-            Precision::F32 if grid.gz == 1 => (None, i_local),
-            Precision::F32 => (Some(self.gathered_weight(comm, grid)), i_local),
+            Precision::F32 if grid.gz == 1 => None,
+            Precision::F32 => Some(self.gathered_weight(comm, grid)),
             Precision::Bf16Mixed => {
                 // Round operands onto the bf16 grid once; the rounded
                 // copies are what the backward pass reuses, exactly like
                 // bf16 weights/activations on a GPU.
                 let mut w = self.gathered_weight(comm, grid);
                 w.round_bf16();
-                let mut i = i_local;
-                i.round_bf16();
-                (Some(w), i)
+                self.input.round_bf16();
+                Some(w)
             }
         };
-        self.cached_w = cached_w;
-        let w = self.forward_weight();
-        let t0 = comm.now();
-        let wall0 = wall_now(comm);
-        let (o_partial, stats) = gemm_with_stats(MatMode::NN, &i_local, w);
-        let flops = 2.0 * i_local.rows() as f64 * w.rows() as f64 * w.cols() as f64;
-        comm.advance_compute(flops);
-        record_gemm(comm, t0, wall0, "NN", flops, stats);
-        let mut o = o_partial.into_vec();
-        comm.all_reduce(grid.row_group(self.transposed), &mut o);
-        let out = Matrix::from_vec(i_local.rows(), self.local_output_cols(grid), o);
-        self.cached_i = Some(i_local);
+        self.forward_pending = true;
+        self.product_into(comm, grid, out);
         if let Some(t) = comm.tracer() {
             t.close_span(span, comm.now());
+            t.set_layer(None);
+        }
+    }
+
+    /// `out = all-reduce(I · W)` over the row group: the forward product
+    /// from the kept operands, shared by forward and recompute.
+    fn product_into(&self, comm: &Comm, grid: &GridTopology, out: &mut Matrix) {
+        let w = self.forward_weight();
+        let out = reshape(out, self.input.rows(), w.cols());
+        let t0 = comm.now();
+        let wall0 = wall_now(comm);
+        let stats = gemm_into_stats(MatMode::NN, &self.input, w, out);
+        let flops = 2.0 * self.input.rows() as f64 * w.rows() as f64 * w.cols() as f64;
+        comm.advance_compute(flops);
+        record_gemm(comm, t0, wall0, "NN", flops, stats);
+        comm.all_reduce(grid.row_group(self.transposed), out.as_mut_slice());
+    }
+
+    /// Re-run the forward computation from the kept input — activation
+    /// checkpointing's recompute step (Section VI-A: "we turn on
+    /// activation checkpointing"). Costs one GEMM plus one output
+    /// all-reduce, exactly like the real thing.
+    pub fn recompute_output(&mut self, comm: &Comm, grid: &GridTopology) -> Matrix {
+        assert!(
+            self.forward_pending,
+            "layer {}: recompute without a forward in this step",
+            self.layer_id
+        );
+        if let Some(t) = comm.tracer() {
+            t.set_layer(Some(self.layer_id));
+        }
+        let mut out = Matrix::zeros(0, 0);
+        self.product_into(comm, grid, &mut out);
+        if let Some(t) = comm.tracer() {
             t.set_layer(None);
         }
         out
     }
 
-    /// Re-run the forward computation from the cached inputs without
-    /// consuming them — activation checkpointing's recompute step
-    /// (Section VI-A: "we turn on activation checkpointing"). Costs one
-    /// GEMM plus one output all-reduce, exactly like the real thing.
-    pub fn recompute_output(&mut self, comm: &Comm, grid: &GridTopology) -> Matrix {
-        let i_local = self
-            .cached_i
-            .as_ref()
-            .expect("recompute without cached input");
-        let w = self.forward_weight();
-        if let Some(t) = comm.tracer() {
-            t.set_layer(Some(self.layer_id));
-        }
-        let t0 = comm.now();
-        let wall0 = wall_now(comm);
-        let (o_partial, stats) = gemm_with_stats(MatMode::NN, i_local, w);
-        let flops = 2.0 * i_local.rows() as f64 * w.rows() as f64 * w.cols() as f64;
-        comm.advance_compute(flops);
-        record_gemm(comm, t0, wall0, "NN", flops, stats);
-        let mut o = o_partial.into_vec();
-        comm.all_reduce(grid.row_group(self.transposed), &mut o);
-        if let Some(t) = comm.tracer() {
-            t.set_layer(None);
-        }
-        Matrix::from_vec(i_local.rows(), self.local_output_cols(grid), o)
-    }
-
-    /// Backward pass (Algorithm 1 lines 9–16), reading `I` and, when Z
-    /// has more than one rank, the gathered `W` that forward cached.
-    /// Returns the input-gradient block and, under ORS on a multi-rank Z
-    /// group, the pending weight-gradient reduce-scatter (otherwise the
-    /// gradient is accumulated into the layer immediately).
+    /// Backward pass (Algorithm 1 lines 9–16), reading the kept `I` and,
+    /// when Z has more than one rank, the gathered `W` that forward
+    /// cached. Returns the input-gradient block and, under ORS on a
+    /// multi-rank Z group, the pending weight-gradient reduce-scatter
+    /// (otherwise the gradient lands in the layer's shard immediately).
+    ///
+    /// # Panics
+    /// Unless a forward ran since the last backward.
     pub fn backward(
         &mut self,
         comm: &Comm,
@@ -333,11 +374,13 @@ impl ParallelLinear {
         tuner: &mut KernelTuner,
         precision: Precision,
     ) -> (Matrix, Option<PendingGrad>) {
-        let i_local = self
-            .cached_i
-            .take()
-            .expect("backward called without a cached forward");
-        let w = self.forward_weight();
+        assert!(
+            std::mem::take(&mut self.forward_pending),
+            "layer {}: backward without a forward in this step",
+            self.layer_id
+        );
+        let i_local = &self.input;
+        let w = self.cached_w.as_ref().unwrap_or(&self.w_shard);
         assert_eq!(d_o.shape(), (i_local.rows(), w.cols()), "dO shape mismatch");
         let rounded;
         let d_o = match precision {
@@ -380,19 +423,28 @@ impl ParallelLinear {
             (Some(buf), None)
         };
 
-        // Line 13: dŴ = Iᵀ · dO (via the kernel tuner).
+        // Line 13: dŴ = Iᵀ · dO (via the kernel tuner). A one-rank Z group
+        // has nothing to reduce, so the product accumulates straight into
+        // this rank's gradient shard; otherwise into the block Line 14
+        // reduce-scatters.
         let t0 = comm.now();
         let wall0 = wall_now(comm);
-        let d_w = tuner.dw_gemm(self.layer_id, &i_local, d_o);
+        let mut d_w = None;
+        let dw_out = if grid.gz == 1 {
+            &mut self.grad_shard
+        } else {
+            d_w.insert(Matrix::zeros(i_local.cols(), d_o.cols()))
+        };
+        tuner.dw_gemm_into(self.layer_id, i_local, d_o, dw_out);
         let flops = 2.0 * i_local.rows() as f64 * i_local.cols() as f64 * d_o.cols() as f64;
         comm.advance_compute(flops);
         // Pack traffic of the strategy the tuner executed: the blocked TN
         // kernel and the NN reroute pack B panels only, and the naive
         // walk packs nothing.
-        let strategy = tuner.choice(self.layer_id).unwrap_or(DwStrategy::PackedTn);
+        let strategy = tuner.choice(self.layer_id).unwrap_or(DwStrategy::InPlaceTn);
         let (panels, packed_bytes) = match strategy {
             DwStrategy::NaiveTn => (0, 0),
-            DwStrategy::PackedTn | DwStrategy::TransposeNn => {
+            DwStrategy::InPlaceTn | DwStrategy::TransposeNn => {
                 pack_geometry(i_local.cols(), i_local.rows(), d_o.cols())
             }
         };
@@ -416,7 +468,7 @@ impl ParallelLinear {
                     EventDetail::TunerDecision {
                         layer: o.layer_id,
                         choice: match o.strategy {
-                            DwStrategy::PackedTn => "packed_tn",
+                            DwStrategy::InPlaceTn => "in_place_tn",
                             DwStrategy::NaiveTn => "naive_tn",
                             DwStrategy::TransposeNn => "transpose_nn",
                         },
@@ -439,27 +491,28 @@ impl ParallelLinear {
 
         self.cached_w = None;
 
-        // Line 14: reduce-scatter of dŴ across Z. A one-rank Z group has
-        // nothing to reduce: dŴ is this rank's gradient shard as is.
-        let pending = if grid.gz == 1 {
-            self.accumulate_grad(d_w);
-            None
-        } else if overlap.ors {
-            let handle = comm.ireduce_scatter(grid.z_group(), d_w.into_vec());
-            Some(PendingGrad {
-                layer_id: self.layer_id,
-                handle,
-                rows: self.w_shard.rows(),
-                cols: self.w_shard.cols(),
-            })
-        } else {
-            let shard = comm.reduce_scatter(grid.z_group(), d_w.as_slice());
-            self.accumulate_grad(Matrix::from_vec(
-                self.w_shard.rows(),
-                self.w_shard.cols(),
-                shard,
-            ));
-            None
+        // Line 14: reduce-scatter of dŴ across Z.
+        let pending = match d_w {
+            None => None,
+            Some(d_w) if overlap.ors => {
+                let handle = comm.ireduce_scatter(grid.z_group(), d_w.into_vec());
+                Some(PendingGrad {
+                    layer_id: self.layer_id,
+                    handle,
+                    rows: self.w_shard.rows(),
+                    cols: self.w_shard.cols(),
+                })
+            }
+            Some(d_w) => {
+                let shard = comm.reduce_scatter(grid.z_group(), d_w.as_slice());
+                drop(d_w);
+                self.accumulate_grad(Matrix::from_vec(
+                    self.w_shard.rows(),
+                    self.w_shard.cols(),
+                    shard,
+                ));
+                None
+            }
         };
         if let Some(t) = comm.tracer() {
             t.close_span(span, comm.now());
@@ -492,7 +545,13 @@ impl ParallelLinear {
     /// SGD update: `Ŵ -= lr · dŴ`, then clear the accumulator.
     pub fn apply_sgd(&mut self, lr: f32) {
         self.w_shard.axpy(-lr, &self.grad_shard);
-        self.grad_shard.scale(0.0);
+        self.zero_grad();
+    }
+
+    /// Clear the gradient accumulator to `+0.0`, where the next step's
+    /// `dŴ` chains start.
+    pub fn zero_grad(&mut self) {
+        self.grad_shard.as_mut_slice().fill(0.0);
     }
 
     /// Reassemble the full `k × n` weight from all ranks' shards
@@ -527,5 +586,77 @@ impl ParallelLinear {
             })
             .collect();
         axonn_tensor::concat_rows(&bands)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use axonn_collectives::CommWorld;
+
+    fn one_rank() -> (Comm, GridTopology) {
+        let comm = CommWorld::builder(1).build().pop().expect("one rank");
+        (comm, GridTopology::new(1, 1, 1, 1, 0))
+    }
+
+    /// A 4 × 3 layer whose input was written for 2 rows; `forward`
+    /// decides whether forward then ran on it.
+    fn layer(comm: &Comm, grid: &GridTopology, forward: bool) -> ParallelLinear {
+        let mut l = ParallelLinear::from_full_weight(grid, 0, &Matrix::random(4, 3, 1.0, 1), false);
+        copy_into(l.input_mut(grid, 2), &Matrix::random(2, 4, 1.0, 2));
+        if forward {
+            let _ = l.forward(comm, grid, Precision::F32);
+        }
+        l
+    }
+
+    fn backward(l: &mut ParallelLinear, comm: &Comm, grid: &GridTopology) {
+        let d_o = Matrix::random(2, 3, 1.0, 3);
+        let mut tuner = KernelTuner::new(false);
+        let _ = l.backward(
+            comm,
+            grid,
+            &d_o,
+            OverlapConfig::default(),
+            &mut tuner,
+            Precision::F32,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without a forward in this step")]
+    fn backward_with_a_written_input_but_no_forward_panics() {
+        let (comm, grid) = one_rank();
+        backward(&mut layer(&comm, &grid, false), &comm, &grid);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without a forward in this step")]
+    fn second_backward_of_one_forward_panics() {
+        let (comm, grid) = one_rank();
+        let mut l = layer(&comm, &grid, true);
+        backward(&mut l, &comm, &grid);
+        backward(&mut l, &comm, &grid);
+    }
+
+    #[test]
+    fn one_rank_dw_lands_in_the_gradient_shard() {
+        // Two backward passes of one input accumulate: the second adds
+        // Iᵀ·dO onto the first, continuing each entry's chain.
+        let (comm, grid) = one_rank();
+        let mut l = layer(&comm, &grid, true);
+        backward(&mut l, &comm, &grid);
+        let once = l.grad_shard().clone();
+        assert_eq!(
+            once,
+            axonn_tensor::gemm_reference(MatMode::TN, &l.input, &Matrix::random(2, 3, 1.0, 3))
+        );
+        let _ = l.forward(&comm, &grid, Precision::F32);
+        backward(&mut l, &comm, &grid);
+        let mut twice = once.clone();
+        twice.add_assign(&once);
+        assert!(l.grad_shard().approx_eq(&twice, 1e-6));
+        l.apply_sgd(0.0);
+        assert!(l.grad_shard().as_slice().iter().all(|v| v.to_bits() == 0));
     }
 }

@@ -12,7 +12,7 @@
 use crate::dataparallel::sync_gradients;
 use crate::gradsync::{GradSyncMode, GradSyncPipeline, ParamStore, DEFAULT_BUCKET_ELEMS};
 use crate::grid::GridTopology;
-use crate::layer::{OverlapConfig, ParallelLinear, PendingGrad, Precision};
+use crate::layer::{copy_into, OverlapConfig, ParallelLinear, PendingGrad, Precision};
 use crate::tuner::KernelTuner;
 use axonn_collectives::{Comm, ProcessGroup};
 use axonn_tensor::{block_of, gelu_backprop, gelu_in_place, gemm, BlockSpec, MatMode, Matrix};
@@ -299,16 +299,16 @@ impl Network4d {
         }
         let n_layers = self.layers.len();
         let mut pres = Vec::with_capacity(n_layers);
-        let mut cur = x_local;
+        let rows = x_local.rows();
+        copy_into(self.layers[0].input_mut(&self.grid, rows), &x_local);
         let mut out = Matrix::zeros(0, 0);
         for i in 0..n_layers {
-            let pre = self.layers[i].forward(&self.comm, &self.grid, cur, self.cfg.precision);
+            let pre = self.layers[i].forward(&self.comm, &self.grid, self.cfg.precision);
             if i + 1 < n_layers {
-                let mut a = pre.clone();
-                self.act.apply(&mut a);
-                cur = a;
+                let a = self.layers[i + 1].input_mut(&self.grid, rows);
+                copy_into(a, &pre);
+                self.act.apply(a);
             } else {
-                cur = Matrix::zeros(0, 0);
                 out = pre.clone();
             }
             if self.cfg.activation_checkpointing {
@@ -421,7 +421,7 @@ impl Network4d {
                 }
                 pipe.step(lr, &mut params);
                 for layer in &mut self.layers {
-                    layer.grad_shard_mut().scale(0.0);
+                    layer.zero_grad();
                 }
             }
             GradSyncMode::PerTensor => {

@@ -12,7 +12,7 @@
 
 use crate::gradsync::{GradSyncMode, GradSyncPipeline, ParamStore, DEFAULT_BUCKET_ELEMS};
 use crate::grid::GridTopology;
-use crate::layer::{OverlapConfig, ParallelLinear, PendingGrad, Precision};
+use crate::layer::{copy_into, OverlapConfig, ParallelLinear, PendingGrad, Precision};
 use crate::transformer::{block_weight, ParallelLayerNorm, ParallelTransformerBlock};
 use crate::tuner::KernelTuner;
 use axonn_collectives::{Comm, ProcessGroup};
@@ -26,7 +26,11 @@ pub struct ParallelEmbedding {
     pub grad: Matrix,
     pub vocab: usize,
     pub hidden: usize,
-    cached_tokens: Option<Vec<usize>>,
+    /// This step's token ids, kept (with their allocation) for backward.
+    tokens: Vec<usize>,
+    /// Whether `tokens` holds this step's forward, not yet consumed by a
+    /// backward.
+    forward_pending: bool,
 }
 
 impl ParallelEmbedding {
@@ -41,7 +45,8 @@ impl ParallelEmbedding {
             grad,
             vocab,
             hidden,
-            cached_tokens: None,
+            tokens: Vec::new(),
+            forward_pending: false,
         }
     }
 
@@ -54,16 +59,18 @@ impl ParallelEmbedding {
             assert!(t < self.vocab, "token id {t} outside vocab {}", self.vocab);
             out.row_mut(i).copy_from_slice(self.table.row(t));
         }
-        self.cached_tokens = Some(tokens.to_vec());
+        self.tokens.clear();
+        self.tokens.extend_from_slice(tokens);
+        self.forward_pending = true;
         out
     }
 
     pub fn backward(&mut self, d_out: &Matrix) {
-        let tokens = self
-            .cached_tokens
-            .take()
-            .expect("embedding backward before forward");
-        for (i, &t) in tokens.iter().enumerate() {
+        assert!(
+            std::mem::take(&mut self.forward_pending),
+            "embedding backward before forward"
+        );
+        for (i, &t) in self.tokens.iter().enumerate() {
             let g = self.grad.row_mut(t);
             for (gv, dv) in g.iter_mut().zip(d_out.row(i)) {
                 *gv += dv;
@@ -320,16 +327,23 @@ impl TransformerStack {
         let my_targets = Self::local_tokens(grid, targets);
 
         // Forward.
+        let rows = my_tokens.len();
         let mut x = self.emb.forward(&my_tokens);
         for b in &mut self.blocks {
             x = b.forward(comm, grid, &x);
         }
-        let x = self.final_ln.forward(comm, grid, &x);
-        let logits = self.head.forward(comm, grid, x, Precision::F32);
+        copy_into(self.final_ln.input_mut(rows), &x);
+        drop(x);
+        self.final_ln
+            .forward(comm, grid, self.head.input_mut(grid, rows));
+        let logits = self.head.forward(comm, grid, Precision::F32);
 
         // Vocab-parallel loss over the head's column group.
         let col_group = grid.col_group(false).clone();
-        let ce = vocab_parallel_cross_entropy(
+        let VocabCeResult {
+            loss,
+            d_logits_local,
+        } = vocab_parallel_cross_entropy(
             comm,
             &col_group,
             grid.col_index(false),
@@ -337,27 +351,32 @@ impl TransformerStack {
             &my_targets,
             tokens.len(),
         );
+        drop(logits);
 
-        // Backward.
+        // Backward. Each gradient temporary is dropped as soon as its
+        // consumer returns.
         let mut pending: Vec<PendingGrad> = Vec::new();
         let (d_ln_in, p) = self.head.backward(
             comm,
             grid,
-            &ce.d_logits_local,
+            &d_logits_local,
             self.overlap,
             &mut self.tuner,
             Precision::F32,
         );
+        drop(d_logits_local);
         if let Some(p) = p {
             pending.push(p);
         }
         let mut d = self.final_ln.backward(comm, grid, &d_ln_in);
+        drop(d_ln_in);
         for b in self.blocks.iter_mut().rev() {
             let (dx, ps) = b.backward(comm, grid, &d, self.overlap, &mut self.tuner);
             pending.extend(ps);
             d = dx;
         }
         self.emb.backward(&d);
+        drop(d);
 
         // Deferred reduce-scatters (ORS), then gradient synchronisation.
         let dg = grid.data_group().clone();
@@ -413,12 +432,12 @@ impl TransformerStack {
                     b.ln2.gain_grad.scale(0.0);
                     b.ln2.bias_grad.scale(0.0);
                     for l in b.fc_layers_mut() {
-                        l.grad_shard_mut().scale(0.0);
+                        l.zero_grad();
                     }
                 }
                 self.final_ln.gain_grad.scale(0.0);
                 self.final_ln.bias_grad.scale(0.0);
-                self.head.grad_shard_mut().scale(0.0);
+                self.head.zero_grad();
                 self.emb.grad.scale(0.0);
             }
             GradSyncMode::PerTensor => {
@@ -455,7 +474,7 @@ impl TransformerStack {
         // Each rank's CE covered only its (Z, data) row slice (already
         // scaled by 1/total_rows); sum the distinct slices across the
         // world. Every slice is replicated gx·gy times.
-        let mut total = vec![ce.loss];
+        let mut total = vec![loss];
         comm.all_reduce(&self.world, &mut total);
         total[0] / (grid.gx * grid.gy) as f32
     }
@@ -475,5 +494,70 @@ impl TransformerStack {
             return &mut self.head;
         }
         self.blocks[layer_id / 4].fc_mut(layer_id % 4)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use axonn_exec::run_spmd;
+
+    const VOCAB: usize = 32;
+    const SEQ: usize = 8;
+
+    type Batch = (Vec<usize>, Vec<usize>);
+
+    /// `seqs` sequences of token ids and targets, varied by `salt` so
+    /// that two batches differ.
+    fn batch(seqs: usize, salt: usize) -> Batch {
+        let tokens = (0..seqs * SEQ)
+            .map(|i| (i * 7 + salt * 13 + 1) % VOCAB)
+            .collect();
+        let targets = (0..seqs * SEQ)
+            .map(|i| (i * 5 + salt * 3 + 2) % VOCAB)
+            .collect();
+        (tokens, targets)
+    }
+
+    /// Loss bits of one stack stepped on each `(batch, lr)` in turn, on
+    /// grid 1x1x1x2 (rank 0's view; ranks agree).
+    fn losses(steps: &[(&Batch, f32)]) -> Vec<u32> {
+        let steps: Vec<(Batch, f32)> = steps.iter().map(|&(b, lr)| (b.clone(), lr)).collect();
+        run_spmd(2, move |comm| {
+            let grid = GridTopology::new(1, 1, 1, 2, comm.rank());
+            let mut stack =
+                TransformerStack::new(&grid, VOCAB, 16, 2, 2, SEQ, 3, OverlapConfig::all());
+            steps
+                .iter()
+                .map(|((t, y), lr)| stack.train_step(&comm, &grid, t, y, *lr).to_bits())
+                .collect::<Vec<u32>>()
+        })
+        .swap_remove(0)
+    }
+
+    #[test]
+    fn kept_buffers_carry_no_values_across_steps_or_shapes() {
+        // With lr = 0 the weights never move, so each loss is a function
+        // of its batch alone: a value left in a kept buffer by an earlier
+        // step (a larger one, or the same shape) would change it.
+        let (big, small) = (batch(8, 0), batch(4, 1));
+        let kept = losses(&[
+            (&big, 0.0),
+            (&small, 0.0),
+            (&big, 0.0),
+            (&small, 0.5),
+            (&big, 0.0),
+        ]);
+        let fresh_big = losses(&[(&big, 0.0)]);
+        let fresh_small = losses(&[(&small, 0.5), (&big, 0.0)]);
+        assert_eq!(
+            kept[0], fresh_big[0],
+            "first step differs from a fresh stack"
+        );
+        assert_eq!(kept[1], fresh_small[0], "smaller step read a stale buffer");
+        assert_eq!(kept[2], kept[0], "regrown step read a stale buffer");
+        // Backward reads the kept buffers too: an update from gradients
+        // that saw a stale value would show in the loss after it.
+        assert_eq!(kept[4], fresh_small[1], "backward read a stale buffer");
     }
 }

@@ -21,11 +21,11 @@
 //!   movement.
 
 use crate::grid::GridTopology;
-use crate::layer::{OverlapConfig, ParallelLinear, PendingGrad, Precision};
+use crate::layer::{copy_into, reshape, OverlapConfig, ParallelLinear, PendingGrad, Precision};
 use crate::network::Activation;
 use crate::tuner::KernelTuner;
 use axonn_collectives::Comm;
-use axonn_tensor::{gemm, MatMode, Matrix};
+use axonn_tensor::{gemm_into, MatMode, Matrix};
 
 /// Sequence-parallel LayerNorm: features are column-split across the
 /// `row group`, rows are local; statistics are all-reduced across the
@@ -43,7 +43,15 @@ pub struct ParallelLayerNorm {
     /// group the features are split over.
     pub transposed: bool,
     eps: f32,
-    cache: Option<(Matrix, Vec<f32>, Vec<f32>)>, // x_local, mean, inv_std
+    /// The input `x`, kept for the rank's lifetime: written through
+    /// [`Self::input_mut`], normalised by forward, read by backward.
+    input: Matrix,
+    /// Per-row mean and inverse standard deviation of `input`.
+    means: Vec<f32>,
+    inv_stds: Vec<f32>,
+    /// Whether `input` holds this step's forward, not yet consumed by a
+    /// backward.
+    forward_pending: bool,
 }
 
 impl ParallelLayerNorm {
@@ -59,13 +67,36 @@ impl ParallelLayerNorm {
             width,
             transposed,
             eps: 1e-5,
-            cache: None,
+            input: Matrix::zeros(0, 0),
+            means: Vec::new(),
+            inv_stds: Vec::new(),
+            forward_pending: false,
         }
     }
 
-    pub fn forward(&mut self, comm: &Comm, grid: &GridTopology, x: &Matrix) -> Matrix {
+    /// The kept input, shaped `rows × (width/parts)`, for the caller to
+    /// overwrite before [`Self::forward`]. Its old contents are stale.
+    pub fn input_mut(&mut self, rows: usize) -> &mut Matrix {
+        let local = self.gain.cols();
+        reshape(&mut self.input, rows, local)
+    }
+
+    /// The input the last forward normalised.
+    pub(crate) fn input(&self) -> &Matrix {
+        &self.input
+    }
+
+    /// Normalise the kept input into `out`, which has the input's shape
+    /// and is overwritten.
+    pub fn forward(&mut self, comm: &Comm, grid: &GridTopology, out: &mut Matrix) {
+        let x = &self.input;
         let (rows, local) = x.shape();
         assert_eq!(local, self.gain.cols(), "layernorm slice width mismatch");
+        assert_eq!(
+            out.shape(),
+            (rows, local),
+            "layernorm output shape mismatch"
+        );
         // Partial sums and sums of squares per row, reduced across the
         // row group (one fused buffer: [sums..., sumsqs...]).
         let mut stats = vec![0.0f32; 2 * rows];
@@ -76,9 +107,8 @@ impl ParallelLayerNorm {
         }
         comm.all_reduce(grid.row_group(self.transposed), &mut stats);
         let h = self.width as f32;
-        let mut out = Matrix::zeros(rows, local);
-        let mut means = Vec::with_capacity(rows);
-        let mut inv_stds = Vec::with_capacity(rows);
+        self.means.clear();
+        self.inv_stds.clear();
         for r in 0..rows {
             let mean = stats[r] / h;
             let var = stats[rows + r] / h - mean * mean;
@@ -89,24 +119,26 @@ impl ParallelLayerNorm {
                 or[c] =
                     (xr[c] - mean) * inv_std * self.gain.as_slice()[c] + self.bias.as_slice()[c];
             }
-            means.push(mean);
-            inv_stds.push(inv_std);
+            self.means.push(mean);
+            self.inv_stds.push(inv_std);
         }
-        self.cache = Some((x.clone(), means, inv_stds));
-        out
+        self.forward_pending = true;
     }
 
+    /// # Panics
+    /// Unless a forward ran since the last backward.
     pub fn backward(&mut self, comm: &Comm, grid: &GridTopology, dy: &Matrix) -> Matrix {
-        let (x, means, inv_stds) = self
-            .cache
-            .take()
-            .expect("layernorm backward before forward");
+        assert!(
+            std::mem::take(&mut self.forward_pending),
+            "layernorm backward before forward"
+        );
+        let (x, means, inv_stds) = (&self.input, &self.means, &self.inv_stds);
         let (rows, local) = x.shape();
         let h = self.width as f32;
         // Cross-feature reductions: Σ dnorm and Σ dnorm·norm per row,
         // partial locally then all-reduced across the row group.
         let mut red = vec![0.0f32; 2 * rows];
-        let gains = self.gain.as_slice().to_vec();
+        let gains = self.gain.as_slice();
         for r in 0..rows {
             let xr = x.row(r);
             let dyr = dy.row(r);
@@ -183,13 +215,29 @@ impl ParallelLayerNorm {
     }
 }
 
+/// What backward needs of one (sequence, head): `Q`, `K`, `V` (`t × hd`)
+/// and the causal softmax `P` (`t × t`, zero above the diagonal).
+struct HeadSaved {
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    p: Matrix,
+}
+
 /// The local attention core: causal softmax attention over this rank's
 /// sequences and heads. No communication — the layout guarantees
 /// locality.
 struct AttentionCore {
     seq_len: usize,
     head_dim: usize,
-    cache: Option<Vec<(Matrix, Matrix, Matrix, Matrix)>>, // per (seq, head): Q, K, V, P
+    /// One [`HeadSaved`] per (sequence, head) of the largest step so far,
+    /// kept for the rank's lifetime; a step overwrites the first
+    /// `used` of them.
+    saved: Vec<HeadSaved>,
+    used: usize,
+    /// Whether `saved` holds this step's forward, not yet consumed by a
+    /// backward.
+    forward_pending: bool,
 }
 
 impl AttentionCore {
@@ -197,13 +245,15 @@ impl AttentionCore {
         AttentionCore {
             seq_len,
             head_dim,
-            cache: None,
+            saved: Vec::new(),
+            used: 0,
+            forward_pending: false,
         }
     }
 
-    /// `qkv` is `(B_local·T) × (heads_local·3·hd)`, head-major. Returns
-    /// `(B_local·T) × (heads_local·hd)`.
-    fn forward(&mut self, qkv: &Matrix) -> Matrix {
+    /// `qkv` is `(B_local·T) × (heads_local·3·hd)`, head-major; `out`,
+    /// `(B_local·T) × (heads_local·hd)`, is overwritten.
+    fn forward(&mut self, qkv: &Matrix, out: &mut Matrix) {
         let (rows, width) = qkv.shape();
         let t = self.seq_len;
         let hd = self.head_dim;
@@ -211,15 +261,22 @@ impl AttentionCore {
         assert_eq!(width % (3 * hd), 0, "width must be whole heads");
         let b = rows / t;
         let heads = width / (3 * hd);
+        assert_eq!(out.shape(), (rows, heads * hd), "attention output shape");
         let scale = 1.0 / (hd as f32).sqrt();
-        let mut out = Matrix::zeros(rows, heads * hd);
-        let mut cache = Vec::with_capacity(b * heads);
+        self.used = b * heads;
+        while self.saved.len() < self.used {
+            self.saved.push(HeadSaved {
+                q: Matrix::zeros(t, hd),
+                k: Matrix::zeros(t, hd),
+                v: Matrix::zeros(t, hd),
+                p: Matrix::zeros(t, t),
+            });
+        }
+        let mut o = Matrix::zeros(t, hd);
         for s in 0..b {
             for head in 0..heads {
+                let HeadSaved { q, k, v, p } = &mut self.saved[s * heads + head];
                 let off = head * 3 * hd;
-                let mut q = Matrix::zeros(t, hd);
-                let mut k = Matrix::zeros(t, hd);
-                let mut v = Matrix::zeros(t, hd);
                 for ti in 0..t {
                     let row = qkv.row(s * t + ti);
                     q.row_mut(ti).copy_from_slice(&row[off..off + hd]);
@@ -227,63 +284,66 @@ impl AttentionCore {
                     v.row_mut(ti)
                         .copy_from_slice(&row[off + 2 * hd..off + 3 * hd]);
                 }
-                let mut scores = gemm(MatMode::NT, &q, &k);
-                scores.scale(scale);
-                let mut p = Matrix::zeros(t, t);
+                // Scores, then the causal softmax row by row in place.
+                gemm_into(MatMode::NT, q, &*k, p);
                 for i in 0..t {
-                    let srow = scores.row(i);
-                    let maxv = srow[..=i].iter().cloned().fold(f32::MIN, f32::max);
-                    let denom: f32 = srow[..=i].iter().map(|&x| (x - maxv).exp()).sum();
-                    let prow = p.row_mut(i);
-                    for j in 0..=i {
-                        prow[j] = (srow[j] - maxv).exp() / denom;
+                    let row = p.row_mut(i);
+                    let (seen, masked) = row.split_at_mut(i + 1);
+                    seen.iter_mut().for_each(|x| *x *= scale);
+                    let maxv = seen.iter().cloned().fold(f32::MIN, f32::max);
+                    let denom: f32 = seen.iter().map(|&x| (x - maxv).exp()).sum();
+                    for x in seen {
+                        *x = (*x - maxv).exp() / denom;
                     }
+                    masked.fill(0.0);
                 }
-                let o = gemm(MatMode::NN, &p, &v);
+                gemm_into(MatMode::NN, p, &*v, &mut o);
                 for ti in 0..t {
                     out.row_mut(s * t + ti)[head * hd..(head + 1) * hd].copy_from_slice(o.row(ti));
                 }
-                cache.push((q, k, v, p));
             }
         }
-        self.cache = Some(cache);
-        out
+        self.forward_pending = true;
     }
 
     fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let cache = self
-            .cache
-            .take()
-            .expect("attention backward before forward");
+        assert!(
+            std::mem::take(&mut self.forward_pending),
+            "attention backward before forward"
+        );
         let (rows, width) = d_out.shape();
         let t = self.seq_len;
         let hd = self.head_dim;
         let b = rows / t;
         let heads = width / hd;
+        assert_eq!(b * heads, self.used, "attention backward shape");
         let scale = 1.0 / (hd as f32).sqrt();
         let mut d_qkv = Matrix::zeros(rows, heads * 3 * hd);
+        let mut d_o = Matrix::zeros(t, hd);
+        let (mut d_q, mut d_k, mut d_v) = (d_o.clone(), d_o.clone(), d_o.clone());
+        let mut d_p = Matrix::zeros(t, t);
+        let mut d_s = Matrix::zeros(t, t);
         for s in 0..b {
             for head in 0..heads {
-                let (q, k, v, p) = &cache[s * heads + head];
-                let mut d_o = Matrix::zeros(t, hd);
+                let HeadSaved { q, k, v, p } = &self.saved[s * heads + head];
                 for ti in 0..t {
                     d_o.row_mut(ti)
                         .copy_from_slice(&d_out.row(s * t + ti)[head * hd..(head + 1) * hd]);
                 }
-                let d_v = gemm(MatMode::TN, p, &d_o);
-                let d_p = gemm(MatMode::NT, &d_o, v);
-                let mut d_s = Matrix::zeros(t, t);
+                gemm_into(MatMode::TN, p, &d_o, &mut d_v);
+                gemm_into(MatMode::NT, &d_o, v, &mut d_p);
                 for i in 0..t {
                     let prow = p.row(i);
                     let dprow = d_p.row(i);
                     let dot: f32 = (0..=i).map(|j| prow[j] * dprow[j]).sum();
-                    let dsrow = d_s.row_mut(i);
-                    for j in 0..=i {
-                        dsrow[j] = prow[j] * (dprow[j] - dot) * scale;
+                    let (dsrow, masked) = d_s.row_mut(i).split_at_mut(i + 1);
+                    for (j, ds) in dsrow.iter_mut().enumerate() {
+                        *ds = prow[j] * (dprow[j] - dot) * scale;
                     }
+                    masked.fill(0.0);
                 }
-                let d_q = gemm(MatMode::NN, &d_s, k);
-                let d_k = gemm(MatMode::TN, &d_s, q);
+                gemm_into(MatMode::NN, &d_s, k, &mut d_q);
+                gemm_into(MatMode::TN, &d_s, q, &mut d_k);
                 let off = head * 3 * hd;
                 for ti in 0..t {
                     let dst = d_qkv.row_mut(s * t + ti);
@@ -309,9 +369,10 @@ pub struct ParallelTransformerBlock {
     pub fc2: ParallelLinear,
     pub n_heads: usize,
     pub seq_len: usize,
-    /// Pre-GELU activations cached for the backward pass (the FC layers
-    /// cache their own operands per Algorithm 1).
-    cached_fc1_pre: Option<Matrix>,
+    /// fc1's output before GELU, kept for the rank's lifetime like the
+    /// operands every FC layer keeps per Algorithm 1; GELU of it is
+    /// fc2's kept input.
+    fc1_pre: Matrix,
 }
 
 /// Deterministic seeded weight shared with the serial reference.
@@ -359,37 +420,47 @@ impl ParallelTransformerBlock {
             fc2: ParallelLinear::from_full_weight(grid, layer_base + 3, &fc2_w, true),
             n_heads,
             seq_len,
-            cached_fc1_pre: None,
+            fc1_pre: Matrix::zeros(0, 0),
         }
     }
 
     /// Forward: `x_local` is `(m/G_z) × (hidden/gy)`, sequence-aligned.
+    /// Each stage writes straight into the buffer the next one keeps.
     pub fn forward(&mut self, comm: &Comm, grid: &GridTopology, x_local: &Matrix) -> Matrix {
+        let rows = x_local.rows();
         assert_eq!(
-            x_local.rows() % self.seq_len,
+            rows % self.seq_len,
             0,
             "local rows must be whole sequences (split batch by gd*gz at sequence boundaries)"
         );
-        let n1 = self.ln1.forward(comm, grid, x_local);
-        let qkv_out = self.qkv.forward(comm, grid, n1, Precision::F32);
-        let attn = self.core.forward(&qkv_out);
-        let proj_out = self.proj.forward(comm, grid, attn, Precision::F32);
-        let mut h = proj_out;
+        copy_into(self.ln1.input_mut(rows), x_local);
+        self.ln1.forward(comm, grid, self.qkv.input_mut(grid, rows));
+        let qkv_out = self.qkv.forward(comm, grid, Precision::F32);
+        self.core.forward(&qkv_out, self.proj.input_mut(grid, rows));
+        drop(qkv_out);
+        // h = x + proj(attn), held as ln2's input.
+        let h = self.ln2.input_mut(rows);
+        self.proj.forward_into(comm, grid, Precision::F32, h);
         h.add_assign(x_local);
 
-        let n2 = self.ln2.forward(comm, grid, &h);
-        let fc1_pre = self.fc1.forward(comm, grid, n2, Precision::F32);
-        let mut act = fc1_pre.clone();
-        Activation::Gelu.apply(&mut act);
-        let fc2_out = self.fc2.forward(comm, grid, act, Precision::F32);
-        let mut out = fc2_out;
-        out.add_assign(&h);
-
-        self.cached_fc1_pre = Some(fc1_pre);
+        self.ln2.forward(comm, grid, self.fc1.input_mut(grid, rows));
+        self.fc1
+            .forward_into(comm, grid, Precision::F32, &mut self.fc1_pre);
+        let act = self.fc2.input_mut(grid, rows);
+        copy_into(act, &self.fc1_pre);
+        Activation::Gelu.apply(act);
+        let mut out = self.fc2.forward(comm, grid, Precision::F32);
+        out.add_assign(self.ln2.input());
         out
     }
 
     /// Backward; returns `dx` and any deferred reduce-scatters (ORS).
+    /// Each gradient temporary is dropped as soon as its consumer
+    /// returns.
+    ///
+    /// # Panics
+    /// Unless a forward ran since the last backward (fc2, the first
+    /// layer backward reaches, holds the check for the whole block).
     pub fn backward(
         &mut self,
         comm: &Comm,
@@ -398,10 +469,6 @@ impl ParallelTransformerBlock {
         overlap: OverlapConfig,
         tuner: &mut KernelTuner,
     ) -> (Matrix, Vec<PendingGrad>) {
-        let fc1_pre = self
-            .cached_fc1_pre
-            .take()
-            .expect("block backward before forward");
         let mut pending = Vec::new();
         let mut push = |p: Option<PendingGrad>| {
             if let Some(p) = p {
@@ -414,12 +481,14 @@ impl ParallelTransformerBlock {
             .fc2
             .backward(comm, grid, d_out, overlap, tuner, Precision::F32);
         push(p);
-        Activation::Gelu.backprop(&fc1_pre, &mut d_act);
+        Activation::Gelu.backprop(&self.fc1_pre, &mut d_act);
         let (d_n2, p) = self
             .fc1
             .backward(comm, grid, &d_act, overlap, tuner, Precision::F32);
         push(p);
+        drop(d_act);
         let mut d_h = self.ln2.backward(comm, grid, &d_n2);
+        drop(d_n2);
         d_h.add_assign(d_out); // residual
 
         // Attention half: h = x + proj(core(qkv(ln1(x)))).
@@ -428,11 +497,14 @@ impl ParallelTransformerBlock {
             .backward(comm, grid, &d_h, overlap, tuner, Precision::F32);
         push(p);
         let d_qkv = self.core.backward(&d_attn);
+        drop(d_attn);
         let (d_n1, p) = self
             .qkv
             .backward(comm, grid, &d_qkv, overlap, tuner, Precision::F32);
         push(p);
+        drop(d_qkv);
         let mut dx = self.ln1.backward(comm, grid, &d_n1);
+        drop(d_n1);
         dx.add_assign(&d_h); // residual
         (dx, pending)
     }
@@ -467,5 +539,43 @@ impl ParallelTransformerBlock {
         for l in self.fc_layers_mut() {
             l.apply_sgd(lr);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use axonn_collectives::CommWorld;
+
+    const SEQ: usize = 4;
+
+    /// A one-rank block (hidden 8, 2 heads) and the gradient of its
+    /// output for one sequence.
+    fn block() -> (Comm, GridTopology, ParallelTransformerBlock, Matrix) {
+        let comm = CommWorld::builder(1).build().pop().expect("one rank");
+        let grid = GridTopology::new(1, 1, 1, 1, 0);
+        let block = ParallelTransformerBlock::new(&grid, 8, 2, SEQ, 5, 0);
+        (comm, grid, block, Matrix::random(SEQ, 8, 1.0, 6))
+    }
+
+    fn backward(b: &mut ParallelTransformerBlock, comm: &Comm, grid: &GridTopology, d: &Matrix) {
+        let mut tuner = KernelTuner::new(false);
+        let _ = b.backward(comm, grid, d, OverlapConfig::default(), &mut tuner);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without a forward in this step")]
+    fn block_backward_before_any_forward_panics() {
+        let (comm, grid, mut b, d) = block();
+        backward(&mut b, &comm, &grid, &d);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without a forward in this step")]
+    fn second_block_backward_of_one_forward_panics() {
+        let (comm, grid, mut b, d) = block();
+        let _ = b.forward(&comm, &grid, &Matrix::random(SEQ, 8, 1.0, 7));
+        backward(&mut b, &comm, &grid, &d);
+        backward(&mut b, &comm, &grid, &d);
     }
 }

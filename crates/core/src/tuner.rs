@@ -10,7 +10,7 @@
 //! paper's procedure — and locks in the fastest for the remaining
 //! iterations.
 
-use axonn_tensor::{gemm, gemm_tn_naive, MatMode, Matrix};
+use axonn_tensor::{gemm, gemm_acc_into, gemm_tn_naive, MatMode, Matrix};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -18,8 +18,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DwStrategy {
     /// Call the blocked TN kernel, which reads `I` in place through its
-    /// strides and packs only `dO`'s panels.
-    PackedTn,
+    /// strides, packs only `dO`'s panels and accumulates into `C`.
+    InPlaceTn,
     /// Call the naive TN kernel: the unblocked stride-`m` column walk —
     /// the "bad kernel" the paper's tuner learned to avoid.
     NaiveTn,
@@ -33,7 +33,7 @@ impl DwStrategy {
     /// The trace-facing mode label for the dW GEMM under this strategy.
     pub fn mode_label(self) -> &'static str {
         match self {
-            DwStrategy::PackedTn => "TN",
+            DwStrategy::InPlaceTn => "TN",
             DwStrategy::NaiveTn => "TN(naive)",
             DwStrategy::TransposeNn => "TN->NN",
         }
@@ -47,7 +47,7 @@ impl DwStrategy {
 pub struct TuningOutcome {
     pub layer_id: usize,
     pub strategy: DwStrategy,
-    /// Measured wall time of the blocked (packed) TN kernel (seconds).
+    /// Measured wall time of the blocked, in-place TN kernel (seconds).
     pub direct_seconds: f64,
     /// Measured wall time of the naive column-strided TN kernel.
     pub naive_seconds: f64,
@@ -84,65 +84,78 @@ impl KernelTuner {
         self.choices.get(&layer_id).copied()
     }
 
-    /// Compute `Iᵀ·dO`. Untuned mode always calls the blocked TN kernel
-    /// (the framework default). With tuning enabled, the first call for
-    /// each layer times all three strategies and records the winner.
-    pub fn dw_gemm(&mut self, layer_id: usize, i_local: &Matrix, d_o: &Matrix) -> Matrix {
-        if !self.enabled {
-            return gemm(MatMode::TN, i_local, d_o);
-        }
-        match self.choices.get(&layer_id) {
-            Some(DwStrategy::PackedTn) => gemm(MatMode::TN, i_local, d_o),
-            Some(DwStrategy::NaiveTn) => gemm_tn_naive(i_local, d_o),
-            Some(DwStrategy::TransposeNn) => {
-                let it = i_local.transposed();
-                gemm(MatMode::NN, &it, d_o)
+    /// Add `Iᵀ·dO` into `c` (`C += Iᵀ·dO`; on a zero `c` the product
+    /// itself). Untuned mode always calls the blocked TN kernel (the
+    /// framework default), which accumulates in place. With tuning
+    /// enabled, the first call for each layer times all three strategies
+    /// and records the winner; the naive walk and the reroute produce
+    /// the product first and add it.
+    pub fn dw_gemm_into(
+        &mut self,
+        layer_id: usize,
+        i_local: &Matrix,
+        d_o: &Matrix,
+        c: &mut Matrix,
+    ) {
+        let strategy = match (self.enabled, self.choices.get(&layer_id)) {
+            (false, _) => DwStrategy::InPlaceTn,
+            (true, Some(&s)) => s,
+            (true, None) => {
+                c.add_assign(&self.tune(layer_id, i_local, d_o));
+                return;
             }
-            None => {
-                let t0 = Instant::now();
-                let packed = gemm(MatMode::TN, i_local, d_o);
-                let t_packed = t0.elapsed();
-
-                let t1 = Instant::now();
-                let naive = gemm_tn_naive(i_local, d_o);
-                let t_naive = t1.elapsed();
-
-                let t2 = Instant::now();
-                let it = i_local.transposed();
-                let rerouted = gemm(MatMode::NN, &it, d_o);
-                let t_reroute = t2.elapsed();
-
-                // All three tiers are bitwise identical to the reference
-                // oracle, so the candidates must agree exactly.
-                debug_assert!(
-                    packed == naive && packed == rerouted,
-                    "tuning strategies disagree numerically"
-                );
-                let mut strategy = DwStrategy::PackedTn;
-                let mut best = t_packed;
-                if t_naive < best {
-                    strategy = DwStrategy::NaiveTn;
-                    best = t_naive;
-                }
-                if t_reroute < best {
-                    strategy = DwStrategy::TransposeNn;
-                }
-                self.choices.insert(layer_id, strategy);
-                self.last_outcome = Some(TuningOutcome {
-                    layer_id,
-                    strategy,
-                    direct_seconds: t_packed.as_secs_f64(),
-                    naive_seconds: t_naive.as_secs_f64(),
-                    reroute_seconds: t_reroute.as_secs_f64(),
-                });
-                // All candidates are bitwise equal; return any.
-                match strategy {
-                    DwStrategy::PackedTn => packed,
-                    DwStrategy::NaiveTn => naive,
-                    DwStrategy::TransposeNn => rerouted,
-                }
+        };
+        match strategy {
+            DwStrategy::InPlaceTn => {
+                gemm_acc_into(MatMode::TN, i_local, d_o, c);
+            }
+            DwStrategy::NaiveTn => c.add_assign(&gemm_tn_naive(i_local, d_o)),
+            DwStrategy::TransposeNn => {
+                c.add_assign(&gemm(MatMode::NN, &i_local.transposed(), d_o));
             }
         }
+    }
+
+    /// Time every strategy on `layer_id`'s product, lock in the fastest
+    /// and return the product (the candidates are bitwise equal).
+    fn tune(&mut self, layer_id: usize, i_local: &Matrix, d_o: &Matrix) -> Matrix {
+        let t0 = Instant::now();
+        let in_place = gemm(MatMode::TN, i_local, d_o);
+        let t_in_place = t0.elapsed();
+
+        let t1 = Instant::now();
+        let naive = gemm_tn_naive(i_local, d_o);
+        let t_naive = t1.elapsed();
+
+        let t2 = Instant::now();
+        let it = i_local.transposed();
+        let rerouted = gemm(MatMode::NN, &it, d_o);
+        let t_reroute = t2.elapsed();
+
+        // All three tiers are bitwise identical to the reference oracle,
+        // so the candidates must agree exactly.
+        debug_assert!(
+            in_place == naive && in_place == rerouted,
+            "tuning strategies disagree numerically"
+        );
+        let mut strategy = DwStrategy::InPlaceTn;
+        let mut best = t_in_place;
+        if t_naive < best {
+            strategy = DwStrategy::NaiveTn;
+            best = t_naive;
+        }
+        if t_reroute < best {
+            strategy = DwStrategy::TransposeNn;
+        }
+        self.choices.insert(layer_id, strategy);
+        self.last_outcome = Some(TuningOutcome {
+            layer_id,
+            strategy,
+            direct_seconds: t_in_place.as_secs_f64(),
+            naive_seconds: t_naive.as_secs_f64(),
+            reroute_seconds: t_reroute.as_secs_f64(),
+        });
+        in_place
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -159,12 +172,19 @@ mod tests {
     use super::*;
     use axonn_tensor::gemm_reference;
 
+    /// `Iᵀ·dO` through the tuner, accumulated into a zero matrix.
+    fn dw(t: &mut KernelTuner, layer_id: usize, i: &Matrix, d: &Matrix) -> Matrix {
+        let mut c = Matrix::zeros(i.cols(), d.cols());
+        t.dw_gemm_into(layer_id, i, d, &mut c);
+        c
+    }
+
     #[test]
     fn disabled_tuner_uses_tn_and_records_nothing() {
         let mut t = KernelTuner::new(false);
         let i = Matrix::random(32, 16, 1.0, 1);
         let d = Matrix::random(32, 24, 1.0, 2);
-        let out = t.dw_gemm(0, &i, &d);
+        let out = dw(&mut t, 0, &i, &d);
         assert!(out.approx_eq(&gemm_reference(MatMode::TN, &i, &d), 1e-4));
         assert_eq!(t.tuned_layers(), 0);
         assert_eq!(t.choice(0), None);
@@ -175,7 +195,7 @@ mod tests {
         let mut t = KernelTuner::new(true);
         let i = Matrix::random(64, 48, 1.0, 3);
         let d = Matrix::random(64, 56, 1.0, 4);
-        let first = t.dw_gemm(7, &i, &d);
+        let first = dw(&mut t, 7, &i, &d);
         assert_eq!(t.tuned_layers(), 1);
         assert!(t.choice(7).is_some());
         let outcome = t.take_last_outcome().expect("decision just made");
@@ -183,7 +203,7 @@ mod tests {
         assert_eq!(outcome.strategy, t.choice(7).unwrap());
         assert!(outcome.direct_seconds >= 0.0 && outcome.reroute_seconds >= 0.0);
         assert!(outcome.naive_seconds >= 0.0);
-        let second = t.dw_gemm(7, &i, &d);
+        let second = dw(&mut t, 7, &i, &d);
         assert!(
             t.take_last_outcome().is_none(),
             "tuned call decides nothing"
@@ -202,7 +222,7 @@ mod tests {
         let mut t = KernelTuner::new(true);
         let i = Matrix::random(768, 512, 1.0, 5);
         let d = Matrix::random(768, 512, 1.0, 6);
-        let _ = t.dw_gemm(0, &i, &d);
+        let _ = dw(&mut t, 0, &i, &d);
         assert_ne!(
             t.choice(0),
             Some(DwStrategy::NaiveTn),
@@ -217,7 +237,7 @@ mod tests {
 
     #[test]
     fn strategy_labels_are_stable() {
-        assert_eq!(DwStrategy::PackedTn.mode_label(), "TN");
+        assert_eq!(DwStrategy::InPlaceTn.mode_label(), "TN");
         assert_eq!(DwStrategy::NaiveTn.mode_label(), "TN(naive)");
         assert_eq!(DwStrategy::TransposeNn.mode_label(), "TN->NN");
     }
@@ -227,8 +247,8 @@ mod tests {
         let mut t = KernelTuner::new(true);
         let i = Matrix::random(32, 16, 1.0, 7);
         let d = Matrix::random(32, 8, 1.0, 8);
-        let _ = t.dw_gemm(0, &i, &d);
-        let _ = t.dw_gemm(1, &i, &d);
+        let _ = dw(&mut t, 0, &i, &d);
+        let _ = dw(&mut t, 1, &i, &d);
         assert_eq!(t.tuned_layers(), 2);
     }
 }

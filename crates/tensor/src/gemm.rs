@@ -250,7 +250,30 @@ pub fn gemm_into_with<'a>(
     cap: Isa,
 ) -> GemmStats {
     let b = b.into();
-    timed(mode, || gemm_blocked(mode, a, b, c, false, blocks, cap))
+    timed(mode, || {
+        gemm_blocked(mode, a, b, c, false, false, blocks, cap)
+    })
+}
+
+/// Accumulating multiply on the blocked engine: `C += A·B` under `mode`.
+/// Each `C[i][j]` continues its fused multiply-add chain from the value
+/// it holds, so on a zero `C` the result is bitwise that of
+/// [`gemm_into`]; on a nonzero one it saves the temporary and the
+/// elementwise add of `C + A·B` (and rounds once per term, not once more
+/// at the add).
+///
+/// # Panics
+/// If `c` does not have the shape implied by `mode`.
+pub fn gemm_acc_into<'a>(
+    mode: MatMode,
+    a: &Matrix,
+    b: impl Into<Rhs<'a>>,
+    c: &mut Matrix,
+) -> GemmStats {
+    let b = b.into();
+    timed(mode, || {
+        gemm_blocked(mode, a, b, c, false, true, BlockSizes::default(), Isa::BEST)
+    })
 }
 
 /// Mixed-precision multiply: quantize both operands to the bf16 grid,
@@ -267,7 +290,16 @@ pub fn gemm_bf16(mode: MatMode, a: &Matrix, b: &Matrix) -> Matrix {
 /// [`gemm_bf16`] into a preallocated output, returning pack accounting.
 pub fn gemm_bf16_into(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) -> GemmStats {
     timed(mode, || {
-        gemm_blocked(mode, a, b.into(), c, true, BlockSizes::default(), Isa::BEST)
+        gemm_blocked(
+            mode,
+            a,
+            b.into(),
+            c,
+            true,
+            false,
+            BlockSizes::default(),
+            Isa::BEST,
+        )
     })
 }
 
@@ -276,13 +308,15 @@ pub fn gemm_bf16_into(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) -> 
 /// quantized copy in the same layout) with its two strides, then run the
 /// register-tiled engine. Zero-skip row flags are computed on the A view
 /// actually fed to the kernels, so f32 and bf16 agree on what "zero"
-/// means.
+/// means. `accumulate` adds the product into `C` instead of overwriting.
+#[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     mode: MatMode,
     a: &Matrix,
     b: Rhs<'_>,
     c: &mut Matrix,
     quantize: bool,
+    accumulate: bool,
     blocks: BlockSizes,
     cap: Isa,
 ) -> GemmStats {
@@ -296,7 +330,9 @@ fn gemm_blocked(
         return GemmStats::default();
     }
     if k == 0 {
-        c.as_mut_slice().fill(0.0);
+        if !accumulate {
+            c.as_mut_slice().fill(0.0);
+        }
         return GemmStats::default();
     }
     let blocks = blocks.normalized();
@@ -322,6 +358,7 @@ fn gemm_blocked(
                     m,
                     k,
                     n,
+                    accumulate,
                     blocks,
                     isa,
                 };
@@ -629,6 +666,45 @@ mod tests {
             gemm(MatMode::NN, &a, &b),
             gemm_reference(MatMode::NN, &a, &b)
         );
+    }
+
+    #[test]
+    fn accumulating_product_continues_each_chain_from_c() {
+        // k > kc so later slices continue from C as the first one must;
+        // n has a tail panel; NN operands carry zeros for the skip path.
+        let (m, k, n) = (14, 300, 37);
+        for mode in MatMode::ALL {
+            let (mut a, b) = operands(mode, m, k, n, 90);
+            if mode == MatMode::NN {
+                a.row_mut(3)[5] = 0.0;
+            }
+            let mut c = Matrix::zeros(m, n);
+            gemm_acc_into(mode, &a, &b, &mut c);
+            assert_eq!(
+                c.to_bits(),
+                gemm(mode, &a, &b).to_bits(),
+                "{mode} on zero C"
+            );
+
+            let c0 = Matrix::random(m, n, 1.0, 91);
+            let mut c = c0.clone();
+            gemm_acc_into(mode, &a, &b, &mut c);
+            let want = Matrix::from_fn(m, n, |i, j| {
+                (0..k).fold(c0[(i, j)], |acc, p| {
+                    let (av, bv) = match mode {
+                        MatMode::NN => (a[(i, p)], b[(p, j)]),
+                        MatMode::NT => (a[(i, p)], b[(j, p)]),
+                        MatMode::TN => (a[(p, i)], b[(p, j)]),
+                    };
+                    if mode == MatMode::NN && av == 0.0 {
+                        acc
+                    } else {
+                        av.mul_add(bv, acc)
+                    }
+                })
+            });
+            assert_eq!(c.to_bits(), want.to_bits(), "{mode} on nonzero C");
+        }
     }
 
     #[test]

@@ -130,6 +130,9 @@ pub(crate) struct Gemm<'a> {
     pub m: usize,
     pub k: usize,
     pub n: usize,
+    /// Add into `C` (every `kc` slice continues from `C`) rather than
+    /// start the first slice from `+0.0`.
+    pub accumulate: bool,
     pub blocks: BlockSizes,
     pub isa: Isa,
 }
@@ -189,7 +192,7 @@ fn band_loop(band: &mut [f32], row0: usize, g: &Gemm<'_>) {
                     let at = Spot {
                         j0: jp * NR,
                         p0: pc,
-                        first: pc == 0,
+                        first: pc == 0 && !g.accumulate,
                     };
                     let mut i = ic;
                     while i < ic_end {
@@ -361,6 +364,7 @@ mod tests {
                         m: R,
                         k: 4,
                         n: NR,
+                        accumulate: false,
                         blocks: BlockSizes::default(),
                         isa,
                     };

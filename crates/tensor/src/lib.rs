@@ -25,8 +25,9 @@ pub mod shard;
 pub use activation::{gelu, gelu_backprop, gelu_grad, gelu_in_place};
 pub use bf16::Bf16;
 pub use gemm::{
-    gemm, gemm_bf16, gemm_bf16_into, gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with,
-    gemm_reference, gemm_tn_naive, take_gemm_phase, GemmPhase, GemmStats, MatMode, Rhs,
+    gemm, gemm_acc_into, gemm_bf16, gemm_bf16_into, gemm_into, gemm_into_naive, gemm_into_stats,
+    gemm_into_with, gemm_reference, gemm_tn_naive, take_gemm_phase, GemmPhase, GemmStats, MatMode,
+    Rhs,
 };
 pub use kernel::Isa;
 pub use matrix::Matrix;

@@ -180,9 +180,10 @@ pub enum EventDetail {
     /// One layer's backward pass.
     LayerBwd { layer: usize },
     /// The kernel tuner locked in a strategy for a layer's dW GEMM.
-    /// `direct_seconds` timed the packed TN kernel, `naive_seconds` the
-    /// unpacked column-strided TN walk, `reroute_seconds` the explicit
-    /// transpose + NN path.
+    /// `direct_seconds` timed the blocked TN kernel, which reads its
+    /// operand in place (`choice` `in_place_tn`), `naive_seconds` the
+    /// unpacked column-strided TN walk (`naive_tn`), `reroute_seconds`
+    /// the explicit transpose + NN path (`transpose_nn`).
     TunerDecision {
         layer: usize,
         choice: &'static str,
