@@ -16,10 +16,11 @@ use axonn_perfmodel::{rank_configs, Grid4d};
 use axonn_serve::{
     run_load, tp_greedy_spmd, LoadConfig, Sampling, ServeConfig, ServeEngine, ServeRequest,
 };
-use axonn_sim::{
-    pick_best_config, publish_live_metrics, simulate_batch, simulate_batch_traced, SimOptions,
+use axonn_sim::{pick_best_config, simulate_batch, simulate_batch_traced, SimOptions};
+use axonn_trace::{
+    chrome_trace_json, fold_traces, LiveRegistry, MetricsSnapshot, TraceSink, TraceSummary,
+    OVERLAP_WAIT_SECONDS_HIST,
 };
-use axonn_trace::{chrome_trace_json, LiveRegistry, MetricsSnapshot, TraceSink, TraceSummary};
 use axonn_verify::{check_schedules, inject, DefectKind};
 
 mod bench;
@@ -741,7 +742,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
             if cfg.n_heads % tp != 0 {
                 return Err(format!("{} heads not divisible by --tp {tp}", cfg.n_heads));
             }
-            let registry = LiveRegistry::new_enabled(true);
+            let registry = LiveRegistry::new();
             let generated = tp_greedy_spmd(&model, tp, &prompt, max_new, &registry)
                 .swap_remove(0)
                 .0;
@@ -766,7 +767,7 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 return Err("request and client counts must be positive".to_string());
             }
             let model = Arc::new(Gpt::new(serve_demo_model()));
-            let registry = LiveRegistry::new_enabled(true);
+            let registry = LiveRegistry::new();
             let mut engine = ServeEngine::new(
                 model,
                 ServeConfig {
@@ -906,7 +907,7 @@ fn snapshot_overlap_efficiency(snap: &MetricsSnapshot) -> Option<f64> {
     }
     let wait_sum = snap
         .histograms
-        .get("overlap.wait_seconds_hist")
+        .get(OVERLAP_WAIT_SECONDS_HIST)
         .map(|h| h.sum())
         .unwrap_or(0.0);
     Some((1.0 - wait_sum / comm_sum).clamp(0.0, 1.0))
@@ -1018,7 +1019,7 @@ fn monitor_live(refreshes: usize) -> Result<(), String> {
 
     const WORLD: usize = 4;
     let refreshes = refreshes.max(1);
-    let registry = LiveRegistry::new_enabled(true);
+    let registry = LiveRegistry::new();
     let comms = CommWorld::builder(WORLD)
         .cost(Arc::new(RingCostModel::new(1e9, 1e9)))
         .metrics(registry.clone())
@@ -1094,11 +1095,11 @@ fn monitor_sim(refreshes: usize) -> Result<(), String> {
     let db = BandwidthDb::profile(&mach);
     let model = model(5)?;
     let grid = Grid4d::new(2, 2, 2, 4);
-    let registry = LiveRegistry::new_enabled(true);
+    let registry = LiveRegistry::new();
     for r in 0..refreshes.max(1) {
         let sink = TraceSink::new(0);
         let b = simulate_batch_traced(&mach, &db, grid, &model, 1 << 18, SimOptions::full(), &sink);
-        publish_live_metrics(&[sink.finish()], &registry);
+        fold_traces(&[sink.finish()], &registry);
         println!(
             "--- refresh {}/{} (simulated {} on {}, {:.3} s/batch) ---",
             r + 1,
@@ -1255,7 +1256,7 @@ mod tests {
     #[test]
     fn monitor_table_renders_ranks_and_overlap() {
         use std::time::Duration;
-        let registry = LiveRegistry::new_enabled(true);
+        let registry = LiveRegistry::new();
         let comms = CommWorld::builder(2)
             .cost(Arc::new(RingCostModel::new(1e9, 1e9)))
             .metrics(registry.clone())
@@ -1716,7 +1717,7 @@ mod tests {
 
     #[test]
     fn serve_section_renders_from_live_metrics() {
-        let registry = LiveRegistry::new_enabled(true);
+        let registry = LiveRegistry::new();
         assert!(render_serve_section(&registry.snapshot()).contains("idle"));
         let mut engine = ServeEngine::new(
             Arc::new(Gpt::new(serve_demo_model())),

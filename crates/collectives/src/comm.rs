@@ -60,8 +60,9 @@ pub(crate) struct CommShared {
     /// return zero-filled results immediately — no messages, no workers.
     /// Used by the static verifier to extract per-rank schedules.
     pub(crate) dry: bool,
-    /// Live metrics facade, present when the telemetry plane is on.
-    /// Pre-registered handles: stamping is atomic adds, no allocation.
+    /// Live metrics facade, present when the world was built with a
+    /// registry ([`WorldBuilder::metrics`]). Pre-registered handles:
+    /// stamping is atomic adds, no allocation.
     pub(crate) metrics: Option<Arc<axonn_trace::LiveCollectives>>,
     /// Message-size-aware algorithm selection policy, resolved once at
     /// world build so every rank selects identically.
@@ -96,7 +97,7 @@ impl Drop for OpScope<'_> {
         #[cfg(not(loom))]
         transport
             .flight(self.comm.rank)
-            .record(format!("exit {}", self.op));
+            .record(axonn_trace::FlightLabel::Exit(self.op));
         #[cfg(loom)]
         let _ = self.op;
     }
@@ -224,10 +225,10 @@ impl WorldBuilder {
         self
     }
 
-    /// Publish live metrics into `registry` (overriding the default
-    /// world-private registry gated by `AXONN_METRICS`). This is how an
-    /// observer (`axonnctl monitor`, the watchdog, tests) shares the
-    /// registry with the world it is watching.
+    /// Publish live metrics into `registry`. This is how an observer
+    /// (`axonnctl monitor`, the serving plane, tests) shares the registry
+    /// with the world it is watching; a world built without one stamps
+    /// no metrics.
     pub fn metrics(mut self, registry: axonn_trace::LiveRegistry) -> Self {
         self.metrics = Some(registry);
         self
@@ -266,22 +267,11 @@ impl WorldBuilder {
         let algo = algo.unwrap_or_else(AlgoPolicy::from_env);
         let record = dry || record_schedule.unwrap_or_else(default_recording);
         let transport = Transport::with_opts_recording(size, faults, pipeline, record);
-        // Live metrics: an explicit registry always publishes; otherwise
-        // a world-private registry is created unless AXONN_METRICS=0.
-        // Dry worlds never stamp (they execute nothing).
-        let live = if dry {
-            None
-        } else {
-            match metrics {
-                Some(reg) => Some(Arc::new(axonn_trace::LiveCollectives::new(&reg))),
-                None if axonn_trace::metrics_enabled() => {
-                    Some(Arc::new(axonn_trace::LiveCollectives::new(
-                        &axonn_trace::LiveRegistry::new_enabled(true),
-                    )))
-                }
-                None => None,
-            }
-        };
+        // Live metrics go to the caller's registry, if it gave one. Dry
+        // worlds never stamp (they execute nothing).
+        let live = metrics
+            .filter(|_| !dry)
+            .map(|reg| Arc::new(axonn_trace::LiveCollectives::new(&reg)));
         // Comm-stream placement. With one core a worker could only
         // time-slice with its own rank's compute (measured on 2-rank
         // grids of a 2-core box: 16–21k involuntary context switches per
@@ -395,12 +385,6 @@ impl Comm {
     /// `flight_w{id}_rank{r}.json`).
     pub fn world_id(&self) -> u64 {
         self.shared.transport.world_id()
-    }
-
-    /// The live registry this world publishes into, when telemetry is
-    /// on. Observers snapshot it for JSON / Prometheus exposition.
-    pub fn live_registry(&self) -> Option<&axonn_trace::LiveRegistry> {
-        self.shared.metrics.as_ref().map(|m| m.registry())
     }
 
     /// Observer-side health snapshot of every rank: heartbeat age,
@@ -856,7 +840,7 @@ impl Comm {
         self.shared
             .transport
             .flight(self.rank)
-            .record(format!("enter {op}"));
+            .record(axonn_trace::FlightLabel::Enter(op));
         OpScope { comm: self, op }
     }
 }
@@ -909,9 +893,8 @@ pub(crate) fn charge(
         }
     };
     if !shared.track_time {
-        // Untimed worlds still stamp the live plane (no modelled
-        // seconds — matching `from_traces`, which only sees timed runs'
-        // op_seconds).
+        // Untimed worlds still stamp the live plane, with no modelled
+        // seconds (and record no trace event).
         stamp(None);
         return Ok(entry);
     }

@@ -251,7 +251,7 @@ mod tests {
                 max_batch_tokens: 16,
                 ..ServeConfig::default()
             },
-            &LiveRegistry::new_enabled(true),
+            &LiveRegistry::new(),
         )
     }
 
@@ -328,7 +328,7 @@ mod tests {
                 max_batch_tokens: 8,
                 ..ServeConfig::default()
             },
-            &LiveRegistry::new_enabled(true),
+            &LiveRegistry::new(),
         );
         let out = run_load(
             &mut e,

@@ -55,7 +55,7 @@ mod tests {
 
     #[test]
     fn metrics_register_under_serve_names() {
-        let reg = LiveRegistry::new_enabled(true);
+        let reg = LiveRegistry::new();
         let m = ServeMetrics::new(&reg);
         m.submitted.inc();
         m.decoded_tokens.add(5);

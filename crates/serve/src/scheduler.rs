@@ -523,7 +523,7 @@ mod tests {
     }
 
     fn engine(cfg: ServeConfig) -> ServeEngine {
-        ServeEngine::new(toy_model(), cfg, &LiveRegistry::new_enabled(true))
+        ServeEngine::new(toy_model(), cfg, &LiveRegistry::new())
     }
 
     fn req(prompt: &[usize], max_new: usize) -> ServeRequest {
@@ -581,11 +581,7 @@ mod tests {
     #[test]
     fn serves_greedy_exactly_like_the_model_oracle() {
         let model = toy_model();
-        let mut e = ServeEngine::new(
-            model.clone(),
-            ServeConfig::default(),
-            &LiveRegistry::new_enabled(true),
-        );
+        let mut e = ServeEngine::new(model.clone(), ServeConfig::default(), &LiveRegistry::new());
         let prompt = [1usize, 4, 2];
         let id = e.submit(req(&prompt, 6)).unwrap();
         e.run_until_idle(100);
@@ -737,7 +733,7 @@ mod tests {
             seed: 42,
         };
         let model = toy_model();
-        let mut e = ServeEngine::new(model.clone(), cfg.clone(), &LiveRegistry::new_enabled(true));
+        let mut e = ServeEngine::new(model.clone(), cfg.clone(), &LiveRegistry::new());
         let mut prompts: Vec<Vec<usize>> = Vec::new();
         let mut submit = |e: &mut ServeEngine, i: usize, deadline_steps: Option<u64>| {
             let prompt: Vec<usize> = (0..1 + i % 3).map(|j| (5 * i + j) % 12).collect();

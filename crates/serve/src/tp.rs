@@ -215,15 +215,11 @@ pub fn tp_greedy_spmd(
     let comms = CommWorld::builder(tp).metrics(registry.clone()).build();
     let prompt = prompt.to_vec();
     let results = axonn_exec::run_spmd_on(comms, move |comm| {
-        let rank = comm.rank();
-        let out = Rank::new(&shards[rank], &comm, tp).greedy(&prompt, n_new);
-        if rank == 0 {
-            if let Some(reg) = comm.live_registry() {
-                reg.counter("serve.tp.tokens").add(out.0.len() as u64);
-            }
-        }
-        out
+        Rank::new(&shards[comm.rank()], &comm, tp).greedy(&prompt, n_new)
     });
+    registry
+        .counter("serve.tp.tokens")
+        .add(results[0].0.len() as u64);
     for r in 1..results.len() {
         assert_eq!(
             results[0].0, results[r].0,
@@ -262,7 +258,7 @@ mod tests {
         // holds the full model and must reproduce the KV path's bits.
         let mut g = trained_model();
         let prompt = [3usize, 1, 4, 1];
-        let reg = LiveRegistry::new_enabled(true);
+        let reg = LiveRegistry::new();
         let out = tp_greedy_spmd(&g, 1, &prompt, 5, &reg);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, g.greedy_continuation(&prompt, 5));
@@ -272,7 +268,7 @@ mod tests {
     fn tp_ranks_agree_and_match_the_model() {
         let mut g = trained_model();
         let prompt = [3usize, 1, 4, 1];
-        let reg = LiveRegistry::new_enabled(true);
+        let reg = LiveRegistry::new();
         for tp in [2usize, 4] {
             let out = tp_greedy_spmd(&g, tp, &prompt, 5, &reg);
             assert_eq!(out.len(), tp);
@@ -291,7 +287,7 @@ mod tests {
         // steps, held to the full forward at every sharding degree.
         let mut g = trained_model();
         let prompt = [3usize, 1, 4, 1];
-        let reg = LiveRegistry::new_enabled(true);
+        let reg = LiveRegistry::new();
         for tp in [2usize, 4] {
             let out = tp_greedy_spmd(&g, tp, &prompt, 3, &reg);
             // Final logits row = logits of the context prompt + first 2 tokens.
@@ -311,7 +307,7 @@ mod tests {
     #[test]
     fn tp_decode_stamps_collective_and_serve_metrics() {
         let g = trained_model();
-        let reg = LiveRegistry::new_enabled(true);
+        let reg = LiveRegistry::new();
         let (layers, n_new) = (g.cfg.n_layers as u64, 4);
         let _ = tp_greedy_spmd(&g, 2, &[3, 1], n_new, &reg);
         let snap = reg.snapshot();
@@ -388,7 +384,7 @@ mod tests {
             n_layers: 1,
             seed: 5,
         });
-        let reg = LiveRegistry::new_enabled(false);
+        let reg = LiveRegistry::new();
         let out = tp_greedy_spmd(&g, 2, &[1], 2, &reg);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], out[1]);

@@ -764,4 +764,52 @@ mod tests {
         );
         assert!(large.total_seconds < small.total_seconds);
     }
+
+    #[test]
+    fn sim_publishes_runtime_metric_names() {
+        use axonn_trace::{fold_traces, LiveRegistry};
+        let machine = Machine::frontier();
+        let db = BandwidthDb::profile(&machine);
+        let model = model_by_billions(20);
+        let grid = Grid4d::new(8, 2, 4, 8);
+        let sink = TraceSink::new(0);
+        simulate_batch_traced(
+            &machine,
+            &db,
+            grid,
+            &model,
+            1 << 21,
+            SimOptions::full(),
+            &sink,
+        );
+        let reg = LiveRegistry::new();
+        fold_traces(&[sink.finish()], &reg);
+        let snap = reg.snapshot();
+        // Parity anchor: the names a live world would publish.
+        assert!(
+            snap.counters
+                .keys()
+                .any(|k| k.starts_with("collective.") && k.ends_with(".calls")),
+            "no collective call counters: {:?}",
+            snap.counters.keys().collect::<Vec<_>>()
+        );
+        // The fold pre-registers every op at zero; the run issued some.
+        assert!(
+            snap.counters
+                .iter()
+                .any(|(k, &v)| k.starts_with("collective.") && k.ends_with(".calls") && v > 0),
+            "no collective calls counted"
+        );
+        assert!(
+            snap.counters.keys().any(|k| k.starts_with("gemm.")),
+            "no gemm counters"
+        );
+        assert!(
+            snap.histograms.keys().any(|k| k.ends_with(".bytes_hist")),
+            "no bytes histograms"
+        );
+        // And they render through the same Prometheus path.
+        let prom = snap.prometheus_text();
+        assert!(prom.contains("axonn_collective_"), "{prom}");
+    }
 }

@@ -29,10 +29,8 @@
 
 pub mod batch;
 pub mod configs;
-pub mod metrics;
 pub mod options;
 
 pub use batch::{simulate_batch, simulate_batch_traced, BatchBreakdown};
 pub use configs::{baseline_config, pick_best_config, weak_scaling_series, ScalePoint};
-pub use metrics::publish_live_metrics;
 pub use options::{Fidelity, SimOptions};

@@ -4,10 +4,13 @@
 //!
 //! The post-hoc tracer only yields data from runs that reach
 //! `finish()`; the flight recorder exists precisely for runs that
-//! don't. Entries are cheap preformatted lines, not full
+//! don't. Entries are cheap labels, not full
 //! [`TraceEvent`](crate::TraceEvent)s — the recorder must stay usable
 //! from inside panicking and poisoned contexts, so it holds no
-//! references into the run's data structures.
+//! references into the run's data structures. The per-collective
+//! enter/exit breadcrumbs are a static op name plus a marker, so
+//! recording them into a full ring allocates nothing; other events
+//! carry preformatted text.
 //!
 //! Capacity comes from `AXONN_FLIGHT_CAP` (default
 //! [`DEFAULT_FLIGHT_CAP`]); dumps land in `AXONN_FLIGHT_DIR` (default
@@ -15,6 +18,7 @@
 //! so concurrent tests don't clobber each other.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -48,18 +52,63 @@ fn wall_ns() -> u64 {
         .unwrap_or(0)
 }
 
-/// One recorded moment: a wall timestamp and a preformatted label.
+/// What a flight entry says. Renders as its dump text: `enter {op}`,
+/// `exit {op}`, or the text itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FlightLabel {
+    /// The rank entered collective `op`.
+    Enter(&'static str),
+    /// The rank left collective `op` (normally or by unwinding).
+    Exit(&'static str),
+    /// Any other event, preformatted.
+    Text(String),
+}
+
+impl fmt::Display for FlightLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlightLabel::Enter(op) => write!(f, "enter {op}"),
+            FlightLabel::Exit(op) => write!(f, "exit {op}"),
+            FlightLabel::Text(text) => f.write_str(text),
+        }
+    }
+}
+
+impl From<String> for FlightLabel {
+    fn from(text: String) -> FlightLabel {
+        FlightLabel::Text(text)
+    }
+}
+
+impl From<&str> for FlightLabel {
+    fn from(text: &str) -> FlightLabel {
+        FlightLabel::Text(text.to_string())
+    }
+}
+
+/// Compares the rendered text, without rendering it.
+impl PartialEq<&str> for FlightLabel {
+    fn eq(&self, other: &&str) -> bool {
+        match self {
+            FlightLabel::Enter(op) => other.strip_prefix("enter ") == Some(*op),
+            FlightLabel::Exit(op) => other.strip_prefix("exit ") == Some(*op),
+            FlightLabel::Text(text) => text == other,
+        }
+    }
+}
+
+/// One recorded moment: a wall timestamp and a label.
 #[derive(Debug, Clone)]
 pub struct FlightEntry {
     pub wall_ns: u64,
-    pub label: String,
+    pub label: FlightLabel,
 }
 
 impl Serialize for FlightEntry {
     fn serialize(&self) -> Value {
         Value::Object(vec![
             ("wall_ns".into(), self.wall_ns.serialize()),
-            ("label".into(), self.label.serialize()),
+            ("label".into(), self.label.to_string().serialize()),
         ])
     }
 }
@@ -107,7 +156,7 @@ impl FlightRecorder {
     }
 
     /// Append an event, evicting the oldest once at capacity.
-    pub fn record(&self, label: impl Into<String>) {
+    pub fn record(&self, label: impl Into<FlightLabel>) {
         let entry = FlightEntry {
             wall_ns: wall_ns(),
             label: label.into(),
@@ -188,10 +237,14 @@ mod tests {
         let fr = FlightRecorder::with_capacity(42, 1, 8);
         fr.record("send dst=0 lane=rs");
         fr.record("recv src=0 lane=ag");
+        fr.record(FlightLabel::Enter("all_reduce"));
+        fr.record(FlightLabel::Exit("all_reduce"));
         let body = Value::Object(vec![("events".into(), fr.entries().serialize())]);
         let json = serde_json::to_string(&body).unwrap();
         assert!(json.contains("send dst=0 lane=rs"));
         assert!(json.contains("recv src=0 lane=ag"));
+        assert!(json.contains("\"label\":\"enter all_reduce\""));
+        assert!(json.contains("\"label\":\"exit all_reduce\""));
         assert_eq!(
             fr.dump_path().file_name().unwrap().to_str().unwrap(),
             "flight_w42_rank1.json"

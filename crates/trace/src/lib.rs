@@ -8,8 +8,9 @@
 //!
 //! * exported as Chrome trace-event JSON (one track per rank per stream,
 //!   loadable in Perfetto / `chrome://tracing`),
-//! * rolled up into a metrics registry (bytes per collective op, GEMM
-//!   flops per mode, wait-gap histograms), and
+//! * folded into the live metrics registry (bytes per collective op,
+//!   GEMM flops per mode, wait-gap histograms) under the names a running
+//!   world stamps, and
 //! * reduced to an overlap-efficiency report — how much collective time
 //!   hid under compute, the quantity the paper's Fig. 5 measures.
 //!
@@ -28,11 +29,13 @@ mod sink;
 
 pub use chrome::chrome_trace_json;
 pub use event::{CollOp, EventDetail, Stream, TraceEvent, XferStats};
-pub use flight::{flight_capacity, flight_dir, FlightEntry, FlightRecorder, DEFAULT_FLIGHT_CAP};
-pub use live::{
-    metrics_enabled, Counter, Gauge, LiveCollectives, LiveHistogram, LiveRegistry, MetricsSnapshot,
-    HIST_SHARDS,
+pub use flight::{
+    flight_capacity, flight_dir, FlightEntry, FlightLabel, FlightRecorder, DEFAULT_FLIGHT_CAP,
 };
-pub use metrics::{Histogram, MetricsRegistry, BYTES_BOUNDS, SECONDS_BOUNDS};
+pub use live::{
+    fold_traces, Counter, Gauge, LiveCollectives, LiveHistogram, LiveRegistry, MetricsSnapshot,
+    HIST_SHARDS, OVERLAP_WAIT_SECONDS_HIST,
+};
+pub use metrics::{Histogram, BYTES_BOUNDS, SECONDS_BOUNDS};
 pub use report::{LayerOverlap, OverlapReport, TraceSummary};
 pub use sink::{OpenSpan, RankTrace, TraceSink};

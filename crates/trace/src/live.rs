@@ -1,6 +1,8 @@
-//! Live metrics plane: lock-light counters, gauges, and sharded
+//! The metrics registry: lock-light counters, gauges, and sharded
 //! histograms that hot paths update with plain atomic ops while an
-//! observer thread reads concurrently.
+//! observer thread reads concurrently. It is the only registry: a
+//! finished run's traces are aggregated by folding them through it
+//! ([`fold_traces`]).
 //!
 //! Design constraints, in order:
 //!
@@ -12,10 +14,14 @@
 //!    monotone per cell but not cross-cell atomic — a reader may see a
 //!    count without its sum. That is the standard Prometheus contract
 //!    and fine for monitoring.
-//! 3. **Same name vocabulary as the post-hoc plane.** The
-//!    [`LiveCollectives`] facade pre-registers exactly the names
-//!    `MetricsRegistry::from_traces` produces, so `sim` (virtual clocks)
-//!    and the exec plane (wall clocks) publish comparable series.
+//! 3. **One name vocabulary.** The collective and overlap-wait names
+//!    are spelled once, in [`LiveCollectives::new`]. A running world
+//!    stamps through it, and [`fold_traces`] replays a finished trace's
+//!    collective and wait events through the same calls, so a live
+//!    snapshot, a `sim` run (virtual clocks) and a post-hoc summary of
+//!    an exec run publish comparable series. `gemm.{mode}.*` and
+//!    `tuner.decisions` come only from traces: the fold registers them,
+//!    and the live runtime does not stamp them.
 //!
 //! Histograms are sharded ([`HIST_SHARDS`] ways, threads pick a shard by
 //! a thread-local id) so concurrent ranks don't contend on one cache
@@ -28,20 +34,10 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Serialize, Value};
 
-use crate::event::XferStats;
-use crate::metrics::{Histogram, MetricsRegistry, BYTES_BOUNDS, SECONDS_BOUNDS};
+use crate::event::{EventDetail, XferStats};
+use crate::metrics::{bucket_of, Histogram, BYTES_BOUNDS, SECONDS_BOUNDS};
+use crate::sink::RankTrace;
 use crate::CollOp;
-
-/// Is live metrics collection enabled? Controlled by `AXONN_METRICS`:
-/// `0`/`false` disables it, anything else (including unset) enables it.
-/// Mirrors the `AXONN_SCHED_VERIFY` convention but defaults **on** —
-/// the whole point of the live plane is that it is always there.
-pub fn metrics_enabled() -> bool {
-    match std::env::var("AXONN_METRICS") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false")),
-        Err(_) => true,
-    }
-}
 
 /// Monotonic counter handle. Cloning shares the underlying cell.
 #[derive(Debug, Clone, Default)]
@@ -166,34 +162,8 @@ impl LiveHistogram {
             shard.quarantined.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        shard.counts[idx].fetch_add(1, Ordering::Relaxed);
+        shard.counts[bucket_of(&self.bounds, value)].fetch_add(1, Ordering::Relaxed);
         shard.add_sum(value);
-    }
-
-    /// Fold a finished-trace histogram's buckets into shard 0. Used by
-    /// `absorb` so the sim plane can republish post-hoc aggregates under
-    /// live names; individual values are gone, so the pre-bucketed
-    /// counts are merged directly (bounds must match).
-    pub fn merge_plain(&self, h: &Histogram) {
-        assert_eq!(
-            h.bounds(),
-            &self.bounds[..],
-            "histogram bounds mismatch in merge"
-        );
-        let shard = &self.shards[0];
-        for (slot, &c) in shard.counts.iter().zip(h.bucket_counts()) {
-            slot.fetch_add(c, Ordering::Relaxed);
-        }
-        shard.total.fetch_add(h.count(), Ordering::Relaxed);
-        shard
-            .quarantined
-            .fetch_add(h.quarantined(), Ordering::Relaxed);
-        shard.add_sum(h.sum());
     }
 
     /// Fold all shards into a plain snapshot histogram.
@@ -217,7 +187,7 @@ impl LiveHistogram {
 
 /// Point-in-time view of a [`LiveRegistry`]: plain values, serializable
 /// to JSON and Prometheus text.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
@@ -330,32 +300,17 @@ struct LiveInner {
 
 /// Registry of live metric handles. Registration (`counter` / `gauge` /
 /// `histogram`) takes a mutex and may allocate; it is meant to happen
-/// once at setup. The returned handles are lock-free. A disabled
-/// registry still hands out real handles — the callers' facades are
-/// expected to skip stamping instead (see [`LiveCollectives`]), so the
-/// flag is consulted once at wiring time, not per update.
+/// once at setup. The returned handles are lock-free. Cloning shares
+/// the registry.
 #[derive(Debug, Clone, Default)]
 pub struct LiveRegistry {
     inner: Arc<LiveInner>,
-    enabled: bool,
 }
 
 impl LiveRegistry {
-    /// Registry honoring the `AXONN_METRICS` environment toggle.
+    /// An empty registry.
     pub fn new() -> LiveRegistry {
-        LiveRegistry::new_enabled(metrics_enabled())
-    }
-
-    /// Registry with an explicit enable flag (tests, `monitor`).
-    pub fn new_enabled(enabled: bool) -> LiveRegistry {
-        LiveRegistry {
-            inner: Arc::new(LiveInner::default()),
-            enabled,
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        LiveRegistry::default()
     }
 
     /// Get or register a counter.
@@ -377,18 +332,6 @@ impl LiveRegistry {
         map.entry(name.to_string())
             .or_insert_with(|| LiveHistogram::new(bounds.to_vec()))
             .clone()
-    }
-
-    /// Republish a finished-trace aggregation through this registry —
-    /// how `sim` keeps virtual-clock runs name-compatible with the live
-    /// exec plane.
-    pub fn absorb(&self, reg: &MetricsRegistry) {
-        for (name, value) in reg.counters() {
-            self.counter(name).add(value);
-        }
-        for (name, h) in reg.histograms() {
-            self.histogram(name, h.bounds()).merge_plain(h);
-        }
     }
 
     /// Coherent-enough point-in-time view of every registered metric.
@@ -425,6 +368,10 @@ impl LiveRegistry {
     }
 }
 
+/// Name of the histogram of overlap wait gaps (seconds the compute
+/// stream blocked on an async collective), for readers of a snapshot.
+pub const OVERLAP_WAIT_SECONDS_HIST: &str = "overlap.wait_seconds_hist";
+
 /// Per-op handle bundle for one collective op.
 #[derive(Debug, Clone)]
 struct OpHandles {
@@ -442,11 +389,12 @@ struct OpHandles {
 /// stamp, indexed by [`CollOp::index`]. Built once per world; stamping
 /// is array index + atomic adds, no map lookups or allocation.
 ///
-/// Metric names match `MetricsRegistry::from_traces` exactly, so a live
-/// snapshot and a post-hoc aggregation of the same run line up.
+/// The one place the `collective.{op}.*` and `overlap.*` names are
+/// spelled: [`fold_traces`] stamps a finished trace through this facade
+/// too, so a live snapshot and a post-hoc aggregation of the same run
+/// line up.
 #[derive(Debug, Clone)]
 pub struct LiveCollectives {
-    registry: LiveRegistry,
     ops: Vec<OpHandles>,
     overlap_waits: Counter,
     overlap_wait_seconds: LiveHistogram,
@@ -473,21 +421,16 @@ impl LiveCollectives {
             })
             .collect();
         LiveCollectives {
-            registry: registry.clone(),
             ops,
             overlap_waits: registry.counter("overlap.waits"),
-            overlap_wait_seconds: registry.histogram("overlap.wait_seconds_hist", &SECONDS_BOUNDS),
+            overlap_wait_seconds: registry.histogram(OVERLAP_WAIT_SECONDS_HIST, &SECONDS_BOUNDS),
         }
-    }
-
-    pub fn registry(&self) -> &LiveRegistry {
-        &self.registry
     }
 
     /// Stamp one finished collective. `seconds` is the modeled op time
     /// when the world tracks time (`None` on untimed worlds — the
-    /// seconds histogram is skipped, matching `from_traces`, which only
-    /// sees events from traced/timed runs).
+    /// seconds histogram is skipped; only timed worlds record collective
+    /// trace events, so [`fold_traces`] always has one).
     pub fn record_collective(&self, op: CollOp, bytes: u64, seconds: Option<f64>, xfer: XferStats) {
         let h = &self.ops[op.index()];
         h.calls.inc();
@@ -510,13 +453,52 @@ impl LiveCollectives {
     }
 }
 
+/// Fold finished traces into `registry`. Collective and overlap-wait
+/// events go through [`LiveCollectives`], the calls the runtime makes as
+/// it runs, so they land under the same names. GEMM events add to
+/// `gemm.{mode}.{calls,flops,packed_bytes,panels}` and tuner decisions
+/// to `tuner.decisions`; only the trace plane produces those.
+pub fn fold_traces(traces: &[RankTrace], registry: &LiveRegistry) {
+    let colls = LiveCollectives::new(registry);
+    for ev in traces.iter().flat_map(|t| &t.events) {
+        match &ev.detail {
+            EventDetail::Collective {
+                op,
+                bytes,
+                op_seconds,
+                ..
+            } => colls.record_collective(*op, *bytes, Some(*op_seconds), ev.xfer),
+            EventDetail::OverlapWait { .. } => colls.record_wait(ev.t_end - ev.t_start),
+            EventDetail::Gemm {
+                mode,
+                flops,
+                packed_bytes,
+                panels,
+            } => {
+                registry.counter(&format!("gemm.{mode}.calls")).inc();
+                registry
+                    .counter(&format!("gemm.{mode}.flops"))
+                    .add(*flops as u64);
+                registry
+                    .counter(&format!("gemm.{mode}.packed_bytes"))
+                    .add(*packed_bytes);
+                registry
+                    .counter(&format!("gemm.{mode}.panels"))
+                    .add(*panels as u64);
+            }
+            EventDetail::TunerDecision { .. } => registry.counter("tuner.decisions").inc(),
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn counters_and_gauges_roundtrip() {
-        let reg = LiveRegistry::new_enabled(true);
+        let reg = LiveRegistry::new();
         let c = reg.counter("x.calls");
         c.add(3);
         reg.counter("x.calls").inc(); // same cell
@@ -561,53 +543,8 @@ mod tests {
     }
 
     #[test]
-    fn collectives_facade_uses_from_traces_names() {
-        let reg = LiveRegistry::new_enabled(true);
-        let live = LiveCollectives::new(&reg);
-        live.record_collective(
-            CollOp::AllReduce,
-            4096,
-            Some(1e-3),
-            XferStats {
-                chunks: 2,
-                alloc_bytes: 8192,
-                pool_hits: 1,
-                pool_misses: 1,
-            },
-        );
-        live.record_wait(1e-4);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["collective.all_reduce.calls"], 1);
-        assert_eq!(snap.counters["collective.all_reduce.bytes"], 4096);
-        assert_eq!(snap.counters["collective.all_reduce.chunks"], 2);
-        assert_eq!(snap.counters["overlap.waits"], 1);
-        assert_eq!(
-            snap.histograms["collective.all_reduce.seconds_hist"].count(),
-            1
-        );
-        assert_eq!(snap.histograms["overlap.wait_seconds_hist"].count(), 1);
-    }
-
-    #[test]
-    fn absorb_matches_from_traces_vocabulary() {
-        // Build a post-hoc registry and absorb it into a live one: every
-        // counter and histogram must carry over under the same name.
-        let mut posthoc = MetricsRegistry::new();
-        posthoc.counter_add("collective.all_gather.calls", 7);
-        posthoc.observe("collective.all_gather.bytes_hist", &BYTES_BOUNDS, 2048.0);
-        let live = LiveRegistry::new_enabled(true);
-        live.absorb(&posthoc);
-        let snap = live.snapshot();
-        assert_eq!(snap.counters["collective.all_gather.calls"], 7);
-        assert_eq!(
-            snap.histograms["collective.all_gather.bytes_hist"].count(),
-            1
-        );
-    }
-
-    #[test]
     fn prometheus_text_exposition() {
-        let reg = LiveRegistry::new_enabled(true);
+        let reg = LiveRegistry::new();
         reg.counter("collective.all_reduce.calls").add(2);
         reg.gauge("rank0.heartbeat_age_ms").set(12.0);
         let h = reg.histogram("lat", &[1.0, 10.0]);
@@ -625,11 +562,120 @@ mod tests {
         assert!(json.contains("\"counters\""));
     }
 
+    fn fold_one(record: impl FnOnce(&crate::TraceSink)) -> MetricsSnapshot {
+        let sink = crate::TraceSink::new(0);
+        record(&sink);
+        let reg = LiveRegistry::new();
+        fold_traces(&[sink.finish()], &reg);
+        reg.snapshot()
+    }
+
     #[test]
-    fn metrics_env_toggle() {
-        // Not testing the env var itself (process-global); just the
-        // explicit constructors.
-        assert!(LiveRegistry::new_enabled(true).enabled());
-        assert!(!LiveRegistry::new_enabled(false).enabled());
+    fn fold_aggregates_bytes_flops_and_waits() {
+        use crate::event::Stream;
+        let snap = fold_one(|sink| {
+            sink.record_scoped(
+                Stream::Compute,
+                0.0,
+                1.0,
+                EventDetail::Collective {
+                    op: CollOp::AllReduce,
+                    group_size: 4,
+                    bytes: 4096,
+                    seq: 0,
+                    blocking: true,
+                    op_seconds: 1.0,
+                },
+            );
+            sink.record_scoped(
+                Stream::Compute,
+                1.0,
+                2.0,
+                EventDetail::Gemm {
+                    mode: "NN",
+                    flops: 1000.0,
+                    packed_bytes: 2048,
+                    panels: 3,
+                },
+            );
+            sink.record_scoped(
+                Stream::Compute,
+                2.0,
+                2.5,
+                EventDetail::OverlapWait {
+                    op: CollOp::AllGather,
+                    seq: 1,
+                },
+            );
+        });
+        assert_eq!(snap.counters["collective.all_reduce.bytes"], 4096);
+        assert_eq!(snap.counters["collective.all_reduce.calls"], 1);
+        assert_eq!(snap.counters["gemm.NN.flops"], 1000);
+        assert_eq!(snap.counters["gemm.NN.packed_bytes"], 2048);
+        assert_eq!(snap.counters["gemm.NN.panels"], 3);
+        assert_eq!(
+            snap.histograms["collective.all_reduce.bytes_hist"].count(),
+            1
+        );
+        assert_eq!(
+            snap.histograms["collective.all_reduce.seconds_hist"].count(),
+            1
+        );
+        assert_eq!(snap.counters["overlap.waits"], 1);
+        let waits = &snap.histograms[OVERLAP_WAIT_SECONDS_HIST];
+        assert_eq!((waits.count(), waits.sum()), (1, 0.5));
+        // Deterministic serialization (sorted keys).
+        let a = serde_json::to_string(&snap).unwrap();
+        let b = serde_json::to_string(&snap.clone()).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fold_aggregates_transport_xfer_counters() {
+        use crate::event::Stream;
+        let coll = |seq| EventDetail::Collective {
+            op: CollOp::AllReduce,
+            group_size: 4,
+            bytes: 4096,
+            seq,
+            blocking: true,
+            op_seconds: 1.0,
+        };
+        let snap = fold_one(|sink| {
+            sink.record_xfer(
+                Stream::Compute,
+                0.0,
+                1.0,
+                0,
+                0,
+                None,
+                coll(0),
+                XferStats {
+                    chunks: 2,
+                    alloc_bytes: 8192,
+                    pool_hits: 0,
+                    pool_misses: 2,
+                },
+            );
+            sink.record_xfer(
+                Stream::Compute,
+                1.0,
+                2.0,
+                0,
+                0,
+                None,
+                coll(1),
+                XferStats {
+                    chunks: 2,
+                    alloc_bytes: 0,
+                    pool_hits: 2,
+                    pool_misses: 0,
+                },
+            );
+        });
+        assert_eq!(snap.counters["collective.all_reduce.chunks"], 4);
+        assert_eq!(snap.counters["collective.all_reduce.alloc_bytes"], 8192);
+        assert_eq!(snap.counters["collective.all_reduce.pool_hits"], 2);
+        assert_eq!(snap.counters["collective.all_reduce.pool_misses"], 2);
     }
 }

@@ -5,7 +5,7 @@
 use serde::{Serialize, Value};
 
 use crate::event::{EventDetail, Stream};
-use crate::metrics::MetricsRegistry;
+use crate::live::{fold_traces, LiveRegistry, MetricsSnapshot};
 use crate::sink::RankTrace;
 
 /// Overlap accounting for one layer (or for unattributed collectives
@@ -236,7 +236,7 @@ pub struct TraceSummary {
     /// Latest virtual timestamp across all ranks and streams.
     pub virtual_makespan_seconds: f64,
     pub overlap: OverlapReport,
-    pub metrics: MetricsRegistry,
+    pub metrics: MetricsSnapshot,
 }
 
 impl TraceSummary {
@@ -247,12 +247,14 @@ impl TraceSummary {
             .flat_map(|t| t.events.iter())
             .map(|e| e.t_end)
             .fold(0.0, f64::max);
+        let registry = LiveRegistry::new();
+        fold_traces(traces, &registry);
         TraceSummary {
             ranks: traces.len(),
             total_events,
             virtual_makespan_seconds: makespan,
             overlap: OverlapReport::from_traces(traces),
-            metrics: MetricsRegistry::from_traces(traces),
+            metrics: registry.snapshot(),
         }
     }
 

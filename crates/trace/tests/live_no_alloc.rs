@@ -3,13 +3,16 @@
 //! A counting global allocator records the bytes this test's thread
 //! allocates while it hammers every hot-path update of the live plane.
 //! Registration and one warm-up call of each update may allocate; the
-//! updates after them must not.
+//! updates after them must not. The flight recorder's per-collective
+//! breadcrumbs are held to the same bar.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use axonn_trace::{CollOp, LiveCollectives, LiveRegistry, XferStats, SECONDS_BOUNDS};
+use axonn_trace::{
+    CollOp, FlightLabel, FlightRecorder, LiveCollectives, LiveRegistry, XferStats, SECONDS_BOUNDS,
+};
 
 struct Counting;
 
@@ -54,7 +57,7 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn live_updates_allocate_nothing() {
-    let registry = LiveRegistry::new_enabled(true);
+    let registry = LiveRegistry::new();
     let counter = registry.counter("test.calls");
     let gauge = registry.gauge("test.load");
     let hist = registry.histogram("test.seconds", &SECONDS_BOUNDS);
@@ -84,4 +87,26 @@ fn live_updates_allocate_nothing() {
     let snap = registry.snapshot();
     assert_eq!(snap.counters["collective.all_reduce.calls"], 10_001);
     assert_eq!(snap.histograms["test.seconds"].count(), 10_001);
+}
+
+#[test]
+fn flight_breadcrumbs_allocate_nothing_at_capacity() {
+    // Fill the ring (with text entries too, whose eviction only frees),
+    // then record the enter/exit pair every collective writes.
+    let flight = FlightRecorder::with_capacity(0, 0, 8);
+    for i in 0..8 {
+        flight.record(format!("warm-up {i}"));
+    }
+    assert_eq!(flight.len(), flight.capacity());
+
+    COUNTING.with(|c| c.set(true));
+    for _ in 0..10_000 {
+        flight.record(FlightLabel::Enter("all_reduce"));
+        flight.record(FlightLabel::Exit("all_reduce"));
+    }
+    COUNTING.with(|c| c.set(false));
+
+    assert_eq!(ALLOCATED.load(Ordering::Relaxed), 0, "bytes allocated");
+    let last = flight.entries().pop().expect("a full ring");
+    assert_eq!(last.label.to_string(), "exit all_reduce");
 }

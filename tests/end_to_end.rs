@@ -184,7 +184,7 @@ fn batched_serving_engine_matches_greedy_continuation_per_request() {
             max_active: 8,
             ..ServeConfig::default()
         },
-        &LiveRegistry::new_enabled(false),
+        &LiveRegistry::new(),
     );
     let requests: Vec<(Vec<usize>, usize)> = (0..8)
         .map(|i| ((0..2 + i).map(|j| (7 * i + 3 * j) % 48).collect(), 6 + i))

@@ -9,13 +9,17 @@
 //! must name the stalled rank, the lane and the peer it is waiting on,
 //! classify the stall as a *runtime* fault (the schedule cannot be the
 //! bug — it was certified), and persist that rank's flight recorder.
+//!
+//! One metric vocabulary ties the planes together: a world stamping its
+//! live registry as it runs and a fold of the same run's finished traces
+//! must agree counter for counter and bucket for bucket.
 
-use axonn::collectives::{CommWorld, ProcessGroup, WallStallRule};
-use axonn::exec::{run_spmd, Watchdog, WatchdogConfig};
+use axonn::collectives::{AsyncOp, CommWorld, ProcessGroup, RingCostModel, WallStallRule};
+use axonn::exec::{run_spmd, run_spmd_on, Watchdog, WatchdogConfig};
 use axonn::ft::FaultPlan;
-use axonn::trace::{flight_dir, LiveRegistry};
+use axonn::trace::{flight_dir, fold_traces, LiveRegistry, MetricsSnapshot};
 use axonn::verify::check_schedules;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 const WORLD: usize = 4;
@@ -59,7 +63,7 @@ fn watchdog_names_stalled_rank_on_certified_grid() {
             hold,
         },
     );
-    let registry = LiveRegistry::new_enabled(true);
+    let registry = LiveRegistry::new();
     let comms = CommWorld::builder(WORLD)
         .faults(plan.transport_config(0))
         .metrics(registry.clone())
@@ -195,4 +199,70 @@ fn flight_recorder_survives_a_rank_panic() {
         .unwrap_or_else(|e| panic!("no crash dump at {}: {e}", dump.display()));
     assert!(body.contains("telemetry-test crash"), "{body}");
     assert!(body.contains("\"rank\":1"), "{body}");
+}
+
+/// A timed, traced world built with a registry stamps exactly what
+/// folding its finished traces produces: every `collective.*` and
+/// `overlap.*` counter, and every histogram bucket.
+#[test]
+fn live_registry_matches_the_fold_of_finished_traces() {
+    const RANKS: usize = 2;
+    let live = LiveRegistry::new();
+    let (comms, sinks) = CommWorld::builder(RANKS)
+        .cost(Arc::new(RingCostModel::new(1e9, 1e9)))
+        .metrics(live.clone())
+        .build_traced();
+    run_spmd_on(comms, |c| {
+        let g = ProcessGroup::new((0..RANKS).collect());
+        for step in 0..STEPS {
+            // Blocking collectives, then async ones waited on after a
+            // short and a long stretch of modelled compute.
+            let mut grads = vec![(c.rank() + step) as f32; ELEMS];
+            c.all_reduce(&g, &mut grads);
+            let shard = c.reduce_scatter(&g, &grads);
+            let _ = c.all_gather(&g, &shard);
+            let rs = c.start_async(&g, AsyncOp::ReduceScatter(c.pooled_payload(&grads)));
+            c.advance_compute(1e3);
+            let shard = rs.wait();
+            let ag = c.start_async(&g, AsyncOp::AllGather(shard.into()));
+            c.advance_compute(1e9);
+            let _ = ag.wait();
+        }
+    });
+    let traces: Vec<_> = sinks.iter().map(|s| s.finish()).collect();
+    let folded = LiveRegistry::new();
+    fold_traces(&traces, &folded);
+    let (live, folded) = (live.snapshot(), folded.snapshot());
+
+    let runtime_counters = |snap: &MetricsSnapshot| {
+        snap.counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("collective.") || k.starts_with("overlap."))
+            .map(|(k, v)| (k.clone(), *v))
+            .collect::<Vec<_>>()
+    };
+    let counters = runtime_counters(&live);
+    assert_eq!(counters, runtime_counters(&folded));
+    assert!(live.counters["overlap.waits"] > 0, "{counters:?}");
+    for op in ["all_reduce", "reduce_scatter", "all_gather"] {
+        assert!(
+            counters.iter().any(|(k, v)| {
+                k.starts_with(&format!("collective.{op}")) && k.ends_with(".calls") && *v > 0
+            }),
+            "no {op} counted: {counters:?}"
+        );
+    }
+
+    let buckets = |snap: &MetricsSnapshot| {
+        snap.histograms
+            .iter()
+            .map(|(k, h)| (k.clone(), h.count(), h.bucket_counts().to_vec()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(buckets(&live), buckets(&folded));
+    // Sums agree up to summation order (ranks stamp separate shards).
+    for (name, h) in &live.histograms {
+        let (a, b) = (h.sum(), folded.histograms[name].sum());
+        assert!((a - b).abs() <= 1e-9 * a.abs(), "{name}: {a} vs {b}");
+    }
 }
