@@ -1,11 +1,11 @@
 //! Perfmodel drift report: measured vs predicted collective latencies
-//! and GEMM times on this host, plus the GEMM kernel-tier table.
+//! and GEMM times on this host, plus the GEMM kernel table.
 //!
 //! Usage:
 //!   drift
 //!
 //! Prints the three tables and writes `results/DRIFT_perfmodel.json`
-//! (collective sweep, GEMM drift entries, GEMM tier table).
+//! (collective sweep, GEMM drift entries, GEMM kernel table).
 
 use axonn_bench::drift::{run_drift, run_gemm_drift, DriftConfig, GemmDriftConfig};
 use axonn_bench::{emit_json, print_table};
@@ -45,23 +45,22 @@ fn main() {
         drift.world
     );
     if let Some(gemm) = &drift.gemm {
-        let tier_rows: Vec<Vec<String>> = gemm
-            .tiers
+        let kernel_rows: Vec<Vec<String>> = gemm
+            .kernels
             .iter()
             .map(|t| {
                 vec![
                     t.mode.to_string(),
                     format!("{}x{}x{}", t.m, t.k, t.n),
-                    format!("{:.2}", t.naive_gflops),
-                    format!("{:.2}", t.blocked_gflops),
+                    format!("{:.2}", t.portable_gflops),
                     format!("{:.2}", t.auto_gflops),
                 ]
             })
             .collect();
         print_table(
-            "gemm kernel tiers — sustained Gflop/s",
-            &["mode", "shape", "naive", "blocked", "blocked+simd"],
-            &tier_rows,
+            "gemm kernels — sustained Gflop/s",
+            &["mode", "shape", "portable", "best isa"],
+            &kernel_rows,
         );
         let gemm_rows: Vec<Vec<String>> = gemm
             .entries

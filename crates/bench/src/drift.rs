@@ -18,15 +18,13 @@
 //! GEMM drift sweep times this host's real `axonn-tensor` kernels across
 //! modes and shapes, fits a [`CalibratedGemm`] saturating-rate curve to
 //! the NN points, and reports the measured/predicted ratio of every
-//! other point — plus a kernel-tier table (naive vs blocked vs
-//! blocked+SIMD GF/s) that documents what the blocked rewrite buys.
+//! other point — plus a kernel table (portable vs best-ISA blocked
+//! GF/s) that documents what the vector micro-kernel buys.
 
 use axonn_cluster::{CalibratedGemm, GemmMode, GemmSample};
 use axonn_collectives::{AlgoPolicy, CostModel, ProcessGroup, RingCostModel, SchedKind};
 use axonn_exec::run_spmd;
-use axonn_tensor::{
-    gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with, BlockSizes, Isa, MatMode, Matrix,
-};
+use axonn_tensor::{gemm_into, gemm_into_stats, gemm_into_with, BlockSizes, Isa, MatMode, Matrix};
 use axonn_trace::{Histogram, SECONDS_BOUNDS};
 use serde::{Serialize, Value};
 use std::time::Instant;
@@ -323,17 +321,16 @@ pub struct GemmDriftEntry {
     pub ratio: f64,
 }
 
-/// Throughput of each kernel tier at one (mode, shape) point — the
-/// naive loop nest, the blocked/packed portable kernel, and the auto
-/// kernel (blocked + the best vector micro-kernel available).
+/// Throughput of the blocked engine at one (mode, shape) point on the
+/// portable micro-kernel and on the auto kernel (the best vector
+/// micro-kernel available).
 #[derive(Debug, Clone, Serialize)]
-pub struct GemmTierEntry {
+pub struct GemmKernelEntry {
     pub mode: &'static str,
     pub m: usize,
     pub k: usize,
     pub n: usize,
-    pub naive_gflops: f64,
-    pub blocked_gflops: f64,
+    pub portable_gflops: f64,
     pub auto_gflops: f64,
 }
 
@@ -353,7 +350,7 @@ pub struct GemmDriftReport {
     pub tolerance_low: f64,
     pub tolerance_high: f64,
     pub entries: Vec<GemmDriftEntry>,
-    pub tiers: Vec<GemmTierEntry>,
+    pub kernels: Vec<GemmKernelEntry>,
 }
 
 impl GemmDriftReport {
@@ -413,7 +410,7 @@ fn time_kernel<F: FnMut()>(iters: usize, warmup: usize, mut f: F) -> f64 {
 pub fn run_gemm_drift(cfg: &GemmDriftConfig) -> Option<GemmDriftReport> {
     let mut samples: Vec<GemmSample> = Vec::new();
     let mut points: Vec<(&'static str, GemmMode, usize, usize, usize, f64)> = Vec::new();
-    let mut tiers: Vec<GemmTierEntry> = Vec::new();
+    let mut kernels: Vec<GemmKernelEntry> = Vec::new();
     let mut simd_active = false;
 
     for &(mat_mode, gemm_mode, label) in &GEMM_MODES {
@@ -426,10 +423,7 @@ pub fn run_gemm_drift(cfg: &GemmDriftConfig) -> Option<GemmDriftReport> {
             let auto_s = time_kernel(cfg.iters, cfg.warmup, || {
                 gemm_into(mat_mode, &a, &b, &mut c);
             });
-            let naive_s = time_kernel(cfg.iters, cfg.warmup, || {
-                gemm_into_naive(mat_mode, &a, &b, &mut c);
-            });
-            let blocked_s = time_kernel(cfg.iters, cfg.warmup, || {
+            let portable_s = time_kernel(cfg.iters, cfg.warmup, || {
                 let _ =
                     gemm_into_with(mat_mode, &a, &b, &mut c, BlockSizes::default(), Isa::Scalar);
             });
@@ -441,13 +435,12 @@ pub fn run_gemm_drift(cfg: &GemmDriftConfig) -> Option<GemmDriftReport> {
                 rate,
             });
             points.push((label, gemm_mode, m, k, n, auto_s));
-            tiers.push(GemmTierEntry {
+            kernels.push(GemmKernelEntry {
                 mode: label,
                 m,
                 k,
                 n,
-                naive_gflops: flops / naive_s.max(1e-12) / 1e9,
-                blocked_gflops: flops / blocked_s.max(1e-12) / 1e9,
+                portable_gflops: flops / portable_s.max(1e-12) / 1e9,
                 auto_gflops: rate / 1e9,
             });
         }
@@ -484,7 +477,7 @@ pub fn run_gemm_drift(cfg: &GemmDriftConfig) -> Option<GemmDriftReport> {
         tolerance_low: 0.5,
         tolerance_high: 2.0,
         entries,
-        tiers,
+        kernels,
     })
 }
 
@@ -551,7 +544,7 @@ mod tests {
         };
         let report = run_gemm_drift(&cfg).expect("two distinct NN dims");
         assert_eq!(report.entries.len(), 6); // 3 modes × 2 shapes
-        assert_eq!(report.tiers.len(), 6);
+        assert_eq!(report.kernels.len(), 6);
         assert!(report.peak_flops > 0.0);
         for e in &report.entries {
             assert!(e.measured_s > 0.0, "{e:?}");
@@ -571,11 +564,11 @@ mod tests {
             "calibration point ratio {}",
             largest_nn.ratio
         );
-        for t in &report.tiers {
-            assert!(t.naive_gflops > 0.0 && t.blocked_gflops > 0.0 && t.auto_gflops > 0.0);
+        for t in &report.kernels {
+            assert!(t.portable_gflops > 0.0 && t.auto_gflops > 0.0);
         }
         let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("tn_factor") && json.contains("naive_gflops"));
+        assert!(json.contains("tn_factor") && json.contains("portable_gflops"));
     }
 
     #[test]

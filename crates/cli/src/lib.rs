@@ -23,6 +23,33 @@ use axonn_trace::{
 };
 use axonn_verify::{check_schedules, inject, DefectKind};
 
+/// Write command output to stdout. A reader that closed early
+/// (`axonnctl … | head`) ends the process quietly, as a filter expects;
+/// any other write error still panics.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+// This crate's `print!` and `println!` shadow std's and write through
+// `emit`, so a closed stdout does not panic in any subcommand.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod bench;
 
 /// Usage text shown on parse errors.

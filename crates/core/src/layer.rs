@@ -439,15 +439,9 @@ impl ParallelLinear {
         let flops = 2.0 * i_local.rows() as f64 * i_local.cols() as f64 * d_o.cols() as f64;
         comm.advance_compute(flops);
         // Pack traffic of the strategy the tuner executed: the blocked TN
-        // kernel and the NN reroute pack B panels only, and the naive
-        // walk packs nothing.
+        // kernel and the NN reroute both pack B panels only.
         let strategy = tuner.choice(self.layer_id).unwrap_or(DwStrategy::InPlaceTn);
-        let (panels, packed_bytes) = match strategy {
-            DwStrategy::NaiveTn => (0, 0),
-            DwStrategy::InPlaceTn | DwStrategy::TransposeNn => {
-                pack_geometry(i_local.cols(), i_local.rows(), d_o.cols())
-            }
-        };
+        let (panels, packed_bytes) = pack_geometry(i_local.cols(), i_local.rows(), d_o.cols());
         record_gemm(
             comm,
             t0,
@@ -469,11 +463,9 @@ impl ParallelLinear {
                         layer: o.layer_id,
                         choice: match o.strategy {
                             DwStrategy::InPlaceTn => "in_place_tn",
-                            DwStrategy::NaiveTn => "naive_tn",
                             DwStrategy::TransposeNn => "transpose_nn",
                         },
                         direct_seconds: o.direct_seconds,
-                        naive_seconds: o.naive_seconds,
                         reroute_seconds: o.reroute_seconds,
                     },
                 );
@@ -637,6 +629,25 @@ mod tests {
         let mut l = layer(&comm, &grid, true);
         backward(&mut l, &comm, &grid);
         backward(&mut l, &comm, &grid);
+    }
+
+    #[test]
+    fn bf16_forward_is_the_oracle_on_rounded_operands() {
+        // Mixed precision rounds copies of I and W onto the bf16 grid and
+        // multiplies them on the f32 engine: bit for bit the oracle on
+        // `to_bf16()` operands.
+        let (comm, grid) = one_rank();
+        let w = Matrix::random(24, 20, 1.0, 4);
+        let i = Matrix::random(9, 24, 1.0, 5);
+        let mut l = ParallelLinear::from_full_weight(&grid, 0, &w, false);
+        copy_into(l.input_mut(&grid, 9), &i);
+        let out = l.forward(&comm, &grid, Precision::Bf16Mixed);
+        let oracle = axonn_tensor::gemm_reference(MatMode::NN, &i.to_bf16(), &w.to_bf16());
+        assert_eq!(out.to_bits(), oracle.to_bits());
+        assert_ne!(
+            out.to_bits(),
+            axonn_tensor::gemm_reference(MatMode::NN, &i, &w).to_bits()
+        );
     }
 
     #[test]

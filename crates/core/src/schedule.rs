@@ -62,8 +62,7 @@ pub fn default_transformer_shape(world: usize) -> TransformerShape {
 /// run on the grid — the divisibility contract
 /// `ParallelLinear::from_full_weight` asserts, mirrored here so illegal
 /// configurations are rejected with a clean error instead of a panic.
-/// (The same predicate guards elastic restart as
-/// `axonn_ft::layout::grid_fits`.)
+/// (Elastic restart calls it through `axonn_ft::layout::grid_fits`.)
 pub fn mlp_grid_fits(
     gx: usize,
     gy: usize,

@@ -3,14 +3,14 @@
 //! The weight-gradient product `Iᵀ·dO` defaults to the blocked TN
 //! kernel, which reads `I` in place and runs at about NN speed. Paper
 //! §V-C tuned around a TN kernel that did not (6 % vs 55 % of peak on
-//! Frontier); here the live alternatives to the default are the naive
-//! stride-`m` column walk and the paper's explicit transpose + NN
-//! reroute. During the first batch the tuner times every strategy for
-//! each layer's product with real wall-clock measurements — exactly the
-//! paper's procedure — and locks in the fastest for the remaining
-//! iterations.
+//! Frontier) by rerouting through an explicit transpose + NN. Those are
+//! the two strategies here. On this host TN in place wins most dW
+//! shapes, by up to a quarter, and the reroute a few, by a few percent
+//! (EXPERIMENTS.md, §V-C). During the first batch the tuner times both for each layer's
+//! product with real wall-clock measurements — exactly the paper's
+//! procedure — and locks in the faster for the remaining iterations.
 
-use axonn_tensor::{gemm, gemm_acc_into, gemm_tn_naive, MatMode, Matrix};
+use axonn_tensor::{gemm, gemm_acc_into, MatMode, Matrix};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -20,9 +20,6 @@ pub enum DwStrategy {
     /// Call the blocked TN kernel, which reads `I` in place through its
     /// strides, packs only `dO`'s panels and accumulates into `C`.
     InPlaceTn,
-    /// Call the naive TN kernel: the unblocked stride-`m` column walk —
-    /// the "bad kernel" the paper's tuner learned to avoid.
-    NaiveTn,
     /// Explicitly transpose `I` into a fresh matrix, then call the NN
     /// kernel — the rewrite that gave the paper its ~8× matmul speedup
     /// on GPT-320B.
@@ -34,7 +31,6 @@ impl DwStrategy {
     pub fn mode_label(self) -> &'static str {
         match self {
             DwStrategy::InPlaceTn => "TN",
-            DwStrategy::NaiveTn => "TN(naive)",
             DwStrategy::TransposeNn => "TN->NN",
         }
     }
@@ -49,8 +45,6 @@ pub struct TuningOutcome {
     pub strategy: DwStrategy,
     /// Measured wall time of the blocked, in-place TN kernel (seconds).
     pub direct_seconds: f64,
-    /// Measured wall time of the naive column-strided TN kernel.
-    pub naive_seconds: f64,
     /// Measured wall time of the transpose + NN reroute (seconds).
     pub reroute_seconds: f64,
 }
@@ -87,9 +81,9 @@ impl KernelTuner {
     /// Add `Iᵀ·dO` into `c` (`C += Iᵀ·dO`; on a zero `c` the product
     /// itself). Untuned mode always calls the blocked TN kernel (the
     /// framework default), which accumulates in place. With tuning
-    /// enabled, the first call for each layer times all three strategies
-    /// and records the winner; the naive walk and the reroute produce
-    /// the product first and add it.
+    /// enabled, the first call for each layer times both strategies and
+    /// records the winner; the reroute produces the product first and
+    /// adds it.
     pub fn dw_gemm_into(
         &mut self,
         layer_id: usize,
@@ -109,14 +103,13 @@ impl KernelTuner {
             DwStrategy::InPlaceTn => {
                 gemm_acc_into(MatMode::TN, i_local, d_o, c);
             }
-            DwStrategy::NaiveTn => c.add_assign(&gemm_tn_naive(i_local, d_o)),
             DwStrategy::TransposeNn => {
                 c.add_assign(&gemm(MatMode::NN, &i_local.transposed(), d_o));
             }
         }
     }
 
-    /// Time every strategy on `layer_id`'s product, lock in the fastest
+    /// Time both strategies on `layer_id`'s product, lock in the faster
     /// and return the product (the candidates are bitwise equal).
     fn tune(&mut self, layer_id: usize, i_local: &Matrix, d_o: &Matrix) -> Matrix {
         let t0 = Instant::now();
@@ -124,35 +117,26 @@ impl KernelTuner {
         let t_in_place = t0.elapsed();
 
         let t1 = Instant::now();
-        let naive = gemm_tn_naive(i_local, d_o);
-        let t_naive = t1.elapsed();
-
-        let t2 = Instant::now();
         let it = i_local.transposed();
         let rerouted = gemm(MatMode::NN, &it, d_o);
-        let t_reroute = t2.elapsed();
+        let t_reroute = t1.elapsed();
 
-        // All three tiers are bitwise identical to the reference oracle,
-        // so the candidates must agree exactly.
+        // Both are bitwise identical to the reference oracle, so the
+        // candidates must agree exactly.
         debug_assert!(
-            in_place == naive && in_place == rerouted,
+            in_place == rerouted,
             "tuning strategies disagree numerically"
         );
-        let mut strategy = DwStrategy::InPlaceTn;
-        let mut best = t_in_place;
-        if t_naive < best {
-            strategy = DwStrategy::NaiveTn;
-            best = t_naive;
-        }
-        if t_reroute < best {
-            strategy = DwStrategy::TransposeNn;
-        }
+        let strategy = if t_reroute < t_in_place {
+            DwStrategy::TransposeNn
+        } else {
+            DwStrategy::InPlaceTn
+        };
         self.choices.insert(layer_id, strategy);
         self.last_outcome = Some(TuningOutcome {
             layer_id,
             strategy,
             direct_seconds: t_in_place.as_secs_f64(),
-            naive_seconds: t_naive.as_secs_f64(),
             reroute_seconds: t_reroute.as_secs_f64(),
         });
         in_place
@@ -202,7 +186,6 @@ mod tests {
         assert_eq!(outcome.layer_id, 7);
         assert_eq!(outcome.strategy, t.choice(7).unwrap());
         assert!(outcome.direct_seconds >= 0.0 && outcome.reroute_seconds >= 0.0);
-        assert!(outcome.naive_seconds >= 0.0);
         let second = dw(&mut t, 7, &i, &d);
         assert!(
             t.take_last_outcome().is_none(),
@@ -215,30 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn large_contracted_dim_avoids_the_naive_walk() {
-        // The naive TN kernel walks A with stride m; for a big product
-        // either the packed TN kernel or the NN reroute must beat it, as
-        // the paper's tuner found on Frontier.
-        let mut t = KernelTuner::new(true);
-        let i = Matrix::random(768, 512, 1.0, 5);
-        let d = Matrix::random(768, 512, 1.0, 6);
-        let _ = dw(&mut t, 0, &i, &d);
-        assert_ne!(
-            t.choice(0),
-            Some(DwStrategy::NaiveTn),
-            "expected a blocked strategy to beat the naive TN walk"
-        );
-        let outcome = t.take_last_outcome().expect("decision just made");
-        assert!(
-            outcome.naive_seconds > outcome.direct_seconds.min(outcome.reroute_seconds),
-            "naive walk should be the slowest tier at this size"
-        );
-    }
-
-    #[test]
     fn strategy_labels_are_stable() {
         assert_eq!(DwStrategy::InPlaceTn.mode_label(), "TN");
-        assert_eq!(DwStrategy::NaiveTn.mode_label(), "TN(naive)");
         assert_eq!(DwStrategy::TransposeNn.mode_label(), "TN->NN");
     }
 

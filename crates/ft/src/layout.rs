@@ -80,22 +80,10 @@ where
 }
 
 /// Whether `grid` can legally run an MLP with the given global feature
-/// `dims` and batch size: every layer's weight must tile evenly
-/// (`k % g_in`, `n % g_out`, `(k/g_in) % G_z` — the same divisibility
-/// `from_full_weight` asserts) and the batch must split over
-/// `G_data · G_z`.
+/// `dims` and batch size: `axonn_core::mlp_grid_fits`, the divisibility
+/// `from_full_weight` asserts, on a [`Grid4d`].
 pub fn grid_fits(grid: &Grid4d, dims: &[usize], batch_rows: usize) -> bool {
-    if !batch_rows.is_multiple_of(grid.gd * grid.gz) {
-        return false;
-    }
-    (0..dims.len().saturating_sub(1)).all(|i| {
-        let t = layer_transposed(i);
-        let g_in = row_parts(grid, t);
-        let g_out = col_parts(grid, t);
-        dims[i].is_multiple_of(g_in)
-            && dims[i + 1].is_multiple_of(g_out)
-            && (dims[i] / g_in).is_multiple_of(grid.gz)
-    })
+    axonn_core::mlp_grid_fits(grid.gx, grid.gy, grid.gz, grid.gd, dims, batch_rows)
 }
 
 /// All grids over exactly `gpus` ranks that can resume a run with these

@@ -350,16 +350,12 @@ impl<'a> Timeline<'a> {
                     self.t_comp,
                     EventDetail::TunerDecision {
                         layer: sink.layer().unwrap_or(0),
-                        // On the GPU machine the library's TN kernel *is*
-                        // the pathological one, so it fills both the
-                        // direct and naive slots of the decision record.
                         choice: if mode == "TN->NN" {
                             "transpose_nn"
                         } else {
                             "direct_tn"
                         },
                         direct_seconds: direct,
-                        naive_seconds: direct,
                         reroute_seconds: rerouted,
                     },
                 );

@@ -1,4 +1,4 @@
-//! The one rounding rule of every GEMM tier, and the loops that must
+//! The one rounding rule of every GEMM kernel, and the loops that must
 //! agree with it bit for bit: each term is added by one correctly rounded
 //! fused multiply-add, in contraction order, from `+0.0`.
 //!
@@ -14,8 +14,7 @@
 //! names dispatch between the two copies.
 //!
 //! This sits outside the `simd` feature on purpose: the portable GEMM
-//! kernel, the naive tier the kernel tuner times, and cached decode
-//! attention all run here on every build.
+//! kernel and cached decode attention run here on every build.
 
 use crate::pack::NR;
 
@@ -53,21 +52,6 @@ macro_rules! twice {
             $body$(::<$r>)?($($arg),*)
         }
     };
-}
-
-twice! {
-    /// `Σ x[p·x_step] · y[p·y_step]` over the shorter of the two strided
-    /// walks, as one chain of fused multiply-adds in `p` order from
-    /// `+0.0`: one entry of a GEMM without the zero-skip.
-    pub(crate) fn dot_strided(x: &[f32], x_step: usize, y: &[f32], y_step: usize) -> f32 = dot_strided_body;
-}
-
-#[inline(always)]
-fn dot_strided_body(x: &[f32], x_step: usize, y: &[f32], y_step: usize) -> f32 {
-    x.iter()
-        .step_by(x_step)
-        .zip(y.iter().step_by(y_step))
-        .fold(0.0, |acc, (&a, &b)| a.mul_add(b, acc))
 }
 
 twice! {
@@ -219,17 +203,16 @@ mod tests {
         b[..NR].fill(1e-30);
         let x = &b[NR..2 * NR];
 
-        assert_eq!(
-            dot_strided(&a, 1, &b, NR).to_bits(),
-            dot_strided_body(&a, 1, &b, NR).to_bits()
-        );
         // Eleven rows: one interleaved group of eight and a tail of three.
         let (mut fused, mut plain) = (vec![0.0; 11], vec![0.0; 11]);
         dot_rows(&a[..7], &b[..77], &mut fused);
         dot_rows_body(&a[..7], &b[..77], &mut plain);
         assert_eq!(bits(&fused), bits(&plain));
         for (i, &v) in fused.iter().enumerate() {
-            let chain = dot_strided(&a[..7], 1, &b[i * 7..(i + 1) * 7], 1);
+            let chain = a[..7]
+                .iter()
+                .zip(&b[i * 7..(i + 1) * 7])
+                .fold(0.0f32, |acc, (&x, &y)| x.mul_add(y, acc));
             assert_eq!(v.to_bits(), chain.to_bits(), "row {i}");
         }
         let (mut fused, mut plain) = (b[..NR].to_vec(), b[..NR].to_vec());
@@ -256,7 +239,9 @@ mod tests {
         // the square to 1 + 2^-11 first and loses the 2^-24.
         let x = 1.0 + 2f32.powi(-12);
         let exact = 2f32.powi(-11) + 2f32.powi(-24);
-        assert_eq!(dot_strided(&[1.0, x], 1, &[-1.0, x], 1), exact);
+        let mut out = [0.0];
+        dot_rows(&[1.0, x], &[-1.0, x], &mut out);
+        assert_eq!(out[0], exact);
         assert_ne!(-1.0 + x * x, exact);
     }
 }

@@ -1,27 +1,21 @@
-//! GEMM entry points: blocked/packed kernel hierarchy with distinct
-//! NN / NT / TN handling, plus the retained naive tier.
+//! GEMM entry points: one blocked/packed kernel hierarchy with distinct
+//! NN / NT / TN handling, and the reference oracle it is proven against.
 //!
 //! Section V-C of the paper observed that BLAS libraries ship kernels of
 //! very different quality for the three operand-transposition modes (on
 //! Frontier a TN matmul ran at 6% of peak vs 55% for NN), and built an
-//! automated tuner that times all modes on the first batch. This module
-//! reproduces that situation honestly on CPU with **two tiers**:
+//! automated tuner that times the direct TN kernel against a transpose +
+//! NN reroute on the first batch. Here every product runs on the
+//! **blocked engine**: cache-blocked mc/kc/nc loops over register-tiled
+//! micro-kernels reading packed B panels ([`crate::pack`] and the private
+//! `kernel` module). NT packs `Bᵀ` panels so the dot-product reduction
+//! becomes the same broadcast-multiply-add loop as NN; TN reads its
+//! `k × m` A in place through two strides, so the rows of one contraction
+//! step are one contiguous run. The dense tiles run on the best [`Isa`]
+//! the CPU has: AVX-512 FMA intrinsics with the `simd` feature, the
+//! portable kernel otherwise.
 //!
-//! * The **blocked tier** (default): cache-blocked mc/kc/nc loops over
-//!   register-tiled micro-kernels reading packed B panels
-//!   ([`crate::pack`] and the private `kernel` module). NT packs `Bᵀ` panels so the
-//!   dot-product reduction becomes the same broadcast-multiply-add loop
-//!   as NN; TN reads its `k × m` A in place through two strides, so the
-//!   rows of one contraction step are one contiguous run. The dense
-//!   tiles run on the best [`Isa`] the CPU has: AVX-512 FMA intrinsics
-//!   with the `simd` feature, the portable kernel otherwise.
-//! * The **naive tier** ([`gemm_into_naive`], [`gemm_tn_naive`]): the
-//!   pre-blocking loops, kept as the alternative the `axonn-core` tuner
-//!   times against the blocked tier (TN-naive is the stride-`m` column
-//!   walk, the kind of kernel the paper tuned around) and as the
-//!   "scalar" column of the bench drift tables.
-//!
-//! **Arithmetic contract.** Every tier is bitwise identical to
+//! **Arithmetic contract.** Every kernel is bitwise identical to
 //! [`gemm_reference`]: each `C[i][j]` is one correctly rounded fused
 //! multiply-add per term, in contraction order, from `+0.0`
 //! ([`crate::fused`]); NN products skip every exact-zero A term (which
@@ -29,15 +23,13 @@
 //! depend on the ISA, the tile a row landed in, the block sizes, the
 //! thread split, or whether B was packed per call or once.
 //!
-//! All kernels accumulate in `f32`; [`gemm_bf16`] quantizes operands to
-//! the bf16 grid *during packing* (no intermediate matrix copies), which
-//! is how the mixed-precision training mode reaches these kernels.
+//! All kernels accumulate in `f32`. Mixed precision rounds copies of the
+//! operands onto the bf16 grid ([`Matrix::to_bf16`]) and multiplies
+//! those.
 
-use crate::fused;
 use crate::kernel::{self, Isa};
 use crate::matrix::Matrix;
 use crate::pack::{self, BLayout, BlockSizes, PackedB};
-use rayon::prelude::*;
 use std::cell::Cell;
 
 /// Operand transposition mode of a matrix multiply.
@@ -134,8 +126,8 @@ impl Rhs<'_> {
 /// Pack/kernel accounting for one multiply, surfaced on trace GEMM spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GemmStats {
-    /// Bytes written into the thread-local pack buffers (B panels, plus
-    /// the A copy of a bf16 product). A pre-packed B contributes none.
+    /// Bytes written into the thread-local B pack buffer. A pre-packed B
+    /// contributes none.
     pub packed_bytes: u64,
     /// Number of NR-wide B panels packed by this call.
     pub panels: u32,
@@ -250,9 +242,7 @@ pub fn gemm_into_with<'a>(
     cap: Isa,
 ) -> GemmStats {
     let b = b.into();
-    timed(mode, || {
-        gemm_blocked(mode, a, b, c, false, false, blocks, cap)
-    })
+    timed(mode, || gemm_blocked(mode, a, b, c, false, blocks, cap))
 }
 
 /// Accumulating multiply on the blocked engine: `C += A·B` under `mode`.
@@ -272,50 +262,19 @@ pub fn gemm_acc_into<'a>(
 ) -> GemmStats {
     let b = b.into();
     timed(mode, || {
-        gemm_blocked(mode, a, b, c, false, true, BlockSizes::default(), Isa::BEST)
+        gemm_blocked(mode, a, b, c, true, BlockSizes::default(), Isa::BEST)
     })
 }
 
-/// Mixed-precision multiply: quantize both operands to the bf16 grid,
-/// multiply with f32 accumulation. This is the entry point used by the
-/// training engine when `precision = Bf16Mixed`. Quantization is fused
-/// into the packing pass — no full-matrix copies are allocated.
-pub fn gemm_bf16(mode: MatMode, a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, n) = mode.output_shape(a.shape(), b.shape());
-    let mut c = Matrix::zeros(m, n);
-    let _ = gemm_bf16_into(mode, a, b, &mut c);
-    c
-}
-
-/// [`gemm_bf16`] into a preallocated output, returning pack accounting.
-pub fn gemm_bf16_into(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) -> GemmStats {
-    timed(mode, || {
-        gemm_blocked(
-            mode,
-            a,
-            b.into(),
-            c,
-            true,
-            false,
-            BlockSizes::default(),
-            Isa::BEST,
-        )
-    })
-}
-
-/// The blocked tier: pack B into panels (quantizing if asked) unless the
-/// caller already did, take the A view (the caller's slice, or a
-/// quantized copy in the same layout) with its two strides, then run the
-/// register-tiled engine. Zero-skip row flags are computed on the A view
-/// actually fed to the kernels, so f32 and bf16 agree on what "zero"
-/// means. `accumulate` adds the product into `C` instead of overwriting.
-#[allow(clippy::too_many_arguments)]
+/// The blocked engine: pack B into panels unless the caller already
+/// did, read A in place through its two strides, and run the
+/// register-tiled kernels. `accumulate` adds the product into `C`
+/// instead of overwriting.
 fn gemm_blocked(
     mode: MatMode,
     a: &Matrix,
     b: Rhs<'_>,
     c: &mut Matrix,
-    quantize: bool,
     accumulate: bool,
     blocks: BlockSizes,
     cap: Isa,
@@ -345,142 +304,49 @@ fn gemm_blocked(
         MatMode::TN => (1, m),
     };
     let c_slice = c.as_mut_slice();
-    // Everything downstream of the packed panels: the A bytes it packed.
     let mut kernels = |bp: &[f32]| {
-        pack::with_a_view(a.as_slice(), quantize, |av| {
-            let mut run = |flags: Option<&[u8]>| {
-                let g = kernel::Gemm {
-                    a: av,
-                    rs,
-                    ps,
-                    bp,
-                    flags,
-                    m,
-                    k,
-                    n,
-                    accumulate,
-                    blocks,
-                    isa,
-                };
-                kernel::run(c_slice, &g, workers)
+        let mut run = |flags: Option<&[u8]>| {
+            let g = kernel::Gemm {
+                a: a.as_slice(),
+                rs,
+                ps,
+                bp,
+                flags,
+                m,
+                k,
+                n,
+                accumulate,
+                blocks,
+                isa,
             };
-            if mode == MatMode::NN {
-                pack::with_row_flags(av, m, k, |flags| run(Some(flags)))
-            } else {
-                run(None)
-            }
-        })
+            kernel::run(c_slice, &g, workers)
+        };
+        if mode == MatMode::NN {
+            pack::with_row_flags(a.as_slice(), m, k, |flags| run(Some(flags)))
+        } else {
+            run(None)
+        }
     };
     let simd = isa != Isa::Scalar;
     match b {
         Rhs::Matrix(b) => {
-            let (panels, b_bytes, (a_bytes, ())) =
-                pack::with_packed_b(b.as_slice(), BLayout::of(mode), k, n, quantize, kernels);
+            let (panels, packed_bytes, ()) =
+                pack::with_packed_b(b.as_slice(), BLayout::of(mode), k, n, kernels);
             GemmStats {
-                packed_bytes: b_bytes + a_bytes,
+                packed_bytes,
                 panels: panels as u32,
                 simd,
             }
         }
         Rhs::Packed(bp) => {
-            assert!(!quantize, "pre-packed operands are f32 only");
-            let (a_bytes, ()) = kernels(&bp.panels);
+            kernels(&bp.panels);
             GemmStats {
-                packed_bytes: a_bytes,
+                packed_bytes: 0,
                 panels: 0,
                 simd,
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Naive tier: the pre-blocking kernels, kept as a live alternative.
-// ---------------------------------------------------------------------------
-
-/// Multiply with the naive (unblocked, unpacked) kernels. This is the
-/// tier the automated tuner times the packed kernels against; TN in
-/// particular keeps its deliberately bad stride-`m` column walk.
-pub fn gemm_into_naive(mode: MatMode, a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let expect = mode.output_shape(a.shape(), b.shape());
-    assert_eq!(c.shape(), expect, "output shape mismatch for {mode}");
-    let _ = timed(mode, || {
-        match mode {
-            MatMode::NN => naive_nn(a, b, c),
-            MatMode::NT => naive_nt(a, b, c),
-            MatMode::TN => naive_tn(a, b, c),
-        }
-        GemmStats::default()
-    });
-}
-
-/// Naive TN multiply, allocating the output — the tuner's "bad kernel"
-/// baseline (`C = Aᵀ·B` via a column-strided walk over `A`).
-pub fn gemm_tn_naive(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, n) = MatMode::TN.output_shape(a.shape(), b.shape());
-    let mut c = Matrix::zeros(m, n);
-    gemm_into_naive(MatMode::TN, a, b, &mut c);
-    c
-}
-
-/// Run `body(i, row i of C)` over every row: serially, or in one
-/// contiguous band of rows per kernel thread when the product is large
-/// enough to split — the blocked tier's predicate and thread count.
-fn for_each_row(c: &mut Matrix, macs: usize, body: impl Fn((usize, &mut [f32])) + Sync) {
-    let (m, n) = c.shape();
-    let workers = kernel::split_workers(macs);
-    if workers > 1 {
-        let band = m.div_ceil(workers);
-        c.as_mut_slice()
-            .par_chunks_mut(band * n)
-            .enumerate()
-            .for_each(|(bi, rows)| {
-                for (r, row) in rows.chunks_mut(n).enumerate() {
-                    body((bi * band + r, row));
-                }
-            });
-    } else {
-        c.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
-    }
-}
-
-/// Naive NN: for each row of C, accumulate k rank-1 row updates with a
-/// unit-stride inner loop, skipping exact-zero A terms as every NN tier
-/// does.
-fn naive_nn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let body = |(i, c_row): (usize, &mut [f32])| {
-        c_row.fill(0.0);
-        for (p, &a_ip) in a.row(i).iter().enumerate() {
-            if a_ip != 0.0 {
-                fused::axpy(a_ip, b.row(p), c_row);
-            }
-        }
-    };
-    for_each_row(c, m * n * k, body);
-}
-
-/// Naive NT: C[i][j] = dot(A row i, B row j) — a scalar reduction.
-fn naive_nt(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.rows();
-    let body = |(i, c_row): (usize, &mut [f32])| fused::dot_rows(a.row(i), b.as_slice(), c_row);
-    for_each_row(c, m * n * k, body);
-}
-
-/// Naive TN: C[i][j] = sum_p A[p][i] * B[p][j] with a column-strided walk
-/// over `A` — stride `m` per step — and over `B`.
-fn naive_tn(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (k, m) = a.shape();
-    let n = b.cols();
-    let (a_data, b_data) = (a.as_slice(), b.as_slice());
-    let body = |(i, c_row): (usize, &mut [f32])| {
-        for (j, c_v) in c_row.iter_mut().enumerate() {
-            *c_v = fused::dot_strided(&a_data[i..], m, &b_data[j..], n);
-        }
-    };
-    for_each_row(c, m * n * k, body);
 }
 
 /// Naive triple-loop reference: the bitwise oracle for every other
@@ -570,19 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_tier_matches_reference_bitwise() {
-        for mode in MatMode::ALL {
-            let (a, b) = operands(mode, 13, 9, 11, 40);
-            let mut c = Matrix::zeros(13, 11);
-            gemm_into_naive(mode, &a, &b, &mut c);
-            assert_eq!(c, gemm_reference(mode, &a, &b), "naive {mode}");
-        }
-        let at = Matrix::random(9, 5, 1.0, 44);
-        let b = Matrix::random(9, 6, 1.0, 45);
-        assert_eq!(gemm_tn_naive(&at, &b), gemm_reference(MatMode::TN, &at, &b));
-    }
-
-    #[test]
     fn tiny_blocks_cross_every_boundary() {
         // Block sizes far smaller than the shape force multiple kc
         // spills, tail panels, and odd row tiles in one multiply.
@@ -636,7 +489,7 @@ mod tests {
     fn skipped_zero_after_an_underflowed_product_keeps_the_sign() {
         // The first fused product, -1e-60, rounds to -0.0. Skipping the
         // zero term leaves -0.0; adding `0·1` would give +0.0. Every NN
-        // tier and the oracle skip it, and `==` could not tell them apart.
+        // kernel and the oracle skip it, and `==` could not tell them apart.
         let a = Matrix::from_vec(1, 2, vec![-1e-30, 0.0]);
         let b = Matrix::from_vec(2, 1, vec![1e-30, 1.0]);
         let oracle = gemm_reference(MatMode::NN, &a, &b);
@@ -646,9 +499,6 @@ mod tests {
             let _ = gemm_into_with(MatMode::NN, &a, &b, &mut c, BlockSizes::default(), isa);
             assert_eq!(c.to_bits(), oracle.to_bits(), "{isa:?}");
         }
-        let mut c = Matrix::zeros(1, 1);
-        gemm_into_naive(MatMode::NN, &a, &b, &mut c);
-        assert_eq!(c.to_bits(), oracle.to_bits(), "naive");
         // And `0·inf` is skipped, not NaN.
         let b_inf = Matrix::from_vec(2, 1, vec![1.0, f32::INFINITY]);
         assert_eq!(gemm(MatMode::NN, &a, &b_inf).as_slice(), &[-1e-30]);
@@ -762,9 +612,6 @@ mod tests {
                         }
                         let packed_c = gemm(mode, &a, &packed);
                         assert_eq!(packed_c.to_bits(), oracle, "{mode} packed, {threads}");
-                        let mut c = Matrix::zeros(m, n);
-                        gemm_into_naive(mode, &a, &b, &mut c);
-                        assert_eq!(c.to_bits(), oracle, "{mode} naive, {threads} threads");
                     });
                 }
             }
@@ -787,35 +634,11 @@ mod tests {
     }
 
     #[test]
-    fn gemm_bf16_quantizes_operands() {
-        // With operands exactly on the bf16 grid, bf16 gemm equals f32 gemm.
-        let mut a = Matrix::random(8, 8, 1.0, 12);
-        let mut b = Matrix::random(8, 8, 1.0, 13);
-        a.round_bf16();
-        b.round_bf16();
-        let full = gemm(MatMode::NN, &a, &b);
-        let mixed = gemm_bf16(MatMode::NN, &a, &b);
-        assert_eq!(full, mixed);
-    }
-
-    #[test]
-    fn gemm_bf16_fused_pack_matches_quantize_then_gemm() {
-        // The fused quantize-on-pack path must be bitwise identical to
-        // materializing bf16 copies first — for every mode.
-        for mode in MatMode::ALL {
-            let (a, b) = operands(mode, 11, 14, 9, 90);
-            let fused = gemm_bf16(mode, &a, &b);
-            let staged = gemm_reference(mode, &a.to_bf16(), &b.to_bf16());
-            assert_eq!(fused, staged, "{mode}");
-        }
-    }
-
-    #[test]
     fn gemm_bf16_error_is_bounded() {
         let a = Matrix::random(16, 16, 1.0, 14);
         let b = Matrix::random(16, 16, 1.0, 15);
         let full = gemm(MatMode::NN, &a, &b);
-        let mixed = gemm_bf16(MatMode::NN, &a, &b);
+        let mixed = gemm(MatMode::NN, &a.to_bf16(), &b.to_bf16());
         // Two operands each within 2^-8 relative error, k=16 accumulation:
         // generous bound of 0.05 absolute for unit-scale inputs.
         assert!(full.max_abs_diff(&mixed) < 0.05);

@@ -28,8 +28,7 @@ use crate::pack::{BlockSizes, MR, NR};
 use rayon::prelude::*;
 
 /// Multiply-adds at and above which one product is split across kernel
-/// threads — the one split predicate, for the blocked and naive tiers
-/// alike. Set from the in-situ crossover, not a hot-cache microbenchmark
+/// threads — the one split predicate of the blocked engine. Set from the in-situ crossover, not a hot-cache microbenchmark
 /// of one product (which put it at 6–8 M): whole
 /// `TransformerStack::train_step` wall time (256 tokens, 2 layers, AVX2,
 /// 2-core reference box; min–median of five interleaved runs), kernels

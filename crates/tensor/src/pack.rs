@@ -7,18 +7,17 @@
 //!   element `(i, p)` at `i·rs + p·ps`. NN/NT borrow the caller's
 //!   `m × k` matrix (`rs = k, ps = 1`); TN borrows its `k × m` matrix
 //!   (`rs = 1, ps = m`), so the rows of one contraction step are one
-//!   contiguous run. bf16 copies the operand in its own layout, rounding
-//!   while it copies.
+//!   contiguous run. Nothing is copied.
 //! * **Packed B** — `⌈n/NR⌉` panels, each `k × NR`, laid out panel-major:
 //!   element `(p, lane)` of panel `jp` lives at `jp·k·NR + p·NR + lane`.
 //!   Tail-panel lanes beyond `n` are zero so the kernels always run full
 //!   width; a zero lane accumulates a value that never reaches `C`.
 //!   Every kernel, of every tile height and ISA, reads this one layout.
 //!
-//! Pack buffers are thread-local and reused across calls, so steady-state
-//! training steps do no per-GEMM slab allocation.
+//! The B pack buffer and the NN zero-row flags are thread-local and
+//! reused across calls, so steady-state training steps do no per-GEMM
+//! slab allocation.
 
-use crate::bf16;
 use crate::gemm::MatMode;
 use crate::matrix::Matrix;
 use std::cell::RefCell;
@@ -84,7 +83,6 @@ impl BLayout {
 }
 
 thread_local! {
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static ROW_FLAGS: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
@@ -133,7 +131,6 @@ pub(crate) fn with_packed_b<R>(
     layout: BLayout,
     k: usize,
     n: usize,
-    quantize: bool,
     f: impl FnOnce(&[f32]) -> R,
 ) -> (usize, u64, R) {
     let panels = n.div_ceil(NR);
@@ -145,9 +142,6 @@ pub(crate) fn with_packed_b<R>(
         }
         let packed = &mut buf[..len];
         fill_packed_b(packed, src, layout, k, n);
-        if quantize {
-            bf16::round_slice(packed);
-        }
         let r = f(packed);
         (panels, (len * std::mem::size_of::<f32>()) as u64, r)
     })
@@ -182,36 +176,15 @@ impl PackedB {
     }
 }
 
-/// Run `f` with the A view for `src`: the slice itself, or, when
-/// `quantize`, a bf16-rounded copy in the same layout in the thread-local
-/// A buffer. Returns `(packed_bytes, f-result)`.
-pub(crate) fn with_a_view<R>(src: &[f32], quantize: bool, f: impl FnOnce(&[f32]) -> R) -> (u64, R) {
-    if !quantize {
-        return (0, f(src));
-    }
-    PACK_A.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        buf.clear();
-        buf.extend_from_slice(src);
-        bf16::round_slice(&mut buf);
-        (std::mem::size_of_val(src) as u64, f(&buf))
-    })
-}
-
-/// Run `f` with per-row "contains a zero" flags for the `m × k` A view
+/// Run `f` with per-row "contains a zero" flags for the `m × k` A
 /// (the NN zero-skip decision, hoisted ahead of packing).
-pub(crate) fn with_row_flags<R>(
-    a_view: &[f32],
-    m: usize,
-    k: usize,
-    f: impl FnOnce(&[u8]) -> R,
-) -> R {
+pub(crate) fn with_row_flags<R>(a: &[f32], m: usize, k: usize, f: impl FnOnce(&[u8]) -> R) -> R {
     ROW_FLAGS.with(|buf| {
         let mut buf = buf.borrow_mut();
         buf.clear();
         buf.resize(m, 0);
         for (i, flag) in buf.iter_mut().enumerate() {
-            if a_view[i * k..i * k + k].contains(&0.0) {
+            if a[i * k..i * k + k].contains(&0.0) {
                 *flag = 1;
             }
         }
@@ -241,7 +214,7 @@ mod tests {
     fn packed_b_kxn_layout_and_zero_padding() {
         // 2 × 3 B, one panel: lane 0..3 filled, lanes 3..NR zero.
         let b = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let (panels, bytes, ()) = with_packed_b(&b, BLayout::KxN, 2, 3, false, |bp| {
+        let (panels, bytes, ()) = with_packed_b(&b, BLayout::KxN, 2, 3, |bp| {
             assert_eq!(bp.len(), 2 * NR);
             assert_eq!(&bp[0..3], &[1.0, 2.0, 3.0]);
             assert!(bp[3..NR].iter().all(|&v| v == 0.0));
@@ -255,7 +228,7 @@ mod tests {
     fn packed_b_nxk_transposes() {
         // NT: B is n × k = 2 × 3; packed panel must hold B[j][p] at lane j.
         let b = [1.0f32, 2.0, 3.0, 10.0, 20.0, 30.0];
-        with_packed_b(&b, BLayout::NxK, 3, 2, false, |bp| {
+        with_packed_b(&b, BLayout::NxK, 3, 2, |bp| {
             assert_eq!(bp[0], 1.0); // p=0 lane 0
             assert_eq!(bp[1], 10.0); // p=0 lane 1
             assert_eq!(bp[NR], 2.0); // p=1 lane 0
@@ -272,13 +245,13 @@ mod tests {
         // although the buffer is no longer memset per call.
         let big = vec![7.0f32; 5 * 40];
         for layout in [BLayout::KxN, BLayout::NxK] {
-            with_packed_b(&big, layout, 5, 40, false, |bp| {
+            with_packed_b(&big, layout, 5, 40, |bp| {
                 assert_eq!(bp.len(), 3 * 5 * NR);
                 assert!(bp[..2 * 5 * NR].iter().all(|&v| v == 7.0));
             });
             let small = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
             let (k, n) = (2, 3);
-            with_packed_b(&small, layout, k, n, false, |bp| {
+            with_packed_b(&small, layout, k, n, |bp| {
                 assert_eq!(bp.len(), k * NR);
                 for p in 0..k {
                     assert!(bp[p * NR..p * NR + n].iter().all(|&v| v != 0.0 && v != 7.0));
@@ -301,7 +274,7 @@ mod tests {
             };
             let owned = PackedB::pack(mode, &b);
             assert_eq!((owned.k, owned.n), (k, n));
-            with_packed_b(b.as_slice(), BLayout::of(mode), k, n, false, |bp| {
+            with_packed_b(b.as_slice(), BLayout::of(mode), k, n, |bp| {
                 assert_eq!(bp, &owned.panels[..]);
             });
         }
@@ -326,7 +299,7 @@ mod tests {
     fn geometry_matches_packing() {
         let (m, k, n) = (10, 7, 33);
         let b = vec![1.0f32; k * n];
-        let (panels, bytes, ()) = with_packed_b(&b, BLayout::KxN, k, n, false, |_| ());
+        let (panels, bytes, ()) = with_packed_b(&b, BLayout::KxN, k, n, |_| ());
         assert_eq!(pack_geometry(m, k, n), (panels as u32, bytes));
         assert_eq!(pack_geometry(0, k, n), (0, 0));
     }

@@ -6,9 +6,8 @@
 
 use axonn_tensor::shard::assemble_blocks;
 use axonn_tensor::{
-    block_of, concat_cols, concat_rows, gemm, gemm_bf16, gemm_into_with, gemm_reference,
-    pack_geometry, shard_rows, unshard_rows, BlockSizes, BlockSpec, Isa, MatMode, Matrix, PackedB,
-    MR, NR,
+    block_of, concat_cols, concat_rows, gemm, gemm_into_with, gemm_reference, pack_geometry,
+    shard_rows, unshard_rows, BlockSizes, BlockSpec, Isa, MatMode, Matrix, PackedB, MR, NR,
 };
 use proptest::prelude::*;
 
@@ -215,18 +214,6 @@ proptest! {
     }
 
     #[test]
-    fn bf16_fused_pack_matches_quantize_then_gemm(
-        mode in mode(), m in dim(), k in dim(), n in dim(), seed in 0u64..1000
-    ) {
-        // Quantization fused into packing must be indistinguishable from
-        // materializing bf16 copies first (the old two-copy path).
-        let (a, b) = operands(mode, m, k, n, seed);
-        let fused = gemm_bf16(mode, &a, &b);
-        let staged = gemm_reference(mode, &a.to_bf16(), &b.to_bf16());
-        prop_assert_eq!(fused.to_bits(), staged.to_bits());
-    }
-
-    #[test]
     fn zero_sized_edges_all_modes(mode in mode(), m in 0usize..3, k in 0usize..3, n in 0usize..3, seed in 0u64..1000) {
         let (a, b) = operands(mode, m, k, n, seed);
         let out = gemm(mode, &a, &b);
@@ -294,7 +281,7 @@ proptest! {
         let a = Matrix::random(m, k, 1.0, seed);
         let b = Matrix::random(k, n, 1.0, seed + 1);
         let exact = gemm(MatMode::NN, &a, &b);
-        let mixed = gemm_bf16(MatMode::NN, &a, &b);
+        let mixed = gemm(MatMode::NN, &a.to_bf16(), &b.to_bf16());
         // |error| <= k * (2*eps + eps^2) for unit-bounded operands.
         let bound = k as f32 * 3.0 * (1.0 / 256.0) + 1e-5;
         prop_assert!(exact.max_abs_diff(&mixed) <= bound);

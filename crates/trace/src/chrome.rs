@@ -72,13 +72,11 @@ fn span_event(rank: usize, ev: &TraceEvent) -> Value {
         EventDetail::TunerDecision {
             choice,
             direct_seconds,
-            naive_seconds,
             reroute_seconds,
             ..
         } => {
             args.push(("choice".into(), choice.serialize()));
             args.push(("direct_seconds".into(), direct_seconds.serialize()));
-            args.push(("naive_seconds".into(), naive_seconds.serialize()));
             args.push(("reroute_seconds".into(), reroute_seconds.serialize()));
         }
         EventDetail::Recovery {

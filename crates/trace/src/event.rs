@@ -140,12 +140,10 @@ impl Serialize for XferStats {
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventDetail {
     /// A local GEMM on the compute stream. `mode` is the operand
-    /// transposition actually executed (`"NN"`, `"NT"`, `"TN"`,
-    /// `"TN(naive)"` when the tuner kept the unpacked kernel, or
-    /// `"TN->NN"` when it rerouted through a transpose). `packed_bytes`
-    /// and `panels` count the blocked engine's pack traffic: the B
-    /// panels, plus the A copy of a bf16 product (A is otherwise read in
-    /// place, in every mode); zero for the naive tier.
+    /// transposition actually executed (`"NN"`, `"NT"`, `"TN"`, or
+    /// `"TN->NN"` when the tuner rerouted through a transpose).
+    /// `packed_bytes` and `panels` count the blocked engine's pack
+    /// traffic: the B panels only (A is read in place, in every mode).
     Gemm {
         mode: &'static str,
         flops: f64,
@@ -181,14 +179,12 @@ pub enum EventDetail {
     LayerBwd { layer: usize },
     /// The kernel tuner locked in a strategy for a layer's dW GEMM.
     /// `direct_seconds` timed the blocked TN kernel, which reads its
-    /// operand in place (`choice` `in_place_tn`), `naive_seconds` the
-    /// unpacked column-strided TN walk (`naive_tn`), `reroute_seconds`
-    /// the explicit transpose + NN path (`transpose_nn`).
+    /// operand in place (`choice` `in_place_tn`), `reroute_seconds` the
+    /// explicit transpose + NN path (`transpose_nn`).
     TunerDecision {
         layer: usize,
         choice: &'static str,
         direct_seconds: f64,
-        naive_seconds: f64,
         reroute_seconds: f64,
     },
     /// Non-GEMM compute charged by the simulator (attention, softmax…).
@@ -313,13 +309,11 @@ impl Serialize for EventDetail {
                 layer,
                 choice,
                 direct_seconds,
-                naive_seconds,
                 reroute_seconds,
             } => {
                 fields.push(("layer".into(), layer.serialize()));
                 fields.push(("choice".into(), choice.serialize()));
                 fields.push(("direct_seconds".into(), direct_seconds.serialize()));
-                fields.push(("naive_seconds".into(), naive_seconds.serialize()));
                 fields.push(("reroute_seconds".into(), reroute_seconds.serialize()));
             }
             EventDetail::Aux { label } => {
