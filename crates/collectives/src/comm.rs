@@ -10,16 +10,16 @@
 //! time. Reduction order is fixed by group order, so results are
 //! deterministic (bit-identical across runs for the same grid).
 //!
-//! Every collective has two faces: the infallible legacy API (panics on a
-//! poisoned world or lost peer, preserving PR 1's semantics) and a
-//! fallible `try_*` API returning [`CommError`], which is what the
-//! fault-tolerant supervisor builds on.
+//! Every collective has two faces: the infallible API (panics with a
+//! typed [`CommError`] payload on a lost peer, which the launcher reads
+//! as a secondary failure) and a fallible `try_*` API returning
+//! [`CommError`], which is what the fault-tolerant supervisor builds on.
 
 use crate::algo::AlgoPolicy;
 use crate::cost::{CostModel, NullCost};
 use crate::fault::{unwrap_comm, CommError, FaultConfig};
 use crate::group::ProcessGroup;
-use crate::mailbox::{MsgKey, PoisonInfo, Transport};
+use crate::mailbox::{MsgKey, Transport};
 use crate::pool::{Payload, PipelineConfig, PoolStats};
 use crate::program::{self, HopStats, Program};
 use crate::sched::{SchedEvent, SchedKind, SchedOp};
@@ -138,16 +138,6 @@ impl CommWorld {
     }
 }
 
-/// Default recording policy: on in debug builds, off in release, with
-/// `AXONN_SCHED_VERIFY=1`/`0` overriding either way.
-fn default_recording() -> bool {
-    match std::env::var("AXONN_SCHED_VERIFY") {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("false") => false,
-        Ok(_) => true,
-        Err(_) => cfg!(debug_assertions),
-    }
-}
-
 /// The cores each rank of a `world_size`-rank world gets: the count of
 /// the pool the caller is installed in divided among the ranks, at
 /// least one. An explicit `AXONN_THREADS=n` (read once per process)
@@ -218,8 +208,8 @@ impl WorldBuilder {
     }
 
     /// Force per-rank schedule recording on or off. The default follows
-    /// the build profile (on under `debug_assertions`), overridable with
-    /// `AXONN_SCHED_VERIFY=1`/`0`; dry worlds always record.
+    /// the build profile (on under `debug_assertions`); dry worlds always
+    /// record.
     pub fn record_schedule(mut self, on: bool) -> Self {
         self.record_schedule = Some(on);
         self
@@ -265,8 +255,8 @@ impl WorldBuilder {
         // Resolved once here, not per rank: every rank of a world must
         // select the same algorithm for the same collective.
         let algo = algo.unwrap_or_else(AlgoPolicy::from_env);
-        let record = dry || record_schedule.unwrap_or_else(default_recording);
-        let transport = Transport::with_opts_recording(size, faults, pipeline, record);
+        let record = dry || record_schedule.unwrap_or(cfg!(debug_assertions));
+        let transport = Transport::with_opts(size, faults, pipeline, record);
         // Live metrics go to the caller's registry, if it gave one. Dry
         // worlds never stamp (they execute nothing).
         let live = metrics
@@ -417,21 +407,9 @@ impl Comm {
         self.shared.transport.dump_flight_all(reason)
     }
 
-    /// Mark the whole world dead because `origin_rank` panicked: every
-    /// rank blocked in (or later entering) a collective panics instead
-    /// of deadlocking on a peer that will never answer.
-    pub fn poison_world(&self, origin_rank: usize, message: String) {
-        self.shared.transport.poison(origin_rank, message);
-    }
-
-    /// The first recorded failure, if this world was poisoned.
-    pub fn poison_info(&self) -> Option<PoisonInfo> {
-        self.shared.transport.poison_info()
-    }
-
-    /// Declare `rank` dead without poisoning the world: receivers
-    /// blocked on it get [`CommError::PeerLost`] while surviving ranks
-    /// keep communicating. Used by the supervisor's failure detector.
+    /// Declare `rank` dead: receivers blocked on it get
+    /// [`CommError::PeerLost`] while surviving ranks keep communicating.
+    /// The launcher calls it for every rank that panics.
     pub fn mark_dead(&self, rank: usize, reason: &str) {
         self.shared.transport.mark_dead(rank, reason);
     }
@@ -544,14 +522,14 @@ impl Comm {
     }
 
     /// Snapshot of every rank's recorded schedule stream, when this world
-    /// records schedules (dry worlds and debug/`AXONN_SCHED_VERIFY=1`
-    /// runtime worlds).
+    /// records schedules (dry worlds, debug builds, and worlds built with
+    /// [`WorldBuilder::record_schedule`]).
     pub fn schedule_streams(&self) -> Option<Vec<Vec<SchedEvent>>> {
         self.shared.transport.schedule_streams()
     }
 
     /// True when the recorded streams reflect a fully successful run (no
-    /// poison, dead ranks, or typed comm errors) and are therefore
+    /// dead ranks or typed comm errors) and are therefore
     /// required to satisfy the SPMD matching property.
     pub fn schedule_clean(&self) -> bool {
         self.shared.transport.schedule_clean()
@@ -946,6 +924,21 @@ pub(crate) fn charge(
     Ok(done)
 }
 
+/// A virtual time as two `f32` lanes holding its `f64` bits, so clocks
+/// cross the transport exactly rather than rounded to `f32`.
+fn clock_lanes(t: f64) -> Vec<f32> {
+    let bits = t.to_bits();
+    vec![
+        f32::from_bits(bits as u32),
+        f32::from_bits((bits >> 32) as u32),
+    ]
+}
+
+/// Inverse of [`clock_lanes`].
+fn clock_value(lanes: &[f32]) -> f64 {
+    f64::from_bits(u64::from(lanes[0].to_bits()) | u64::from(lanes[1].to_bits()) << 32)
+}
+
 /// Max-reduce the members' clock values: gather to group root, fan out.
 pub(crate) fn clock_sync(
     shared: &CommShared,
@@ -965,14 +958,14 @@ pub(crate) fn clock_sync(
                 group.rank_at(p),
                 msg_key(gk, seq, lane::CLOCK_UP),
             )?;
-            maxv = maxv.max(v[0] as f64);
+            maxv = maxv.max(clock_value(&v));
         }
         for p in 1..group.size() {
             shared.transport.send(
                 rank,
                 group.rank_at(p),
                 msg_key(gk, seq, lane::CLOCK_DOWN),
-                vec![maxv as f32],
+                clock_lanes(maxv),
             );
         }
         Ok(maxv)
@@ -981,12 +974,12 @@ pub(crate) fn clock_sync(
             rank,
             root,
             msg_key(gk, seq, lane::CLOCK_UP),
-            vec![value as f32],
+            clock_lanes(value),
         );
         let v = shared
             .transport
             .recv_result(rank, root, msg_key(gk, seq, lane::CLOCK_DOWN))?;
-        Ok(v[0] as f64)
+        Ok(clock_value(&v))
     }
 }
 
@@ -1081,5 +1074,53 @@ mod algo_smoke {
             v
         });
         assert!(out.iter().all(|v| v == &[7.0, 8.0]));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::comm::{Comm, CommWorld};
+    use crate::cost::RingCostModel;
+    use crate::group::ProcessGroup;
+    use std::sync::Arc;
+    use std::thread;
+
+    /// Each rank of a 3-rank timed world computes `flops(rank)`, then
+    /// joins one all-reduce of 3072 elements; returns every rank's
+    /// (arrival, end) virtual times.
+    fn arrive_then_all_reduce(flops: fn(usize) -> f64) -> Vec<(f64, f64)> {
+        let handles: Vec<_> = CommWorld::builder(3)
+            .cost(Arc::new(RingCostModel::new(3e9, 7e9)))
+            .build()
+            .into_iter()
+            .map(|c: Comm| {
+                thread::spawn(move || {
+                    c.advance_compute(flops(c.rank()));
+                    let arrival = c.now();
+                    let mut v = vec![1.0f32; 3072];
+                    c.all_reduce(&ProcessGroup::new(vec![0, 1, 2]), &mut v);
+                    (arrival, c.now())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    #[test]
+    fn clock_sync_carries_virtual_time_exactly() {
+        // Arrivals near 1000 s and 4 µs apart: an `f32` ulp there is
+        // ~61 µs, so a clock rounded through `f32` loses the order.
+        let out = arrive_then_all_reduce(|r| 3e12 + r as f64 * 12e3);
+        let cost = arrive_then_all_reduce(|_| 0.0)[0].1;
+        assert!(cost > 0.0);
+        let latest = out.iter().map(|o| o.0).fold(f64::MIN, f64::max);
+        assert_eq!(latest, out[2].0);
+        for (rank, &(_, end)) in out.iter().enumerate() {
+            assert_eq!(
+                end.to_bits(),
+                (latest + cost).to_bits(),
+                "rank {rank} ends at {end}, latest arrival {latest} + cost {cost}"
+            );
+        }
     }
 }

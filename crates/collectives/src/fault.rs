@@ -1,15 +1,15 @@
 //! Typed communication failures and deterministic fault injection.
 //!
-//! PR 1's poison mechanism turned any rank panic into a world-wide panic
-//! with a fixed message — good enough to avoid deadlock, but opaque to a
-//! supervisor that wants to *recover*. This module introduces the typed
-//! [`CommError`] surfaced by every fallible collective, the
+//! A rank that panics is a dead peer: the launcher marks it dead on the
+//! transport, and every rank waiting on it gets a typed
+//! [`CommError::PeerLost`] and fails in turn, so a world drains out of
+//! its collectives instead of deadlocking. This module holds that
+//! [`CommError`], surfaced by every fallible collective, the
 //! [`InjectedKill`] panic payload used by deterministic kill injection,
 //! and the transport-level [`FaultConfig`] (message drops, link stalls,
 //! recv timeouts) threaded into the mailbox by
 //! [`WorldBuilder::faults`](crate::WorldBuilder::faults).
 
-use crate::mailbox::PoisonInfo;
 use std::time::Duration;
 
 /// Default bound on any blocking receive. Generous enough that healthy
@@ -21,16 +21,12 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 ///
 /// Every blocking receive path in the crate resolves to one of these
 /// instead of hanging: a peer explicitly marked dead (or silent past the
-/// recv timeout) yields `PeerLost`; a world killed by the legacy poison
-/// mechanism yields `Poisoned`.
+/// recv timeout) yields `PeerLost`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// A peer will never answer: it was marked dead, or the receive
     /// timed out waiting for it.
     PeerLost { peer: usize, detail: String },
-    /// The world was poisoned (some rank panicked) before or during the
-    /// operation.
-    Poisoned(PoisonInfo),
     /// The caller handed a collective a buffer it cannot operate on
     /// (e.g. a reduce-scatter length not divisible by the group size).
     /// Raised *before* any message moves, so no peer is left waiting.
@@ -48,11 +44,6 @@ impl std::fmt::Display for CommError {
             CommError::PeerLost { peer, detail } => {
                 write!(f, "peer rank {peer} lost: {detail}")
             }
-            CommError::Poisoned(info) => write!(
-                f,
-                "world poisoned: rank {} panicked: {}",
-                info.origin_rank, info.message
-            ),
             CommError::InvalidBuffer { op, detail } => {
                 write!(f, "invalid buffer for {op}: {detail}")
             }
@@ -177,19 +168,14 @@ pub struct FailureRecord {
 }
 
 /// Resolve a fallible collective the way the infallible public API
-/// promises: poison failures re-raise the exact legacy panic message
-/// (`exec` keys on it), peer losses propagate as a typed panic payload
-/// the supervisor can classify.
+/// promises: peer losses propagate as a typed panic payload the
+/// launcher classifies as a secondary failure.
 pub(crate) fn unwrap_comm<T>(r: Result<T, CommError>) -> T {
     match r {
         Ok(v) => v,
-        Err(CommError::Poisoned(info)) => panic!(
-            "world poisoned: rank {} panicked: {}",
-            info.origin_rank, info.message
-        ),
         // A bad buffer is a caller bug: the infallible API panics with
         // the formatted diagnosis (a `String` payload, classified as a
-        // genuine panic by the supervisor).
+        // genuine panic by the launcher).
         Err(e @ CommError::InvalidBuffer { .. }) => panic!("{e}"),
         Err(e @ CommError::PeerLost { .. }) => std::panic::panic_any(e),
     }
@@ -206,11 +192,6 @@ mod tests {
             detail: "marked dead".into(),
         };
         assert_eq!(e.to_string(), "peer rank 3 lost: marked dead");
-        let p = CommError::Poisoned(PoisonInfo {
-            origin_rank: 1,
-            message: "boom".into(),
-        });
-        assert_eq!(p.to_string(), "world poisoned: rank 1 panicked: boom");
         let b = CommError::InvalidBuffer {
             op: "reduce_scatter",
             detail: "length 10 not divisible by group size 4".into(),
@@ -219,17 +200,6 @@ mod tests {
             b.to_string(),
             "invalid buffer for reduce_scatter: length 10 not divisible by group size 4"
         );
-    }
-
-    #[test]
-    fn unwrap_comm_reproduces_legacy_poison_message() {
-        let err: Result<(), CommError> = Err(CommError::Poisoned(PoisonInfo {
-            origin_rank: 2,
-            message: "bad".into(),
-        }));
-        let panic = std::panic::catch_unwind(|| unwrap_comm(err)).unwrap_err();
-        let msg = panic.downcast_ref::<String>().unwrap();
-        assert_eq!(msg, "world poisoned: rank 2 panicked: bad");
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub use fault::{
     WallStallRule, DEFAULT_RECV_TIMEOUT,
 };
 pub use group::ProcessGroup;
-pub use mailbox::PoisonInfo;
 pub use nonblocking::{AsyncHandle, AsyncOp};
 pub use pool::{BufferPool, Payload, PipelineConfig, PoolStats};
 pub use sched::{SchedEvent, SchedKind, SchedOp};

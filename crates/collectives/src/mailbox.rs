@@ -32,13 +32,6 @@ use std::time::Instant;
 /// collective) by the collective implementations.
 pub type MsgKey = u128;
 
-/// Why a world died: the first panicking rank and its panic message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoisonInfo {
-    pub origin_rank: usize,
-    pub message: String,
-}
-
 #[derive(Default)]
 struct Slot {
     queues: HashMap<(usize, MsgKey), VecDeque<Payload>>,
@@ -48,21 +41,16 @@ struct Slot {
 pub struct Mailbox {
     slot: Mutex<Slot>,
     signal: Condvar,
-    /// World-wide poison flag, shared by every mailbox of a transport.
-    poison: Arc<Mutex<Option<PoisonInfo>>>,
-    /// World-wide dead-rank registry (rank → reason), shared likewise.
+    /// World-wide dead-rank registry (rank → reason), shared by every
+    /// mailbox of a transport.
     dead: Arc<Mutex<HashMap<usize, String>>>,
 }
 
 impl Mailbox {
-    fn new(
-        poison: Arc<Mutex<Option<PoisonInfo>>>,
-        dead: Arc<Mutex<HashMap<usize, String>>>,
-    ) -> Self {
+    fn new(dead: Arc<Mutex<HashMap<usize, String>>>) -> Self {
         Mailbox {
             slot: Mutex::new(Slot::default()),
             signal: Condvar::new(),
-            poison,
             dead,
         }
     }
@@ -82,9 +70,6 @@ impl Mailbox {
         let deadline = Instant::now() + timeout;
         let mut slot = self.slot.lock();
         loop {
-            if let Some(info) = self.poison.lock().clone() {
-                return Err(CommError::Poisoned(info));
-            }
             // Drain queued messages before consulting the dead set: a
             // rank may die *after* sending, and those bytes are valid.
             if let Some(q) = slot.queues.get_mut(&(from, key)) {
@@ -151,7 +136,6 @@ pub struct Transport {
     /// Per-rank crash-surviving event rings.
     #[cfg(not(loom))]
     flight: Vec<Arc<axonn_trace::FlightRecorder>>,
-    poison: Arc<Mutex<Option<PoisonInfo>>>,
     dead: Arc<Mutex<HashMap<usize, String>>>,
     faults: Mutex<FaultRuntime>,
     /// Virtual seconds of injected link stall awaiting consumption by
@@ -172,41 +156,32 @@ pub struct Transport {
 }
 
 impl Transport {
+    /// A fault-free transport with the default chunk pipeline and no
+    /// schedule recording.
     pub fn new(world_size: usize) -> Arc<Self> {
-        Self::with_faults(world_size, FaultConfig::none())
+        Self::with_opts(
+            world_size,
+            FaultConfig::none(),
+            PipelineConfig::default(),
+            false,
+        )
     }
 
-    /// A transport with deterministic fault injection installed.
-    pub fn with_faults(world_size: usize, config: FaultConfig) -> Arc<Self> {
-        Self::with_opts(world_size, config, PipelineConfig::default())
-    }
-
-    /// A transport with fault injection and an explicit chunk-pipeline
-    /// policy.
-    pub fn with_opts(
-        world_size: usize,
-        config: FaultConfig,
-        pipeline: PipelineConfig,
-    ) -> Arc<Self> {
-        Self::with_opts_recording(world_size, config, pipeline, false)
-    }
-
-    /// A transport with schedule recording switched on or off explicitly
-    /// (the world builder decides the default from the build profile and
-    /// `AXONN_SCHED_VERIFY`).
-    pub(crate) fn with_opts_recording(
+    /// A transport with fault injection, a chunk-pipeline policy and
+    /// schedule recording as given (the world builder decides the
+    /// recording default from the build profile).
+    pub(crate) fn with_opts(
         world_size: usize,
         config: FaultConfig,
         pipeline: PipelineConfig,
         record_schedule: bool,
     ) -> Arc<Self> {
-        let poison = Arc::new(Mutex::new(None));
         let dead = Arc::new(Mutex::new(HashMap::new()));
         let id = NEXT_WORLD_ID.fetch_add(1, Ordering::Relaxed);
         Arc::new(Transport {
             boxes: Arc::new(
                 (0..world_size)
-                    .map(|_| Mailbox::new(poison.clone(), dead.clone()))
+                    .map(|_| Mailbox::new(dead.clone()))
                     .collect(),
             ),
             id,
@@ -215,7 +190,6 @@ impl Transport {
             flight: (0..world_size)
                 .map(|r| Arc::new(axonn_trace::FlightRecorder::new(id, r)))
                 .collect(),
-            poison,
             dead,
             faults: Mutex::new(FaultRuntime {
                 drops: config.drops,
@@ -247,46 +221,11 @@ impl Transport {
         &self.pipeline
     }
 
-    /// Mark the world dead: every rank blocked in (or later entering) a
-    /// `recv` panics instead of waiting forever for a peer that will
-    /// never send. The first poisoner wins; later calls are ignored so
-    /// the original failure is the one reported.
-    pub fn poison(&self, origin_rank: usize, message: String) {
-        {
-            let mut slot = self.poison.lock();
-            if slot.is_some() {
-                return;
-            }
-            *slot = Some(PoisonInfo {
-                origin_rank,
-                message,
-            });
-        }
-        self.wake_all();
-    }
-
-    /// The first recorded failure, if the world was poisoned.
-    pub fn poison_info(&self) -> Option<PoisonInfo> {
-        self.poison.lock().clone()
-    }
-
-    /// Panic if the world has been poisoned (used at blocking entry
-    /// points that don't go through a mailbox).
-    pub fn check_poison(&self) {
-        if let Some(info) = self.poison_info() {
-            panic!(
-                "world poisoned: rank {} panicked: {}",
-                info.origin_rank, info.message
-            );
-        }
-    }
-
-    /// Declare `rank` dead without killing the world: receivers blocked
-    /// on it (now or later) get [`CommError::PeerLost`] while traffic
-    /// between surviving ranks continues. This is the recoverable
-    /// counterpart of [`poison`](Self::poison) — the supervisor marks
-    /// failed ranks dead so the remaining ranks drain out with typed
-    /// errors instead of a world-wide panic.
+    /// Declare `rank` dead: receivers blocked on it (now or later) get
+    /// [`CommError::PeerLost`] once its queued messages are drained,
+    /// while traffic between surviving ranks continues. The launcher
+    /// marks every panicking rank dead, so its peers cascade out with
+    /// typed errors instead of waiting for a rank that will never send.
     pub fn mark_dead(&self, rank: usize, reason: &str) {
         self.dead.lock().insert(rank, reason.to_string());
         self.wake_all();
@@ -312,7 +251,7 @@ impl Transport {
     fn wake_all(&self) {
         for mb in self.boxes.iter() {
             // Touch each mailbox lock so sleeping receivers observe the
-            // flag, then wake them.
+            // dead set, then wake them.
             drop(mb.slot.lock());
             mb.signal.notify_all();
         }
@@ -379,8 +318,9 @@ impl Transport {
     /// Block until a message from `src` with `key` arrives at `dst`.
     ///
     /// # Panics
-    /// On poison (legacy message format) or lost peer; the fallible
-    /// variant is [`recv_result`](Self::recv_result).
+    /// With a [`CommError::PeerLost`] payload when `src` is dead or the
+    /// recv timeout expires; the fallible variant is
+    /// [`recv_result`](Self::recv_result).
     pub fn recv(&self, dst: usize, src: usize, key: MsgKey) -> Payload {
         crate::fault::unwrap_comm(self.recv_result(dst, src, key))
     }
@@ -476,13 +416,11 @@ impl Transport {
     }
 
     /// True when the recorded schedule streams reflect a fully successful
-    /// run: no poison, no dead ranks, no typed communication errors. Only
+    /// run: no dead ranks, no typed communication errors. Only
     /// such streams are required to satisfy the SPMD matching property —
     /// fault-injected or failed runs legally diverge mid-collective.
     pub fn schedule_clean(&self) -> bool {
-        self.poison_info().is_none()
-            && self.dead.lock().is_empty()
-            && !self.saw_error.load(Ordering::Relaxed)
+        self.dead.lock().is_empty() && !self.saw_error.load(Ordering::Relaxed)
     }
 }
 
@@ -491,6 +429,10 @@ mod tests {
     use super::*;
     use crate::fault::{DropRule, StallRule};
     use std::thread;
+
+    fn faulty(world_size: usize, config: FaultConfig) -> Arc<Transport> {
+        Transport::with_opts(world_size, config, PipelineConfig::default(), false)
+    }
 
     #[test]
     fn send_then_recv_same_thread() {
@@ -538,24 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn poison_wakes_blocked_receiver() {
-        let t = Transport::new(2);
-        let t2 = t.clone();
-        let h = thread::spawn(move || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t2.recv(1, 0, 9)))
-        });
-        thread::sleep(std::time::Duration::from_millis(20));
-        t.poison(0, "boom".to_string());
-        let result = h.join().unwrap();
-        let err = result.expect_err("blocked recv must panic after poison");
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert_eq!(msg, "world poisoned: rank 0 panicked: boom");
-        // First poisoner wins.
-        t.poison(1, "later".to_string());
-        assert_eq!(t.poison_info().unwrap().origin_rank, 0);
-    }
-
-    #[test]
     fn mark_dead_wakes_blocked_receiver_with_peer_lost() {
         let t = Transport::new(2);
         let t2 = t.clone();
@@ -591,7 +515,7 @@ mod tests {
 
     #[test]
     fn recv_times_out_as_peer_lost() {
-        let t = Transport::with_faults(
+        let t = faulty(
             2,
             FaultConfig::none().with_recv_timeout(Duration::from_millis(30)),
         );
@@ -609,7 +533,7 @@ mod tests {
 
     #[test]
     fn injected_drop_loses_exactly_one_message() {
-        let t = Transport::with_faults(
+        let t = faulty(
             2,
             FaultConfig::none()
                 .with_drop(DropRule {
@@ -632,7 +556,7 @@ mod tests {
 
     #[test]
     fn injected_stall_accrues_to_receiver() {
-        let t = Transport::with_faults(
+        let t = faulty(
             2,
             FaultConfig::none().with_stall(StallRule {
                 src: 0,

@@ -115,7 +115,7 @@ impl AsyncHandle {
     /// time if it finished later than the compute stream.
     ///
     /// # Panics
-    /// On a poisoned world (legacy message format) or a lost peer; the
+    /// With a [`CommError::PeerLost`] payload when a peer is lost; the
     /// fallible variant is [`try_wait`](Self::try_wait).
     pub fn wait(self) -> Vec<f32> {
         unwrap_comm(self.try_wait())
@@ -135,25 +135,16 @@ impl AsyncHandle {
                 },
             );
         }
-        if let Some(info) = self.shared.transport.poison_info() {
-            return Err(CommError::Poisoned(info));
-        }
         let wall_start = self.shared.tracer.as_ref().map_or(0, |t| t.now_ns());
         let (result, completion) = match self.completion {
             Completion::Ready(outcome) => outcome?,
             Completion::Worker(rx) => match rx.recv() {
                 Ok(outcome) => outcome?,
                 Err(_) => {
-                    // The worker died; if the world was poisoned, report
-                    // the original failure rather than the secondary
-                    // symptom.
-                    return Err(match self.shared.transport.poison_info() {
-                        Some(info) => CommError::Poisoned(info),
-                        None => CommError::PeerLost {
-                            peer: self.rank,
-                            detail: "async collective worker terminated before completing".into(),
-                        },
-                    });
+                    return Err(CommError::PeerLost {
+                        peer: self.rank,
+                        detail: "async collective worker terminated before completing".into(),
+                    })
                 }
             },
         };
@@ -193,7 +184,6 @@ impl Comm {
     /// stream. All group members must issue the matching operation (in
     /// the same program order, as in SPMD code).
     pub fn start_async(&self, group: &ProcessGroup, op: AsyncOp) -> AsyncHandle {
-        self.shared.transport.check_poison();
         let elems = op.payload().len();
         let kind = self
             .shared

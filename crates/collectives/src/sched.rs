@@ -12,8 +12,9 @@
 //! * **dry extraction** ([`crate::CommWorld::dry`]): collectives return
 //!   zero-filled results immediately, so a whole training step can be
 //!   replayed per rank, serially, to extract its symbolic schedule;
-//! * **runtime shadow** (debug builds, or `AXONN_SCHED_VERIFY=1`): live
-//!   worlds append to the same per-rank logs while executing normally, and
+//! * **runtime shadow** (debug builds, or worlds built with
+//!   [`crate::WorldBuilder::record_schedule`]): live worlds append to the
+//!   same per-rank logs while executing normally, and
 //!   `axonn_exec::run_spmd` cross-checks the streams at teardown.
 //!
 //! # Lane keys (canonical reference)

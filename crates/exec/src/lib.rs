@@ -5,12 +5,13 @@
 //! the world, runs the same closure on every rank (Single Program,
 //! Multiple Data) and collects the per-rank results in rank order.
 //!
-//! A panicking rank **poisons the world** before unwinding: every peer
-//! blocked in (or later entering) a collective panics instead of waiting
-//! forever for a message that will never come, and the launcher reports
-//! the *original* panicking rank rather than the first casualty. Without
-//! this, a panic on rank `k` while other ranks sit in a ring collective
-//! would deadlock the join loop.
+//! A panicking rank is a **dead peer**: the launcher marks it dead on the
+//! transport, so every peer blocked on it (now or later) gets a typed
+//! `CommError::PeerLost` and fails in turn instead of waiting forever for
+//! a message that will never come. [`run_spmd`] and its variants then
+//! panic naming the *original* failing rank rather than the first
+//! casualty; [`run_spmd_fallible`] returns the same failure as a
+//! [`WorldFailure`]. Both go through one spawn/catch/join loop.
 
 pub mod supervise;
 pub mod watchdog;
@@ -24,7 +25,6 @@ pub use watchdog::{
 
 use axonn_collectives::{Comm, CommWorld, CostModel};
 use axonn_trace::RankTrace;
-use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 /// Run `body` on `world_size` ranks with no virtual-time tracking.
@@ -49,9 +49,9 @@ where
 
 /// Run `body` on a pre-built world — the escape hatch for callers that
 /// configure the world through [`CommWorld::builder`] (cost model, fault
-/// plan, live-metrics registry) and still want the launcher's poisoning,
-/// flight-dump and schedule-certification behaviour. `comms` must be the
-/// complete rank set of one world, in rank order.
+/// plan, live-metrics registry) and still want the launcher's failure
+/// attribution, flight-dump and schedule-certification behaviour.
+/// `comms` must be the complete rank set of one world, in rank order.
 pub fn run_spmd_on<F, T>(comms: Vec<Comm>, body: F) -> Vec<T>
 where
     F: Fn(Comm) -> T + Send + Sync + 'static,
@@ -99,82 +99,38 @@ pub(crate) fn rank_kernel_pool(world_size: usize) -> rayon::ThreadPool {
         .expect("a pool with a fixed worker count")
 }
 
+/// Run `body` on every rank of `comms` and re-raise a failed world as a
+/// panic naming its origin rank.
 fn launch<F, T>(comms: Vec<Comm>, body: F) -> Vec<T>
 where
     F: Fn(Comm) -> T + Send + Sync + 'static,
     T: Send + 'static,
 {
-    let world_size = comms.len();
-    let body = Arc::new(body);
-    // A probe clone lets the join loop read the poison flag after the
-    // rank threads are gone.
+    // A probe clone reads the world's flight rings and schedule streams
+    // after the rank threads are gone.
     let probe = comms[0].clone();
-    let handles: Vec<_> = comms
-        .into_iter()
-        .map(|comm| {
-            let body = body.clone();
-            let rank = comm.rank();
-            let kernels = rank_kernel_pool(world_size);
-            std::thread::Builder::new()
-                .name(format!("axonn-rank-{rank}"))
-                .spawn(move || {
-                    let poison_handle = comm.clone();
-                    let run = AssertUnwindSafe(|| kernels.install(|| body(comm)));
-                    match std::panic::catch_unwind(run) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            // Poison before unwinding so blocked peers
-                            // abort instead of deadlocking; secondary
-                            // (poison-induced) panics don't overwrite the
-                            // original because the first poisoner wins.
-                            if !is_poison_panic(&*e) {
-                                poison_handle.poison_world(rank, panic_message(&*e));
-                            }
-                            std::panic::resume_unwind(e);
-                        }
-                    }
-                })
-                .expect("failed to spawn rank thread")
-        })
-        .collect();
-    let mut failed = false;
-    let results: Vec<Option<T>> = handles
-        .into_iter()
-        .map(|h| match h.join() {
-            Ok(v) => Some(v),
-            Err(_) => {
-                failed = true;
-                None
-            }
-        })
-        .collect();
-    if failed {
-        match probe.poison_info() {
-            Some(info) => {
-                // Crash post-mortem: persist every rank's flight
-                // recorder before re-raising (the post-hoc tracer never
-                // finishes on failed runs, so this is the only data).
-                probe.dump_flight_all(&format!(
-                    "world poisoned: rank {} panicked: {}",
-                    info.origin_rank, info.message
-                ));
-                panic!("rank {} panicked: {}", info.origin_rank, info.message)
-            }
-            None => {
-                let rank = results.iter().position(Option::is_none).unwrap_or(0);
-                probe.dump_flight_all(&format!("rank {rank} panicked: <unknown failure>"));
-                panic!("rank {rank} panicked: <unknown failure>");
-            }
+    let results = match supervise::launch_fallible(comms, Arc::new(body)) {
+        Ok(results) => results,
+        Err(failure) => {
+            let message = format!(
+                "rank {} panicked: {}",
+                failure.origin.rank, failure.origin.message
+            );
+            // Crash post-mortem: persist every rank's flight recorder
+            // before re-raising (the post-hoc tracer never finishes on
+            // failed runs, so this is the only data).
+            probe.dump_flight_all(&message);
+            panic!("{message}");
         }
-    }
+    };
     // Post-run schedule certification: when recording was on (dry worlds,
-    // debug builds, or AXONN_SCHED_VERIFY=1) and all ranks completed
-    // cleanly, cross-check the recorded collective streams — cross-rank
-    // matching plus the happens-before race and slab-lifetime analyses.
-    // Completion already witnesses deadlock freedom, so the deadlock and
-    // leak checks stay off. Every world launched here flows through this
-    // gate, training and serve alike (`axonn_serve::tp_greedy_spmd` lands
-    // on `run_spmd_on`).
+    // debug builds, or `WorldBuilder::record_schedule(true)`) and all
+    // ranks completed cleanly, cross-check the recorded collective
+    // streams — cross-rank matching plus the happens-before race and
+    // slab-lifetime analyses. Completion already witnesses deadlock
+    // freedom, so the deadlock and leak checks stay off. Every world
+    // launched here flows through this gate, training and serve alike
+    // (`axonn_serve::tp_greedy_spmd` lands on `run_spmd_on`).
     if let Some(streams) = probe.schedule_streams() {
         if probe.schedule_clean() {
             let report = axonn_verify::check_runtime(&streams);
@@ -185,32 +141,14 @@ where
         }
     }
     results
-        .into_iter()
-        .map(|v| v.expect("checked above"))
-        .collect()
-}
-
-/// True when a panic payload is a secondary, poison-induced abort rather
-/// than an original failure.
-fn is_poison_panic(e: &(dyn std::any::Any + Send)) -> bool {
-    e.downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| e.downcast_ref::<&str>().copied())
-        .is_some_and(|m| m.starts_with("world poisoned:"))
-}
-
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    e.downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| e.downcast_ref::<&str>().copied())
-        .unwrap_or("<non-string panic payload>")
-        .to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use axonn_collectives::ProcessGroup;
+    use std::panic::AssertUnwindSafe;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn each_rank_gets_its_share_of_the_kernel_threads() {
@@ -287,9 +225,8 @@ mod tests {
     fn rank_panic_does_not_deadlock_peers_blocked_in_collective() {
         // Every rank except 1 enters a world-wide all-reduce and blocks
         // on messages from rank 1, which panics instead of joining the
-        // collective. Before world poisoning this deadlocked the join
-        // loop (rank 0 never returned); now the poison wakes the blocked
-        // ranks and the original panic is attributed to rank 1.
+        // collective. Marking rank 1 dead wakes the blocked ranks with
+        // `PeerLost`, and the original panic is attributed to rank 1.
         run_spmd(4, |c| {
             if c.rank() == 1 {
                 panic!("deliberate failure");
@@ -305,8 +242,8 @@ mod tests {
     #[should_panic(expected = "rank 2 panicked: async failure")]
     fn rank_panic_does_not_deadlock_async_waiters() {
         // Peers block in `AsyncHandle::wait` on a collective rank 2
-        // never issues; poisoning must reach them through their
-        // communication workers.
+        // never issues; its death must reach them through their
+        // communication streams.
         run_spmd(4, |c| {
             if c.rank() == 2 {
                 panic!("async failure");
@@ -315,6 +252,64 @@ mod tests {
             let h = c.iall_reduce(&g, vec![c.rank() as f32]);
             h.wait()
         });
+    }
+
+    /// Run a 4-rank world that must fail, returning its panic message
+    /// and asserting it failed well inside the default recv timeout — a
+    /// cascade that only ends because a receive timed out is a hang.
+    fn failing_world(body: impl Fn(Comm) + Send + Sync + 'static) -> String {
+        let start = Instant::now();
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| run_spmd(4, body)))
+            .expect_err("the world must fail");
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(5), "failed after {elapsed:?}");
+        err.downcast_ref::<String>()
+            .expect("a formatted panic message")
+            .clone()
+    }
+
+    #[test]
+    fn rank_panic_reaches_peers_waiting_on_comm_workers() {
+        // An 8-thread host gives each of 4 ranks a 2-core share, so every
+        // async collective runs on the rank's comm worker.
+        let host = rayon::ThreadPoolBuilder::new()
+            .num_threads(8)
+            .build()
+            .unwrap();
+        let worker = std::env::var("AXONN_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|n| *n > 0)
+            .is_none_or(|n| n >= 2);
+        let msg = host.install(|| {
+            failing_world(move |c| {
+                assert_eq!(c.has_comm_worker(), worker);
+                if c.rank() == 2 {
+                    panic!("worker-side failure");
+                }
+                let g = ProcessGroup::new((0..4).collect());
+                let _ = c.iall_reduce(&g, vec![c.rank() as f32; 4096]).wait();
+            })
+        });
+        assert_eq!(msg, "rank 2 panicked: worker-side failure");
+    }
+
+    #[test]
+    fn rank_panic_cascades_through_a_disjoint_subgroup() {
+        // Rank 3's death reaches rank 2 through their pair group, and
+        // ranks 0 and 1 (whose pair is healthy) through the world group.
+        let msg = failing_world(|c| {
+            let pair = ProcessGroup::new(if c.rank() < 2 { vec![0, 1] } else { vec![2, 3] });
+            let world = ProcessGroup::new((0..4).collect());
+            for i in 0..20 {
+                if c.rank() == 3 && i == 10 {
+                    panic!("cascade origin");
+                }
+                let mut v = vec![c.rank() as f32; 64];
+                c.all_reduce(if i % 2 == 0 { &pair } else { &world }, &mut v);
+            }
+        });
+        assert_eq!(msg, "rank 3 panicked: cascade origin");
     }
 
     #[test]

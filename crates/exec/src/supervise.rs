@@ -1,12 +1,12 @@
 //! Fault-tolerant SPMD launching: fallible worlds and the supervisor
 //! relaunch loop.
 //!
-//! [`run_spmd_fallible`] is the recoverable counterpart of `run_spmd`: a
-//! panicking rank is *marked dead* on the transport (instead of poisoning
-//! the world), so surviving ranks drain out of their collectives with
-//! typed [`CommError::PeerLost`] panics that are caught, classified and
-//! returned as a [`WorldFailure`] — the launcher never panics and never
-//! deadlocks.
+//! [`run_spmd_fallible`] is the recoverable counterpart of `run_spmd`:
+//! both mark a panicking rank *dead* on the transport, so surviving ranks
+//! drain out of their collectives with typed [`CommError::PeerLost`]
+//! panics that are caught, classified and returned as a [`WorldFailure`].
+//! This launcher never panics and never deadlocks; `run_spmd` re-raises
+//! the failure it returns.
 //!
 //! [`run_spmd_supervised`] drives attempts of such worlds under a
 //! caller-supplied *recovery policy*: after each failure the policy
@@ -62,7 +62,7 @@ fn classify_panic(rank: usize, e: &(dyn std::any::Any + Send)) -> FailureRecord 
             CommError::PeerLost { .. } => FailureKind::PeerLost,
             // A bad buffer is a caller bug at the origin rank, like any
             // other panic — not a cascading peer failure.
-            CommError::Poisoned(_) | CommError::InvalidBuffer { .. } => FailureKind::Panic,
+            CommError::InvalidBuffer { .. } => FailureKind::Panic,
         };
         return FailureRecord {
             rank,
@@ -77,15 +77,9 @@ fn classify_panic(rank: usize, e: &(dyn std::any::Any + Send)) -> FailureRecord 
         .or_else(|| e.downcast_ref::<&str>().copied())
         .unwrap_or("<non-string panic payload>")
         .to_string();
-    // A poison-format panic is also a secondary casualty, not an origin.
-    let kind = if message.starts_with("world poisoned:") {
-        FailureKind::PeerLost
-    } else {
-        FailureKind::Panic
-    };
     FailureRecord {
         rank,
-        kind,
+        kind: FailureKind::Panic,
         message,
         step: None,
     }
@@ -93,8 +87,8 @@ fn classify_panic(rank: usize, e: &(dyn std::any::Any + Send)) -> FailureRecord 
 
 /// Run `body` on `world_size` ranks with fault injection installed.
 /// Returns the per-rank results, or a structured [`WorldFailure`] if any
-/// rank panicked. Unlike [`run_spmd`](crate::run_spmd), a failure marks
-/// the rank dead (surviving ranks observe `CommError::PeerLost`) and the
+/// rank panicked. A failure marks the rank dead (surviving ranks observe
+/// `CommError::PeerLost`) and, unlike [`run_spmd`](crate::run_spmd), the
 /// call returns instead of panicking, so a supervisor can decide what to
 /// do next.
 pub fn run_spmd_fallible<F, T>(
@@ -135,9 +129,9 @@ where
                         Ok(v) => Ok(v),
                         Err(e) => {
                             let record = classify_panic(rank, &*e);
-                            // Mark (don't poison): peers blocked on this
-                            // rank get a typed PeerLost and cascade out;
-                            // survivor-to-survivor traffic still works.
+                            // Peers blocked on this rank get a typed
+                            // PeerLost and cascade out; survivor-to-
+                            // survivor traffic still works.
                             death_handle.mark_dead(rank, &record.message);
                             Err(record)
                         }

@@ -13,7 +13,7 @@
 #![cfg(loom)]
 
 use axonn_collectives::mailbox::Transport;
-use axonn_collectives::{BufferPool, Payload};
+use axonn_collectives::{BufferPool, CommError, Payload};
 use loom::thread;
 use std::sync::Arc;
 
@@ -36,6 +36,30 @@ fn mailbox_send_recv_no_lost_wakeup() {
         let got = transport.recv(0, 1, KEY);
         assert_eq!(got.as_slice(), &[7.0]);
         sender.join().unwrap();
+    });
+}
+
+/// A dead peer wakes its receivers: a receiver parked on rank 1 wakes
+/// with `PeerLost` when `mark_dead(1, ..)` runs concurrently, in every
+/// interleaving, and a message rank 1 deposited before dying is
+/// delivered before the loss is reported. A lost wakeup parks the
+/// receiver forever, which loom reports as a deadlock.
+#[test]
+fn mark_dead_wakes_receiver_after_earlier_sends() {
+    loom::model(|| {
+        let transport = Transport::new(2);
+        let t = Arc::clone(&transport);
+        let dying = thread::spawn(move || {
+            t.send(1, 0, KEY, vec![7.0f32]);
+            t.mark_dead(1, "rank 1 panicked");
+        });
+        let first = transport.recv_result(0, 1, KEY).expect("sent before death");
+        assert_eq!(first.as_slice(), &[7.0]);
+        match transport.recv_result(0, 1, KEY) {
+            Err(CommError::PeerLost { peer: 1, .. }) => {}
+            other => panic!("expected rank 1 lost, got {other:?}"),
+        }
+        dying.join().unwrap();
     });
 }
 

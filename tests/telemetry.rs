@@ -179,9 +179,9 @@ fn merely_slow_rank_is_not_a_watchdog_false_positive() {
 
 #[test]
 fn flight_recorder_survives_a_rank_panic() {
-    // When a rank panics, `exec` poisons the world and dumps every
-    // rank's flight ring before re-raising — the post-mortem artifact
-    // for crashes, not just hangs.
+    // When a rank panics, `exec` marks it dead, lets its peers drain
+    // out, and dumps every rank's flight ring before re-raising — the
+    // post-mortem artifact for crashes, not just hangs.
     static WID: OnceLock<u64> = OnceLock::new();
     let result = std::panic::catch_unwind(|| {
         run_spmd(2, |c| {
