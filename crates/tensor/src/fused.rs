@@ -13,8 +13,8 @@
 //! `*_body` functions are the single source of each loop; the public
 //! names dispatch between the two copies.
 //!
-//! This sits outside the `simd` feature on purpose: the portable GEMM
-//! kernel and cached decode attention run here on every build.
+//! The portable GEMM kernel and cached decode attention run here on
+//! every CPU.
 
 use crate::pack::NR;
 

@@ -12,8 +12,8 @@
 //! becomes the same broadcast-multiply-add loop as NN; TN reads its
 //! `k × m` A in place through two strides, so the rows of one contraction
 //! step are one contiguous run. The dense tiles run on the best [`Isa`]
-//! the CPU has: AVX-512 FMA intrinsics with the `simd` feature, the
-//! portable kernel otherwise.
+//! the CPU has: AVX-512 FMA intrinsics on an x86-64 CPU with AVX-512F,
+//! the portable kernel otherwise.
 //!
 //! **Arithmetic contract.** Every kernel is bitwise identical to
 //! [`gemm_reference`]: each `C[i][j]` is one correctly rounded fused
@@ -465,6 +465,20 @@ mod tests {
                 assert_eq!(c.to_bits(), oracle, "{mode} on {isa:?}");
                 assert_eq!(stats.simd, isa != Isa::Scalar);
             }
+        }
+    }
+
+    /// Every x86-64 build holds the AVX-512 kernel, so CPUID alone
+    /// decides whether a default product runs it.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_runs_exactly_where_the_cpu_has_it() {
+        let cpu = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma");
+        assert_eq!(Isa::Avx512.runs_here(), cpu);
+        if cpu {
+            let (a, b) = operands(MatMode::NN, 16, 16, 16, 61);
+            let mut c = Matrix::zeros(16, 16);
+            assert!(gemm_into_stats(MatMode::NN, &a, &b, &mut c).simd);
         }
     }
 

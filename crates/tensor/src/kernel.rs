@@ -19,9 +19,9 @@
 //! `+0.0` — the rule of [`crate::fused`] — and lane parallelism across
 //! `j` is not a reassociation. Partial sums are spilled to `C` between
 //! `kc` blocks; an f32 store/load round-trip is exact, so blocking does
-//! not perturb results either. The AVX-512 kernel is compiled with the
-//! `simd` feature and picked by CPUID at run time; it shares `NR = 16`
-//! and the packed-B layout with the portable one.
+//! not perturb results either. The AVX-512 kernel is compiled into every
+//! x86-64 build and picked by CPUID at run time; it shares `NR = 16` and
+//! the packed-B layout with the portable one.
 
 use crate::fused;
 use crate::pack::{BlockSizes, MR, NR};
@@ -75,7 +75,7 @@ pub(crate) fn split_workers(macs: usize) -> usize {
 pub enum Isa {
     /// The portable kernel of [`crate::fused`]; runs everywhere.
     Scalar,
-    /// AVX-512F + FMA intrinsics (`simd` feature).
+    /// AVX-512F + FMA intrinsics (x86-64).
     Avx512,
 }
 
@@ -85,13 +85,13 @@ impl Isa {
     /// The most preferred ISA: as a cap, "no cap".
     pub const BEST: Isa = Isa::ALL[Isa::ALL.len() - 1];
 
-    /// Whether this build holds the kernel and this CPU can run it.
+    /// Whether this target holds the kernel and this CPU can run it.
     pub fn runs_here(self) -> bool {
         match self {
             Isa::Scalar => true,
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma"),
-            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+            #[cfg(not(target_arch = "x86_64"))]
             Isa::Avx512 => false,
         }
     }
@@ -280,16 +280,18 @@ fn micro<const R: usize>(
         Isa::Scalar => fused::tile::<R>(a, rs, ps, b, c, ldc, first),
         // SAFETY: `Isa::best_up_to` picks a vector ISA only when
         // `runs_here` found its CPU features.
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => unsafe { x86::tile_avx512::<R>(a, rs, ps, b, c, ldc, first) },
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        isa @ Isa::Avx512 => unreachable!("{isa:?} does not run in this build"),
+        // Off x86-64 `runs_here` never picks AVX-512; the arm keeps the
+        // match exhaustive.
+        #[cfg(not(target_arch = "x86_64"))]
+        Isa::Avx512 => fused::tile::<R>(a, rs, ps, b, c, ldc, first),
     }
 }
 
 /// The explicit-vector kernel: [`fused::tile`] with its multiply-adds
 /// issued as `vfmadd` on 16 lanes.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     use crate::pack::NR;
     use std::arch::x86_64::*;

@@ -5,7 +5,7 @@
 //! to emulate the paper's mixed-precision (bf16 compute / f32 master
 //! weights) regime, and one blocked/packed GEMM engine (cache blocking,
 //! register-tiled micro-kernels over packed panels, an AVX-512 FMA kernel
-//! behind the `simd` feature) with distinct NN / NT / TN paths. TN reads
+//! picked by CPUID) with distinct NN / NT / TN paths. TN reads
 //! its operand in place at about NN speed, so the automated kernel tuner
 //! in `axonn-core` (Section V-C of the paper) weighs it against the
 //! explicit transpose + NN reroute. Every kernel is bitwise identical to

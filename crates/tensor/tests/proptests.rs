@@ -38,8 +38,8 @@ fn tile_rows() -> impl Strategy<Value = usize> {
     1usize..=2 * MR + 1
 }
 
-/// The kernel ISAs this build and CPU run: the portable kernel always,
-/// AVX-512 with `simd` on a CPU that has it.
+/// The kernel ISAs this CPU runs: the portable kernel always, AVX-512 on
+/// an x86-64 CPU that has it.
 fn isas() -> impl Iterator<Item = Isa> {
     Isa::ALL.into_iter().filter(|isa| isa.runs_here())
 }
